@@ -27,7 +27,6 @@ are already binary so the paper's m-way expansion is the identity here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,17 +269,54 @@ class LineFeatureEncoder:
     def _timeseries_block(
         self, measurements: MeasurementStore, week: int, current: np.ndarray
     ) -> np.ndarray:
+        """Table-3 "timeseries": ``(l_iK - mean(l_i)) / std(l_i)`` per line.
+
+        A streaming kernel over the history weeks: each week's
+        ``(lines, features)`` slice is copied into one reused float64
+        buffer, and the ``(lines, weeks, features)`` cube is never
+        gathered.  Pass 1 folds each line's present-record count and
+        NaN-as-zero sum; pass 2 folds the squared deviations from that
+        mean, missing records contributing ``+0.0``.  That is exactly the
+        arithmetic of ``np.nanmean`` / ``np.nanstd`` (ddof 0) along the
+        week axis of the gathered cube, in numpy's own order for a
+        reduction over a non-contiguous axis: sequential over the weeks,
+        seeded with the first week rather than with ``+0.0``.  The block
+        is therefore bit-identical to that formulation, signed zeros and
+        NaN payloads included.
+        """
         cfg = self.config
         history = measurements.filled_weeks
         history = history[(history < week) & (history >= week - cfg.history_weeks)]
         if history.size == 0:
             return np.full_like(current, np.nan)
-        series = np.asarray(measurements.data[:, history, :], dtype=float)
-        counts = np.sum(~np.isnan(series), axis=1)
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            mean = np.nanmean(series, axis=1)
-            std = np.nanstd(series, axis=1)
+        data = measurements.data
+        missing = np.empty(current.shape, dtype=bool)
+        absent = np.zeros(current.shape, dtype=np.intp)
+        buf = np.empty_like(current)
+        total = np.empty_like(current)
+        squares = np.empty_like(current)
+        with np.errstate(all="ignore"):
+            for k, w in enumerate(history):
+                # The first week is written straight into the accumulator.
+                out = buf if k else total
+                np.copyto(out, data[:, w, :])
+                np.isnan(out, out=missing)
+                absent += missing
+                np.copyto(out, 0.0, where=missing)
+                if k:
+                    total += buf
+            counts = history.size - absent
+            mean = np.divide(total, counts, out=total)
+            for k, w in enumerate(history):
+                out = buf if k else squares
+                np.copyto(out, data[:, w, :])
+                np.isnan(out, out=missing)
+                out -= mean
+                np.copyto(out, 0.0, where=missing)
+                out *= out
+                if k:
+                    squares += buf
+            std = np.sqrt(np.divide(squares, counts, out=squares), out=squares)
         enough = counts >= cfg.min_history_records
         std = np.where(std > 1e-9, std, np.nan)
         deviation = (current - mean) / std

@@ -115,26 +115,33 @@ class ModelRegistry:
         # In-process observers of activation changes (e.g. the serving
         # cache); not persisted -- each registry instance has its own.
         self._listeners: list = []
-        manifest_path = self.root / _MANIFEST
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            version = manifest.get("format_version")
-            if version != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported registry format version: {version!r}"
-                )
-            self._versions: dict[str, dict[str, Any]] = manifest["versions"]
-            self._active: str | None = manifest["active"]
-            self._history: list[str] = list(manifest.get("history", []))
-            self._events: list[dict[str, Any]] = list(manifest.get("events", []))
+        self._versions: dict[str, dict[str, Any]] = {}
+        self._active: str | None = None
+        self._history: list[str] = []
+        self._events: list[dict[str, Any]] = []
+        if (self.root / _MANIFEST).exists():
+            self.refresh()
         else:
-            self._versions = {}
-            self._active = None
-            self._history = []
-            self._events = []
             self._write_manifest()
 
     # ----- manifest -------------------------------------------------------
+
+    def refresh(self) -> None:
+        """Re-read the manifest, picking up other handles' writes.
+
+        Each handle keeps the manifest in memory, so a publish, activate
+        or rollback made through another ``ModelRegistry`` on the same
+        root (e.g. the lifecycle controller's) is invisible here until
+        this is called.  Listeners are not notified.
+        """
+        manifest = json.loads((self.root / _MANIFEST).read_text())
+        version = manifest.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported registry format version: {version!r}")
+        self._versions = manifest["versions"]
+        self._active = manifest["active"]
+        self._history = list(manifest.get("history", []))
+        self._events = list(manifest.get("events", []))
 
     def _write_manifest(self) -> None:
         manifest = {

@@ -78,16 +78,19 @@ class WeekScores:
         day: absolute Saturday day of the underlying line test.
         scores: per-line calibrated ticket probabilities.
         n_shards: how many line-shards the run fanned out.
-        encode_seconds: feature-encoding wall time.
-        score_seconds: shard scoring + calibration wall time.
+        encode_seconds: wall time of the shared set-up before the shard
+            fan-out (population, dense cube, ticket vector).  Despite the
+            name, no feature encoding happens in this interval.
+        score_seconds: wall time of the shard fan-out (each shard's
+            Table-3 encode and ensemble scoring) plus calibration.
     """
 
     week: int
     day: int
     scores: np.ndarray
     n_shards: int
-    encode_seconds: float  # shared setup: population, store views
-    score_seconds: float  # sharded encode + score + calibration
+    encode_seconds: float
+    score_seconds: float
 
     @property
     def lines_per_sec(self) -> float:

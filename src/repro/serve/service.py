@@ -176,8 +176,14 @@ class ScoringService:
         self.cache.invalidate(reason=action, keep_version=version)
 
     def reload(self) -> str:
-        """(Re)load the active bundle and refresh the store manifest."""
+        """(Re)load the active bundle; re-read both manifests first.
+
+        Re-reading the registry manifest makes activations and rollbacks
+        written by other processes (or other ``ModelRegistry`` handles on
+        the same root) take effect here.
+        """
         self.world.refresh()
+        self.registry.refresh()
         version = self.registry.active
         if version is None:
             raise RuntimeError(
@@ -395,15 +401,19 @@ class ScoringService:
         week = self._resolve_week(query)
         scored = self._scored(week)
         engine = self._require_engine()
+        default_capacity = engine.bundle.predictor.config.capacity
         capacity = (
             _int_param(query, "capacity")
             if "capacity" in query
-            else engine.bundle.predictor.config.capacity
+            else default_capacity
         )
         if capacity <= 0:
             raise _ServiceError(400, "capacity must be positive")
-        topology = self.world.population().topology
-        triage = find_clusters(scored.scores, topology, capacity)
+        if capacity == default_capacity:
+            triage = self._week_triage(week)
+        else:
+            topology = self.world.population().topology
+            triage = find_clusters(scored.scores, topology, capacity)
         plan = plan_dispatches(scored.scores, capacity, triage, week=week)
         payload = triage.to_dict()
         payload.update({

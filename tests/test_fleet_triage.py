@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,64 @@ class TestServeEndpoint:
 
         status, _ = service.dispatch_request("GET", "/triage?capacity=-2")
         assert status == 400
+
+    def test_triage_route_searches_once_per_week_and_version(
+        self, small_store, small_predictor, tmp_path, monkeypatch
+    ):
+        import repro.fleet
+        from repro.serve import ModelBundle, ModelRegistry, ScoringService
+
+        registry = ModelRegistry(tmp_path / "registry")
+        for gen in (1, 2):
+            registry.publish(
+                ModelBundle(predictor=small_predictor, meta={"gen": gen})
+            )
+        registry.activate("v0001")
+        service = ScoringService(
+            small_store.root, tmp_path / "registry", shard_size=500
+        )
+        week = small_store.latest_week
+        capacity = small_predictor.config.capacity
+        scored = service.engine.score_week(week)
+        topology = service.world.population().topology
+        triage = find_clusters(scored.scores, topology, capacity)
+        expected = triage.to_dict()
+        expected.update({
+            "week": week,
+            "day": scored.day,
+            "model_version": "v0001",
+            "plan": plan_dispatches(
+                scored.scores, capacity, triage, week=week
+            ).to_dict(),
+        })
+
+        searches = []
+
+        def counting_find_clusters(*args, **kwargs):
+            searches.append(args[2])
+            return find_clusters(*args, **kwargs)
+
+        monkeypatch.setattr(repro.fleet, "find_clusters", counting_find_clusters)
+        for _ in range(3):
+            status, payload = service.dispatch_request("GET", "/triage")
+            assert status == 200
+            assert json.dumps(payload, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
+        # /explain shares the cached (week, version) result.
+        status, _ = service.dispatch_request("GET", "/explain?line=0")
+        assert status == 200
+        assert searches == [capacity]
+        # A non-default capacity is computed on the spot, never cached.
+        status, payload = service.dispatch_request(
+            "GET", f"/triage?capacity={capacity + 1}"
+        )
+        assert status == 200 and payload["capacity"] == capacity + 1
+        assert searches == [capacity, capacity + 1]
+        # A new active version searches once more.
+        service.registry.activate("v0002")
+        service.reload()
+        for _ in range(2):
+            status, payload = service.dispatch_request("GET", "/triage")
+            assert payload["model_version"] == "v0002"
+        assert searches == [capacity, capacity + 1, capacity]

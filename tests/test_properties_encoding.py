@@ -1,5 +1,7 @@
 """Property-based tests on the feature encoder and measurement store."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,89 @@ from hypothesis import strategies as st
 from repro.features.encoding import EncoderConfig, LineFeatureEncoder
 from repro.measurement.records import N_FEATURES, MeasurementStore, feature_index
 from repro.netsim.population import PopulationConfig, build_population
+
+
+def timeseries_oracle(
+    store: MeasurementStore, week: int, config: EncoderConfig
+) -> np.ndarray:
+    """The Table-3 time-series block as a gathered-cube nanmean/nanstd.
+
+    The reference the encoder's streaming kernel must match bit for bit:
+    gather every history week into a float64 ``(lines, weeks, features)``
+    cube and reduce it along the week axis with numpy's NaN-aware
+    mean and (ddof 0) standard deviation.
+    """
+    current = np.asarray(store.week_matrix(week), dtype=float)
+    history = store.filled_weeks
+    history = history[(history < week) & (history >= week - config.history_weeks)]
+    if history.size == 0:
+        return np.full_like(current, np.nan)
+    series = np.asarray(store.data[:, history, :], dtype=float)
+    counts = np.sum(~np.isnan(series), axis=1)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        mean = np.nanmean(series, axis=1)
+        std = np.nanstd(series, axis=1)
+    enough = counts >= config.min_history_records
+    std = np.where(std > 1e-9, std, np.nan)
+    deviation = (current - mean) / std
+    deviation[~enough] = np.nan
+    return deviation
+
+
+@st.composite
+def timeseries_worlds(draw):
+    """Stores that stress the time-series kernel's edge cases.
+
+    Gaps in the filled weeks, NaN-heavy weeks, all-missing lines,
+    constant series (std 0), ``-0.0`` records, histories shorter than
+    ``history_weeks`` and ``min_history_records`` above the present
+    count; the prediction week may be week 0.
+    """
+    n_lines = draw(st.integers(1, 10))
+    n_weeks = draw(st.integers(1, 12))
+    filled = draw(st.lists(st.booleans(), min_size=n_weeks, max_size=n_weeks))
+    filled[draw(st.integers(0, n_weeks - 1))] = True
+    missing_rate = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dead = rng.random(n_lines) < 0.2
+    constant = rng.random(n_lines) < 0.3
+    level = rng.normal(10.0, 3.0, size=(n_lines, N_FEATURES))
+    level[rng.random(level.shape) < 0.3] = -0.0
+    store = MeasurementStore(n_lines=n_lines, n_weeks=n_weeks)
+    for week in np.flatnonzero(filled):
+        features = rng.normal(10.0, 3.0, size=(n_lines, N_FEATURES))
+        # Mixed magnitudes make the float64 sums round, so the fold
+        # order shows in the result.
+        features *= 10.0 ** rng.integers(-12, 13, size=features.shape)
+        features[constant] = level[constant]
+        features[rng.random(features.shape) < 0.1] = -0.0
+        features[rng.random(features.shape) < missing_rate] = np.nan
+        features[dead] = np.nan
+        store.add_week(int(week), int(week) * 7 + 5, features.astype(np.float32))
+    config = EncoderConfig(
+        history_weeks=draw(st.integers(1, 14)),
+        min_history_records=draw(st.integers(0, 5)),
+    )
+    week = draw(st.sampled_from([int(w) for w in np.flatnonzero(filled)]))
+    population = build_population(PopulationConfig(n_lines=n_lines, seed=seed))
+    return store, population, config, week
+
+
+class TestTimeseriesKernel:
+    @given(timeseries_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_gathered_nanstd(self, world):
+        store, population, config, week = world
+        fs = LineFeatureEncoder(config).encode(store, week, population)
+        columns = [i for i, g in enumerate(fs.groups) if g == "timeseries"]
+        assert len(columns) == N_FEATURES
+        got = np.ascontiguousarray(fs.matrix[:, columns])
+        expected = timeseries_oracle(store, week, config)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), expected.view(np.uint64)
+        )
 
 
 @st.composite

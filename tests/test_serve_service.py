@@ -127,6 +127,31 @@ class TestRouting:
         service.registry.activate("v0002")
         service.reload()
 
+    def test_reload_serves_another_handles_activation(
+        self, small_store, small_predictor, tmp_path
+    ):
+        root = tmp_path / "registry"
+        writer = ModelRegistry(root)
+        writer.publish(
+            ModelBundle(predictor=small_predictor, meta={"gen": 1}),
+            activate=True,
+        )
+        service = ScoringService(small_store.root, root, shard_size=500)
+        writer.publish(
+            ModelBundle(predictor=small_predictor, meta={"gen": 2}),
+            activate=True,
+        )
+        assert service.model_version == "v0001"  # not yet reloaded
+        service.reload()
+        assert service.registry.active == "v0002"
+        status, payload = service.dispatch_request("GET", "/score?line=0")
+        assert status == 200
+        assert payload["model_version"] == "v0002"
+        writer.rollback()
+        status, payload = service.dispatch_request("POST", "/reload")
+        assert status == 200
+        assert payload["model_version"] == "v0001"
+
 
 class TestHttpServer:
     def test_endpoints_over_real_http(self, service):
