@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("action", choices=["run", "status"],
                            help="run: drive the loop under the lifecycle "
                                 "controller; status: render a run's "
-                                "decision log and registry state")
+                                "decision log and registry state (exit 1 "
+                                "if the decision chain is broken)")
     lifecycle.add_argument("--root", default="lifecycle",
                            help="working directory (gets store/ and "
                                 "registry/ subdirectories on run; status "
@@ -805,7 +806,7 @@ def _lifecycle_print_status(root) -> int:
         extra = (details.get("reason") or details.get("version")
                  or details.get("restored") or "")
         print(f"  week {record['week']:>3}  {record['action']:<9} {extra}")
-    return 0
+    return 0 if status["chain_valid"] else 1
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:

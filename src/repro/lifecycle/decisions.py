@@ -13,7 +13,10 @@ trail.)
 The log lives next to the model registry by default
 (``<registry_root>/LIFECYCLE.jsonl``) so the ``/lifecycle`` service
 endpoint and ``repro lifecycle status`` can reconstruct the full story
-from the serving directories alone.
+from the serving directories alone.  Appends and recovery go through
+:mod:`repro.durable`: a crash mid-append leaves an unterminated tail that
+the next open truncates, while a complete line that fails to parse is
+kept and reported by :meth:`DecisionLog.verify` as tampering.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.durable import append_record, read_records
 
 __all__ = ["DecisionRecord", "DecisionLog", "DEFAULT_LOG_NAME"]
 
@@ -97,12 +102,14 @@ class DecisionLog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._records: list[DecisionRecord] = []
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if line.strip():
-                    self._records.append(
-                        DecisionRecord.from_dict(json.loads(line))
-                    )
+        # Complete lines that do not parse: never dropped, only reported
+        # by ``verify`` (recovery truncates nothing but a torn tail).
+        self._unreadable: list[int] = []
+        for lineno, line in enumerate(read_records(self.path)):
+            try:
+                self._records.append(DecisionRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
+                self._unreadable.append(lineno)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -129,14 +136,15 @@ class DecisionLog:
         digest = hashlib.sha256(_canonical(body).encode()).hexdigest()
         record = DecisionRecord(hash=digest, **body)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(_canonical(record.to_dict()) + "\n")
+        append_record(self.path, (_canonical(record.to_dict()) + "\n").encode())
         self._records.append(record)
         return record
 
     def verify(self) -> list[str]:
         """Check the whole chain; returns problems (empty = intact)."""
-        problems: list[str] = []
+        problems = [
+            f"line {lineno}: not a decision record" for lineno in self._unreadable
+        ]
         prev = _GENESIS
         for i, record in enumerate(self._records):
             if record.seq != i:

@@ -47,7 +47,7 @@ from repro.ml.serialize import (
     load_bstump,
     save_bstump,
 )
-from repro.ml.stumps import ColumnStumpBatch, Stump, StumpSearch, fit_stump
+from repro.ml.stumps import Stump, StumpSearch, fit_stump
 
 __all__ = [
     "BStump",
@@ -75,6 +75,5 @@ __all__ = [
     "save_bstump",
     "Stump",
     "StumpSearch",
-    "ColumnStumpBatch",
     "fit_stump",
 ]

@@ -30,6 +30,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.durable import atomic_write
 from repro.ml.boostexter import BStump, BStumpConfig, WeakLearner
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.stumps import Stump
@@ -156,8 +157,8 @@ def bstump_from_dict(payload: dict[str, Any]) -> BStump:
 
 
 def save_bstump(model: BStump, path: str | Path) -> None:
-    """Write a fitted model to a JSON file."""
-    Path(path).write_text(json.dumps(bstump_to_dict(model)))
+    """Write a fitted model to a JSON file, atomically replacing any old one."""
+    atomic_write(path, json.dumps(bstump_to_dict(model)).encode())
 
 
 def load_bstump(path: str | Path) -> BStump:

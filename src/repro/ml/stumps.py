@@ -38,7 +38,6 @@ __all__ = [
     "fit_stump",
     "StumpSearch",
     "HistStumpSearch",
-    "ColumnStumpBatch",
     "MISSING_POLICIES",
 ]
 
@@ -350,9 +349,9 @@ class StumpSearch:
             self._n_segment_bins = (G - 1) * C
             # Per-round scratch buffers, allocated once: each boosting
             # round fills these in place instead of reallocating.
-            # ``best_stump`` / ``best_stumps_per_column`` are therefore NOT
-            # thread-safe on a shared instance (each fit owns its own
-            # search object; parallel selection chunks build their own).
+            # ``best_stump`` is therefore NOT thread-safe on a shared
+            # instance (each fit owns its own search object; parallel
+            # selection chunks build their own).
             self._buf_wcol = np.empty((n, C))
             self._buf_wposcol = np.empty((n, C))
             # Row 0 of the cumulative buffers is the "split before
@@ -542,174 +541,6 @@ class StumpSearch:
             categorical=True,
             z=float(z[j]),
         )
-
-    # ----- batched per-column search (one independent stump per feature) --
-
-    def best_stumps_per_column(self, weights: np.ndarray) -> "ColumnStumpBatch":
-        """Best stump of *each* column under per-column example weights.
-
-        Unlike :meth:`best_stump`, which races all features against each
-        other for one global winner, this treats every column as an
-        independent single-feature boosting problem: column ``j`` is
-        searched under the weight vector ``weights[:, j]``.  All continuous
-        columns are solved in one vectorised pass (shared sorted gather,
-        cumulative sums, and a per-column argmin), which is what makes the
-        batched single-feature selection sweep in
-        :mod:`repro.features.selection` cheap.
-
-        Args:
-            weights: (n, n_features) non-negative weights, one independent
-                weight vector per column.
-
-        Returns:
-            A :class:`ColumnStumpBatch` with one stump parameterisation per
-            column, aligned with the columns of ``X``.
-        """
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.n, self.n_features):
-            raise ValueError(
-                "weights must be (n_rows, n_features) with one weight "
-                "vector per column"
-            )
-        F = self.n_features
-        threshold = np.full(F, math.inf)
-        s_lo = np.zeros(F)
-        s_hi = np.zeros(F)
-        s_miss = np.zeros(F)
-        z = np.full(F, math.inf)
-
-        if self._cont_cols.size:
-            self._batch_continuous(
-                weights[:, self._cont_cols], threshold, s_lo, s_hi, s_miss, z
-            )
-        for slot, col_idx in enumerate(self._cat_cols):
-            cand = self._best_categorical(weights[:, col_idx], slot, int(col_idx))
-            if cand is None:
-                continue
-            threshold[col_idx] = cand.threshold
-            s_lo[col_idx] = cand.s_lo
-            s_hi[col_idx] = cand.s_hi
-            s_miss[col_idx] = cand.s_miss
-            z[col_idx] = cand.z
-        return ColumnStumpBatch(
-            threshold=threshold,
-            s_lo=s_lo,
-            s_hi=s_hi,
-            s_miss=s_miss,
-            categorical=self.categorical.copy(),
-            z=z,
-        )
-
-    def _batch_continuous(
-        self,
-        W: np.ndarray,
-        threshold: np.ndarray,
-        s_lo: np.ndarray,
-        s_hi: np.ndarray,
-        s_miss_out: np.ndarray,
-        z_out: np.ndarray,
-    ) -> None:
-        cols = self._cont_cols
-        y_pos = self.y > 0
-        C = cols.size
-
-        present = self._present_cont
-        w_col = np.multiply(W, present, out=self._buf_wcol)
-        w_pos_col = np.multiply(w_col, y_pos[:, None], out=self._buf_wposcol)
-        # Per-column 1-D sums, NOT one axis-0 matrix reduction: the matrix
-        # reduction accumulates in a different order than the 1-D pairwise
-        # sum a single-column search performs, and the resulting last-ULP
-        # drift in the weight totals can flip near-tied split choices.
-        # Column slices reduce exactly like contiguous 1-D arrays, keeping
-        # every column of the batch bit-identical to the one-column path.
-        w_pos_tot = np.empty(C)
-        w_tot = np.empty(C)
-        total = np.empty(C)
-        total_pos = np.empty(C)
-        for k in range(C):
-            w_pos_tot[k] = np.sum(w_pos_col[:, k])
-            w_tot[k] = np.sum(w_col[:, k])
-            total[k] = np.sum(W[:, k])
-            total_pos[k] = np.sum(W[y_pos, k])
-        w_neg_tot = w_tot - w_pos_tot
-
-        wp_miss = np.clip(total_pos - w_pos_tot, 0.0, None)
-        wn_miss = np.clip((total - total_pos) - w_neg_tot, 0.0, None)
-        z_miss, s_miss = self._missing_terms(wp_miss, wn_miss)
-
-        z = self._fill_continuous_z(w_pos_tot, w_neg_tot, z_miss)
-
-        rows = np.argmin(z, axis=0)
-        eps = self.eps
-        for k in range(C):
-            col = int(cols[k])
-            row = int(rows[k])
-            split = int(self._grid[row])
-            threshold[col] = self._continuous_threshold(split, k)
-            s_lo[col] = _block_score(
-                float(self._buf_wp_lo[row, k]), float(self._buf_wn_lo[row, k]), eps
-            )
-            s_hi[col] = _block_score(
-                float(self._buf_wp_hi[row, k]), float(self._buf_wn_hi[row, k]), eps
-            )
-            z_out[col] = z[row, k]
-        s_miss_out[cols] = s_miss
-
-
-@dataclass(frozen=True)
-class ColumnStumpBatch:
-    """Per-column best stumps from :meth:`StumpSearch.best_stumps_per_column`.
-
-    Each array has one entry per input column.  Columns that admit no
-    split (e.g. an empty categorical column) carry ``z = inf`` and zero
-    scores.  ``predict`` evaluates every column's stump against its own
-    column of a feature matrix in one vectorised pass.
-    """
-
-    threshold: np.ndarray
-    s_lo: np.ndarray
-    s_hi: np.ndarray
-    s_miss: np.ndarray
-    categorical: np.ndarray
-    z: np.ndarray
-
-    def stump(self, column: int) -> Stump:
-        """The single-column :class:`Stump` for ``column``."""
-        return Stump(
-            feature=int(column),
-            threshold=float(self.threshold[column]),
-            s_lo=float(self.s_lo[column]),
-            s_hi=float(self.s_hi[column]),
-            s_miss=float(self.s_miss[column]),
-            categorical=bool(self.categorical[column]),
-            z=float(self.z[column]),
-        )
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """(n, F) matrix of per-column stump outputs for ``X``.
-
-        Column ``j`` of the result is ``self.stump(j).predict`` applied to
-        ``X[:, j]`` only -- the vectorised form of a bank of independent
-        single-feature weak learners.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.threshold.size:
-            raise ValueError(
-                f"X must be 2-D with {self.threshold.size} columns, got {X.shape}"
-            )
-        present = ~np.isnan(X)
-        with np.errstate(invalid="ignore"):
-            hi = np.where(
-                self.categorical[None, :],
-                X == self.threshold[None, :],
-                X >= self.threshold[None, :],
-            )
-        out = np.where(
-            present,
-            np.where(hi, self.s_hi[None, :], self.s_lo[None, :]),
-            self.s_miss[None, :],
-        )
-        return out
 
 
 class HistStumpSearch:

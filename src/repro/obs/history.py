@@ -10,20 +10,21 @@ across runs, so "is scoring slower than last month?" has an answer.
 Design constraints, in the repo's order:
 
 * **dependency-free** -- stdlib only;
-* **append-only and crash-safe** -- every record is one ``os.write`` to
-  an ``O_APPEND`` descriptor (atomic for these record sizes on every
-  platform we run on), so two writers interleave whole lines rather than
-  bytes; a torn final line from a killed process is truncated away on
-  reopen (:meth:`HistoryStore._recover`), never propagated;
+* **append-only and crash-safe** -- every record goes through
+  :func:`repro.durable.append_record` (one fsynced ``os.write`` in
+  append mode), so two writers interleave whole lines rather than
+  bytes; reopening drops only a torn, unterminated final line.  The
+  durability rules shared by every store are in DESIGN.md,
+  "Persistence and crash model";
 * **schema-versioned** -- every record carries ``"v"``; readers skip
   records from a *newer* schema instead of mis-parsing them, so a
   downgrade never corrupts a dashboard;
 * **bounded** -- optional retention: :meth:`compact` rewrites the file
-  atomically (tmp + ``os.replace``) keeping the newest ``max_records``
-  and/or dropping records older than ``max_age_seconds``; with
-  ``max_records`` set, appends auto-compact once the file holds twice
-  that many records, so a long-lived serve process cannot grow the file
-  without bound.
+  through :func:`repro.durable.atomic_write` keeping the newest
+  ``max_records`` and/or dropping records older than
+  ``max_age_seconds``; with ``max_records`` set, appends auto-compact
+  once the file holds twice that many records, so a long-lived serve
+  process cannot grow the file without bound.
 
 Record shape (one JSON object per line)::
 
@@ -39,11 +40,12 @@ in :mod:`repro.obs.health` needs.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.durable import append_record, atomic_write, read_records
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_FILENAME", "HistoryRecord", "HistoryStore"]
 
@@ -74,18 +76,6 @@ class HistoryRecord(dict):
         return self.get("values", {})
 
 
-def _is_valid_line(line: bytes) -> bool:
-    """A line survives recovery iff it is complete, parseable JSON with
-    a schema tag -- the write path always produces exactly that."""
-    if not line.endswith(b"\n"):
-        return False
-    try:
-        record = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
-        return False
-    return isinstance(record, dict) and "v" in record
-
-
 class HistoryStore:
     """Append-only JSONL time series of telemetry snapshots.
 
@@ -106,33 +96,9 @@ class HistoryStore:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.max_records = max_records
         self._lock = threading.Lock()
-        self._count = self._recover()
-
-    # ----- recovery -------------------------------------------------------
-
-    def _recover(self) -> int:
-        """Truncate a torn tail (a crash mid-append) and count records.
-
-        Scans from the start; the first invalid line and everything after
-        it are dropped by truncating the file to the last valid byte.
-        Complete-but-unparseable *interior* lines cannot be produced by
-        the write path, so stopping at the first bad line is safe -- and
-        it is exactly what a kill -9 during ``os.write`` leaves behind.
-        """
-        if not self.path.exists():
-            return 0
-        raw = self.path.read_bytes()
-        count = 0
-        valid_end = 0
-        for line in raw.splitlines(keepends=True):
-            if not _is_valid_line(line):
-                break
-            valid_end += len(line)
-            count += 1
-        if valid_end != len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
-        return count
+        # Recovery drops only a torn (unterminated) tail; see DESIGN.md,
+        # "Persistence and crash model".
+        self._count = len(read_records(self.path))
 
     # ----- writing --------------------------------------------------------
 
@@ -162,13 +128,7 @@ class HistoryStore:
             record["meta"] = meta
         line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
         with self._lock:
-            fd = os.open(
-                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            try:
-                os.write(fd, line)
-            finally:
-                os.close(fd)
+            append_record(self.path, line)
             self._count += 1
             over = (
                 self.max_records is not None
@@ -253,11 +213,11 @@ class HistoryStore:
     ) -> int:
         """Rewrite the file keeping only recent records; returns kept count.
 
-        The rewrite is atomic (tmp file + ``os.replace``), so a reader
-        opening the path mid-compaction sees either the old or the new
-        file, never a partial one.  Compaction is an owner-side
-        operation: another process holding an already-open descriptor
-        keeps appending to the *old* inode until it reopens.
+        The rewrite is atomic (:func:`repro.durable.atomic_write`), so a
+        reader opening the path mid-compaction sees either the old or the
+        new file, never a partial one.  Compaction is an owner-side
+        operation: a record another handle appends between the read and
+        the replace is lost.
         """
         with self._lock:
             kept = list(self._iter_records())
@@ -266,15 +226,9 @@ class HistoryStore:
                 kept = [r for r in kept if r.ts >= cutoff]
             if max_records is not None:
                 kept = kept[-max_records:]
-            tmp = self.path.with_suffix(".jsonl.tmp")
-            with open(tmp, "wb") as fh:
-                for record in kept:
-                    fh.write(
-                        (json.dumps(dict(record), separators=(",", ":")) + "\n")
-                        .encode()
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write(self.path, b"".join(
+                (json.dumps(dict(r), separators=(",", ":")) + "\n").encode()
+                for r in kept
+            ))
             self._count = len(kept)
             return self._count

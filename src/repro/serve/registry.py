@@ -25,13 +25,13 @@ scoring speed with margins bit-identical to the trainer's.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.core.predictor import TicketPredictor
+from repro.durable import atomic_write
 from repro.ml.serialize import (
     combined_locator_from_dict,
     combined_locator_to_dict,
@@ -100,12 +100,6 @@ class ModelBundle:
         )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 class ModelRegistry:
     """Versioned bundle storage with activate/rollback semantics."""
 
@@ -134,7 +128,7 @@ class ModelRegistry:
         root (e.g. the lifecycle controller's) is invisible here until
         this is called.  Listeners are not notified.
         """
-        manifest = json.loads((self.root / _MANIFEST).read_text())
+        manifest = self._read_manifest()
         version = manifest.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported registry format version: {version!r}")
@@ -142,6 +136,9 @@ class ModelRegistry:
         self._active = manifest["active"]
         self._history = list(manifest.get("history", []))
         self._events = list(manifest.get("events", []))
+
+    def _read_manifest(self) -> dict[str, Any]:
+        return json.loads((self.root / _MANIFEST).read_text())
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -151,7 +148,7 @@ class ModelRegistry:
             "events": self._events,
             "versions": self._versions,
         }
-        _atomic_write_text(self.root / _MANIFEST, json.dumps(manifest, indent=1))
+        atomic_write(self.root / _MANIFEST, json.dumps(manifest, indent=1).encode())
 
     def _record_event(self, action: str, **details: Any) -> None:
         """Append one lifecycle event to the manifest's audit trail.
@@ -187,8 +184,14 @@ class ModelRegistry:
         version = f"v{len(self._versions) + 1:04d}"
         payload = bundle.to_dict()
         version_dir = self.root / version
-        version_dir.mkdir(parents=True, exist_ok=False)
-        _atomic_write_text(version_dir / _BUNDLE, json.dumps(payload))
+        try:
+            version_dir.mkdir(parents=True)
+        except FileExistsError:
+            # Left by a publish that crashed before its manifest commit
+            # (reuse it) or published through another handle (refuse).
+            if version in self._read_manifest()["versions"]:
+                raise
+        atomic_write(version_dir / _BUNDLE, json.dumps(payload).encode())
         self._versions[version] = {
             "checksum": payload["checksum"],
             "published_at": time.time(),

@@ -21,8 +21,9 @@ the population config (the simulated plant is rebuilt deterministically
 from its seed) a stored week encodes to *bit-identical* features -- and
 therefore bit-identical scores and dispatch lists -- as the in-memory
 batch pipeline.  Shards are checksummed (SHA-256 of the raw bytes) and
-verified on read, and the manifest is replaced atomically so a crashed
-writer never corrupts the index.
+verified on read, and the manifest is replaced through
+:func:`repro.durable.atomic_write` so a crashed writer never corrupts the
+index.
 
 Two write paths share one incremental shard writer: :meth:`append_week`
 takes a whole week in memory, :meth:`append_week_chunks` drains the
@@ -52,6 +53,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as _npy_format
 
+from repro.durable import atomic_write
 from repro.features.encoding import FeatureSet, LineFeatureEncoder
 from repro.measurement.records import FEATURE_NAMES, N_FEATURES, MeasurementStore
 from repro.netsim.population import Population, PopulationConfig, build_population
@@ -80,15 +82,6 @@ DEFAULT_ENCODE_CHUNK = 65_536
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class _ShardWriter:
@@ -255,7 +248,7 @@ class LineWeekStore:
                 for _, e in sorted(self._entries.items())
             ],
         }
-        _atomic_write_text(self.root / _MANIFEST, json.dumps(manifest, indent=1))
+        atomic_write(self.root / _MANIFEST, json.dumps(manifest, indent=1).encode())
 
     # ----- write path -----------------------------------------------------
 
