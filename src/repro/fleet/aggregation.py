@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from repro.netsim.groupfaults import LEVEL_BINDER, LEVEL_DSLAM
 from repro.netsim.topology import Topology
@@ -74,6 +73,26 @@ class TriageConfig:
     min_anomalous: int = 3
     min_fraction: float = 0.3
     dslam_spread: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not self.anomaly_pool >= 1:
+            raise ValueError(
+                f"anomaly_pool must be >= 1, got {self.anomaly_pool}"
+            )
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not self.min_anomalous >= 1:
+            raise ValueError(
+                f"min_anomalous must be >= 1, got {self.min_anomalous}"
+            )
+        if not 0 <= self.min_fraction <= 1:
+            raise ValueError(
+                f"min_fraction must be in [0, 1], got {self.min_fraction}"
+            )
+        if not 0 <= self.dslam_spread <= 1:
+            raise ValueError(
+                f"dslam_spread must be in [0, 1], got {self.dslam_spread}"
+            )
 
 
 @dataclass(frozen=True)
@@ -174,8 +193,17 @@ class TriageResult:
 
 
 def _tail_p(k: np.ndarray, n: np.ndarray, base_rate: float) -> np.ndarray:
-    """Vectorised ``P(X >= k | n, base_rate)`` binomial tails."""
-    return stats.binom.sf(k - 1, n, base_rate)
+    """Vectorised ``P(X >= k | n, base_rate)`` binomial tails, ``1 <= k <= n``.
+
+    Calls the kernel ``scipy.stats.binom.sf(k - 1, n, p)`` itself calls,
+    clipped to [0, 1] as it clips, so the tails are bit-identical on that
+    range without importing ``scipy.stats``.  At ``k = 0`` the kernel
+    returns NaN, which :class:`TriageConfig` rules out via
+    ``min_anomalous >= 1``.
+    """
+    from scipy.special._ufuncs import _binom_sf
+
+    return np.clip(_binom_sf(np.floor(k - 1), n, base_rate), 0.0, 1.0)
 
 
 def find_clusters(

@@ -12,8 +12,10 @@ boosted classifier:
 
 We therefore implement maximum-likelihood logistic regression (IRLS /
 Newton-Raphson with a small ridge term for stability) and Wald standard
-errors from the inverse Hessian, with two-sided normal P-values computed
-via :func:`scipy.stats.norm.sf`.
+errors from the inverse Hessian.  A fit keeps its Wald z-scores; the
+two-sided normal P-values ``2 * ndtr(-|z|)`` (bit-identical to
+``2 * scipy.stats.norm.sf(|z|)``) are computed when read, so a fit whose
+P-values nobody reads -- the locator's Eq.-2 blend -- never loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["LogisticRegressionResult", "fit_logistic_regression"]
 
@@ -35,8 +36,9 @@ class LogisticRegressionResult:
         intercept: fitted bias term.
         std_errors: Wald standard errors of the coefficients (same order).
         intercept_std_error: Wald standard error of the intercept.
-        p_values: two-sided Wald P-values of the coefficients.
-        intercept_p_value: two-sided Wald P-value of the intercept.
+        z_scores: Wald z-scores of the coefficients (``inf`` where the
+            standard error is 0).
+        intercept_z_score: Wald z-score of the intercept.
         n_iter: Newton iterations performed.
         converged: whether the gradient tolerance was reached.
         log_likelihood: final (unpenalised) log-likelihood.
@@ -46,11 +48,21 @@ class LogisticRegressionResult:
     intercept: float
     std_errors: np.ndarray
     intercept_std_error: float
-    p_values: np.ndarray
-    intercept_p_value: float
+    z_scores: np.ndarray
+    intercept_z_score: float
     n_iter: int
     converged: bool
     log_likelihood: float
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """Two-sided Wald P-values of the coefficients."""
+        return _two_sided_p(self.z_scores)
+
+    @property
+    def intercept_p_value(self) -> float:
+        """Two-sided Wald P-value of the intercept."""
+        return float(_two_sided_p(np.array([self.intercept_z_score]))[0])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Return ``P(y = 1 | x)`` for each row of ``X``."""
@@ -61,6 +73,13 @@ class LogisticRegressionResult:
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 labels at the given probability threshold."""
         return (self.predict_proba(X) >= threshold).astype(int)
+
+
+def _two_sided_p(z: np.ndarray) -> np.ndarray:
+    """``2 * P(Z > |z|)`` for a standard normal ``Z``."""
+    from scipy.special import ndtr
+
+    return 2.0 * ndtr(-np.abs(z))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -87,7 +106,7 @@ def fit_logistic_regression(
 
     Returns:
         A :class:`LogisticRegressionResult` with coefficients, Wald
-        standard errors and two-sided P-values.
+        standard errors, z-scores and (on read) two-sided P-values.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -139,7 +158,6 @@ def fit_logistic_regression(
     std = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z_scores = np.where(std > 0, beta / std, np.inf)
-    p_values = 2.0 * stats.norm.sf(np.abs(z_scores))
 
     eps = 1e-12
     log_likelihood = float(np.sum(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
@@ -149,8 +167,8 @@ def fit_logistic_regression(
         intercept=float(beta[0]),
         std_errors=std[1:].copy(),
         intercept_std_error=float(std[0]),
-        p_values=p_values[1:].copy(),
-        intercept_p_value=float(p_values[0]),
+        z_scores=z_scores[1:].copy(),
+        intercept_z_score=float(z_scores[0]),
         n_iter=n_iter,
         converged=converged,
         log_likelihood=log_likelihood,

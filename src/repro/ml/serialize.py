@@ -11,6 +11,10 @@ Serving guarantees (used by :mod:`repro.serve`):
 * every payload carries a ``checksum`` (SHA-256 over the canonical JSON
   of the model content) that the loader verifies, so a corrupted or
   hand-edited bundle fails loudly instead of scoring garbage;
+* nested payloads are checksummed at every level (each model, the
+  locator that holds them, the bundle that holds both), but inside one
+  :func:`checksum_pass` each dict is encoded once: the canonical JSON is
+  built bottom-up and each child's string is spliced into its parent's;
 * a loaded :class:`BStump` is compiled eagerly
   (:meth:`~repro.ml.boostexter.BStump.compiled`), so a save/load round
   trip hands back a model whose :class:`CompiledEnsemble` scorer produces
@@ -27,8 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.durable import atomic_write
 from repro.ml.boostexter import BStump, BStumpConfig, WeakLearner
@@ -37,6 +43,7 @@ from repro.ml.stumps import Stump
 
 __all__ = [
     "payload_checksum",
+    "checksum_pass",
     "bstump_to_dict",
     "bstump_from_dict",
     "save_bstump",
@@ -50,15 +57,101 @@ _LOCATOR_FORMAT_VERSION = 1
 _CHECKSUM_FIELD = "checksum"
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: The active :func:`checksum_pass` memo, None outside a pass:
+#: ``id(dict)`` -> ``[dict, members, digest]`` (see :func:`_encoded`).
+_PASS: ContextVar[dict[int, list] | None] = ContextVar("checksum_pass",
+                                                       default=None)
+
+
+@contextmanager
+def checksum_pass() -> Iterator[None]:
+    """Encode each dict at most once across the checksums in the block.
+
+    Verifying a bundle checksums the bundle, then its locator, then each
+    model; writing one checksums them in the reverse order.  Inside a
+    pass a dict's canonical JSON is kept (by identity) until its parent
+    splices it in, and a checksummed dict's digest is kept to the end, so
+    no level is encoded twice.  Payloads must not change inside the
+    block, except that a dict's own ``checksum`` member may be set after
+    it was hashed.  Nested passes share the outermost one's memo.  Also
+    usable as a decorator, ``@checksum_pass()``.
+    """
+    if _PASS.get() is not None:
+        yield
+        return
+    token = _PASS.set({})
+    try:
+        yield
+    finally:
+        _PASS.reset(token)
+
+
+def _encoded(payload: dict, memo: dict[int, list]) -> list:
+    """The memo entry of a str-keyed dict, with its members encoded.
+
+    ``members`` is the canonical JSON of every member but the checksum,
+    as ``(head, tail)``: the members that sort before and after where
+    the checksum member goes.
+    """
+    entry = memo.setdefault(id(payload), [payload, None, None])
+    if entry[1] is None:
+        head: list[str] = []
+        tail: list[str] = []
+        for key in sorted(payload):
+            if key != _CHECKSUM_FIELD:
+                member = f"{_dumps(key)}:{_canonical(payload[key], memo)}"
+                (head if key < _CHECKSUM_FIELD else tail).append(member)
+        entry[1] = (",".join(head), ",".join(tail))
+    return entry
+
+
+def _digest(entry: list) -> str:
+    """The SHA-256 of an encoded memo entry's content, computed once."""
+    if entry[2] is None:
+        blob = "{" + ",".join(part for part in entry[1] if part) + "}"
+        entry[2] = hashlib.sha256(blob.encode()).hexdigest()
+    return entry[2]
+
+
+def _canonical(value: Any, memo: dict[int, list]) -> str:
+    """``_dumps(value)``, built bottom-up through str-keyed dicts."""
+    if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+        return _dumps(value)
+    entry = _encoded(value, memo)
+    head, tail = entry[1]
+    if _CHECKSUM_FIELD in value:
+        _digest(entry)  # for the dict's own verification
+        checksum = f'"{_CHECKSUM_FIELD}":{_dumps(value[_CHECKSUM_FIELD])}'
+        head = f"{head},{checksum}" if head else checksum
+    entry[1] = None  # spliced into the parent: no longer needed
+    return "{" + ",".join(part for part in (head, tail) if part) + "}"
+
+
 def payload_checksum(payload: dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON of ``payload`` (checksum excluded).
 
     Canonical form is sorted keys with compact separators, so the digest
-    is independent of insertion order and whitespace.
+    is independent of insertion order and whitespace.  Inside a
+    :func:`checksum_pass` the encoding is shared with every other
+    checksum of the pass.
     """
-    content = {k: v for k, v in payload.items() if k != _CHECKSUM_FIELD}
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    if not all(isinstance(k, str) for k in payload):
+        content = {k: v for k, v in payload.items() if k != _CHECKSUM_FIELD}
+        return hashlib.sha256(_dumps(content).encode()).hexdigest()
+    memo = _PASS.get()
+    if memo is None:
+        memo = {}
+    entry = memo.get(id(payload))
+    if entry is None or entry[2] is None:
+        entry = _encoded(payload, memo)
+        _digest(entry)
+        if _CHECKSUM_FIELD in payload:
+            # Being verified, not sealed: no parent will splice it in.
+            entry[1] = None
+    return entry[2]
 
 
 def _verify_checksum(payload: dict[str, Any], what: str) -> None:
@@ -169,6 +262,7 @@ def load_bstump(path: str | Path) -> BStump:
 # ----- trouble locator ------------------------------------------------------
 
 
+@checksum_pass()
 def combined_locator_to_dict(model) -> dict[str, Any]:
     """Serialise a fitted :class:`~repro.core.locator.CombinedLocator`.
 
@@ -214,6 +308,7 @@ def combined_locator_to_dict(model) -> dict[str, Any]:
     return payload
 
 
+@checksum_pass()
 def combined_locator_from_dict(payload: dict[str, Any]):
     """Rebuild a CombinedLocator from :func:`combined_locator_to_dict`."""
     from repro.core.locator import CombinedLocator, LocatorConfig

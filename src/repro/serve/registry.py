@@ -33,6 +33,7 @@ from typing import Any
 from repro.core.predictor import TicketPredictor
 from repro.durable import atomic_write
 from repro.ml.serialize import (
+    checksum_pass,
     combined_locator_from_dict,
     combined_locator_to_dict,
     payload_checksum,
@@ -66,6 +67,7 @@ class ModelBundle:
     locator: Any | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
+    @checksum_pass()
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "format_version": _FORMAT_VERSION,
@@ -81,6 +83,7 @@ class ModelBundle:
         return payload
 
     @classmethod
+    @checksum_pass()
     def from_dict(cls, payload: dict[str, Any]) -> "ModelBundle":
         version = payload.get("format_version")
         if version != _FORMAT_VERSION:
@@ -277,6 +280,7 @@ class ModelRegistry:
             raise KeyError(f"unknown model version {version!r}")
         return dict(self._versions[version]["meta"])
 
+    @checksum_pass()
     def load(self, version: str | None = None) -> ModelBundle:
         """Load a bundle (the active one by default), verifying checksums.
 

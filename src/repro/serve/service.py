@@ -47,6 +47,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
+from repro.fleet import find_clusters, plan_dispatches
 from repro.obs.metrics import get_registry
 from repro.obs.slo import DEFAULT_SLOS, SLOMonitor
 from repro.obs.tracing import flame_report, get_tracer, tracing_enabled
@@ -355,15 +356,7 @@ class ScoringService:
         return 200, dispatch.to_dict()
 
     def _week_triage(self, week: int):
-        """The week's triage result, computed once per (week, version).
-
-        Returns None when the fleet layer's scipy dependency is missing
-        -- the explanation report then simply omits cluster membership.
-        """
-        try:
-            from repro.fleet import find_clusters
-        except ImportError:
-            return None
+        """The week's triage result, computed once per (week, version)."""
         engine = self._require_engine()
         triage = self.cache.get("triage", week, engine.model_version)
         if triage is not None:
@@ -394,10 +387,6 @@ class ScoringService:
         return 200, payload
 
     def handle_triage(self, query) -> tuple[int, dict]:
-        # Imported lazily: the fleet layer (and its scipy dependency)
-        # stays off the serve import path until the route is used.
-        from repro.fleet import find_clusters, plan_dispatches
-
         week = self._resolve_week(query)
         scored = self._scored(week)
         engine = self._require_engine()

@@ -143,6 +143,28 @@ class TestFindClusters:
         with pytest.raises(ValueError):
             find_clusters(np.zeros(topology.n_lines), topology, 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_anomalous", 0),
+        ("min_anomalous", -1),
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("alpha", float("nan")),
+        ("anomaly_pool", 0.5),
+        ("anomaly_pool", 0.0),
+        ("min_fraction", -0.1),
+        ("min_fraction", 1.5),
+        ("dslam_spread", -0.01),
+        ("dslam_spread", 2.0),
+    ])
+    def test_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TriageConfig(**{field: value})
+
+    def test_config_accepts_boundaries(self):
+        TriageConfig(min_anomalous=1, anomaly_pool=1.0, min_fraction=0.0,
+                     dslam_spread=1.0, alpha=0.5)
+        TriageConfig(min_fraction=1.0, dslam_spread=0.0)
+
     def test_to_dict_roundtrips_to_json(self):
         import json
 
@@ -311,7 +333,7 @@ class TestServeEndpoint:
     def test_triage_route_searches_once_per_week_and_version(
         self, small_store, small_predictor, tmp_path, monkeypatch
     ):
-        import repro.fleet
+        import repro.serve.service
         from repro.serve import ModelBundle, ModelRegistry, ScoringService
 
         registry = ModelRegistry(tmp_path / "registry")
@@ -344,7 +366,9 @@ class TestServeEndpoint:
             searches.append(args[2])
             return find_clusters(*args, **kwargs)
 
-        monkeypatch.setattr(repro.fleet, "find_clusters", counting_find_clusters)
+        monkeypatch.setattr(
+            repro.serve.service, "find_clusters", counting_find_clusters
+        )
         for _ in range(3):
             status, payload = service.dispatch_request("GET", "/triage")
             assert status == 200
