@@ -44,9 +44,8 @@ from repro.features.selection import single_feature_ap
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.ensemble_scoring import compile_stumps
 from repro.ml.stumps import Stump
-from repro.obs.metrics import get_registry
-from repro.obs.profile import resource_section, stage_profile
-from repro.obs.tracing import set_tracing, span
+from repro.obs.profile import resource_section, stage
+from repro.obs.tracing import set_tracing
 from repro.parallel import worker_count
 
 #: The observability acceptance bar: disabled-mode instrumentation on the
@@ -440,9 +439,9 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
     """Guard: disabled-mode instrumentation must be ~free on the hot path.
 
     Wraps the compiled-ensemble scoring of one synthetic week exactly the
-    way the serving path wraps it -- a (disabled) span, one histogram
-    observation, and a :func:`stage_profile` resource block -- and
-    measures the wrap cost *in situ*: every call is timestamped just
+    way the serving path wraps it -- one :func:`stage` block, which
+    feeds the (disabled) span, the per-call stage metrics and the
+    resource table -- and measures the wrap cost *in situ*: every call is timestamped just
     outside and just inside the instrumentation, and the overhead is the
     paired difference of the two windows on the same call.
 
@@ -455,8 +454,8 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
     their full post-workload price (syscalls and allocations right after
     a numpy kernel cost several times their warm price).  Two statistics
     are asserted under ``MAX_OBS_OVERHEAD``: the median paired
-    difference (the typical call) and a top-2%-trimmed mean (amortising
-    the periodic metric-flush calls without letting multi-ms scheduler
+    difference (the typical call) and a top-2%-trimmed mean (charging
+    the occasional slow call without letting multi-ms scheduler
     preemptions fail the guard).
     """
     import statistics
@@ -465,17 +464,13 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
     stumps = _synthetic_ensemble(rng, n_rounds, n_features)
     X = _synthetic_matrix(rng, n_rows, n_features)
     compiled = compile_stumps(stumps, n_features)
-    hist = get_registry().histogram(
-        "bench_obs_score_seconds", "Overhead-guard scoring timer"
-    )
 
     inner: list[float] = []
     outer: list[float] = []
 
     def instrumented():
         t_outer = time.perf_counter()
-        with span("bench.score_week", rows=n_rows), hist.time(), \
-                stage_profile("bench.score_week"):
+        with stage("bench.score_week", rows=n_rows):
             t_inner = time.perf_counter()
             compiled.decision_function(X)
             inner.append(time.perf_counter() - t_inner)
@@ -485,7 +480,7 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
     n_samples = max(101, min(1001, int(2.0 / max(once, 1e-9))))
     set_tracing(False)
     try:
-        instrumented()  # warm the path (and force the first-call flush)
+        instrumented()  # warm the path (registers the stage metrics)
         inner.clear(), outer.clear()
         for _ in range(n_samples):
             instrumented()

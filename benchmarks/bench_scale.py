@@ -33,6 +33,13 @@ cube up front.  This harness drives the *streaming* cycle end to end --
   is only enforced when the box has >= 2 CPUs -- the report records
   ``cpu_count`` so a single-core result is legible, not fabricated.
 
+Every phase is timed by a :func:`repro.obs.profile.stage` handle
+(``scale.generate_append``, ``scale.encode``, ``scale.score``,
+``scale.dispatch``), so the headline seconds are the same numbers the
+report's ``resources.stages`` table carries, next to the scoring
+engine's own ``serve.score_week`` / ``serve.prepare`` /
+``fabric.serve.shard`` stages.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_scale.py            # 1M lines
@@ -46,7 +53,6 @@ import json
 import os
 import platform
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +62,7 @@ from repro.features.encoding import EncoderConfig, LineFeatureEncoder
 from repro.netsim import STREAM_BLOCK_LINES, SimulationConfig, stream_weeks
 from repro.netsim.groupfaults import GroupFaultConfig
 from repro.netsim.population import PopulationConfig
-from repro.obs.profile import peak_rss_kb, resource_section
+from repro.obs.profile import peak_rss_kb, resource_section, stage
 from repro.parallel import worker_count
 from repro.serve import LineWeekStore, ScoringEngine, StoredWorld
 
@@ -95,11 +101,11 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             Path(tmp) / "store", n_lines=n_lines, population=config.population
         )
 
-        gen_start = time.perf_counter()
-        appended = store.append_week_chunks(
-            stream_weeks(config, chunk_lines=chunk_lines)
-        )
-        gen_seconds = time.perf_counter() - gen_start
+        with stage("scale.generate_append") as generate_append:
+            appended = store.append_week_chunks(
+                stream_weeks(config, chunk_lines=chunk_lines)
+            )
+        gen_seconds = generate_append.seconds
         assert appended == list(range(n_weeks)), appended
         store.verify()
 
@@ -114,13 +120,13 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
         # dropped, as the deployment loop does (scoring re-encodes per
         # shard) -- holding the full encoded matrix would cost more than
         # the raw week it came from (~83 float64 columns vs 25 float32).
-        encode_start = time.perf_counter()
         encoded_rows = 0
-        for shard, piece in world.iter_encode_week(
-            target, encoder, chunk_lines=chunk_lines
-        ):
-            encoded_rows += piece.matrix.shape[0]
-        encode_seconds = time.perf_counter() - encode_start
+        with stage("scale.encode") as encode:
+            for shard, piece in world.iter_encode_week(
+                target, encoder, chunk_lines=chunk_lines
+            ):
+                encoded_rows += piece.matrix.shape[0]
+        encode_seconds = encode.seconds
         assert encoded_rows == n_lines
 
         rng = np.random.default_rng(20100808)
@@ -136,9 +142,9 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             best, scored = float("inf"), None
             for _ in range(score_passes):
                 engine._score_cache.clear()
-                t0 = time.perf_counter()
-                scored = engine.score_week(target)
-                best = min(best, time.perf_counter() - t0)
+                with stage("scale.score", workers=n_workers) as score:
+                    scored = engine.score_week(target)
+                best = min(best, score.seconds)
             return engine, scored, best
 
         engine, scored, score_seconds = timed_score(workers)
@@ -148,9 +154,9 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             _, single, single_seconds = timed_score(1)
             single_scores = single.scores
 
-        dispatch_start = time.perf_counter()
-        dispatch = engine.dispatch(target)
-        dispatch_seconds = time.perf_counter() - dispatch_start
+        with stage("scale.dispatch") as cut:
+            dispatch = engine.dispatch(target)
+        dispatch_seconds = cut.seconds
 
         line_weeks = n_lines * n_weeks
         return {

@@ -28,17 +28,10 @@ from repro.netsim.simulator import DslSimulator, SimulationConfig
 from repro.obs.history import HistoryStore
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import get_registry
-from repro.obs.profile import current_rss_kb, peak_rss_kb, stage_profile
+from repro.obs.profile import current_rss_kb, peak_rss_kb, stage
 from repro.obs.tracing import span
 
 LOG = get_logger("pipeline")
-
-#: Weekly-stage durations: encode/score run milliseconds at test scale,
-#: a retrain takes seconds at benchmark scale.
-_STAGE_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
 
 if TYPE_CHECKING:  # serve/fleet imports stay out of the core import path
     from repro.fleet.aggregation import TriageConfig
@@ -154,11 +147,6 @@ class NevermindPipeline:
         self.reports: list[WeeklyReport] = []
         self._trained_at: int | None = None
         registry_m = get_registry()
-        self._stage_seconds = registry_m.histogram(
-            "repro_pipeline_stage_seconds",
-            "Wall time per weekly pipeline stage",
-            buckets=_STAGE_BUCKETS,
-        )
         self._weeks_total = registry_m.counter(
             "repro_pipeline_weeks_total", "Live proactive weeks completed"
         )
@@ -233,9 +221,7 @@ class NevermindPipeline:
         publishes and activates the new version.
         """
         split = self._training_split(week)
-        with span("pipeline.train", week=week), \
-                self._stage_seconds.time(stage="train"), \
-                stage_profile("pipeline.train"):
+        with stage("pipeline.train", week=week):
             self.predictor.fit(self.simulator.result(), split)
         self._trained_at = week
         LOG.info(kv(
@@ -291,10 +277,8 @@ class NevermindPipeline:
             predictor_config = replace(predictor_config, **overrides)
         challenger = TicketPredictor(predictor_config)
         split = self._training_split(week)
-        with span("pipeline.train_challenger", week=week,
-                  backend=predictor_config.backend), \
-                self._stage_seconds.time(stage="train_challenger"), \
-                stage_profile("pipeline.train_challenger"):
+        with stage("pipeline.train_challenger", week=week,
+                   backend=predictor_config.backend):
             challenger.fit(self.simulator.result(), split)
         LOG.info(kv(
             "pipeline.train_challenger",
@@ -321,9 +305,7 @@ class NevermindPipeline:
         """Append this Saturday's campaign to the line-week store."""
         if self.store is None or week in self.store.weeks:
             return
-        with span("pipeline.persist", week=week), \
-                self._stage_seconds.time(stage="persist"), \
-                stage_profile("pipeline.persist"):
+        with stage("pipeline.persist", week=week):
             result = self.simulator.result()
             day = int(result.measurements.saturday_day[week])
             self.store.append_week(
@@ -348,23 +330,19 @@ class NevermindPipeline:
             return None
 
         result = self.simulator.result()
-        stage_costs: dict[str, "StageProfile"] = {}
-        with span("pipeline.score", week=week), \
-                self._stage_seconds.time(stage="score"), \
-                stage_profile("pipeline.score") as score_prof:
+        stage_costs: dict[str, stage] = {}
+        with stage("pipeline.score", week=week) as score_stage:
             scores = self.predictor.score_week(result, week)
             # Stable descending sort: identical ids to predict_top, but the
             # scores are kept so calibration drift needs no second pass.
             submitted = np.argsort(-scores, kind="stable")
             submitted = submitted[: self.config.predictor.capacity]
-        stage_costs["score"] = score_prof.profile
+        stage_costs["score"] = score_stage
         plan = None
         if self.config.triage is not None:
             from repro.fleet import find_clusters, plan_dispatches
 
-            with span("pipeline.triage", week=week), \
-                    self._stage_seconds.time(stage="triage"), \
-                    stage_profile("pipeline.triage") as triage_prof:
+            with stage("pipeline.triage", week=week) as triage_stage:
                 triage = find_clusters(
                     scores, result.population.topology,
                     self.config.predictor.capacity, self.config.triage,
@@ -373,10 +351,8 @@ class NevermindPipeline:
                     scores, self.config.predictor.capacity, triage, week=week
                 )
                 submitted = plan.line_ids
-            stage_costs["triage"] = triage_prof.profile
-        with span("pipeline.dispatch", week=week), \
-                self._stage_seconds.time(stage="dispatch"), \
-                stage_profile("pipeline.dispatch") as dispatch_prof:
+            stage_costs["triage"] = triage_stage
+        with stage("pipeline.dispatch", week=week) as dispatch_stage:
             fix_day = (
                 int(result.measurements.saturday_day[week])
                 + self.config.fix_delay_days
@@ -387,7 +363,7 @@ class NevermindPipeline:
                 if plan is not None and plan.group_dispatches
                 else []
             )
-        stage_costs["dispatch"] = dispatch_prof.profile
+        stage_costs["dispatch"] = dispatch_stage
         real = sum(r.true_disposition >= 0 for r in records)
         fixed = sum(r.true_disposition >= 0 and r.fixed for r in records)
         mean_top_p = float(scores[submitted].mean()) if submitted.size else 0.0
@@ -429,9 +405,9 @@ class NevermindPipeline:
                 "rss_kb": current_rss_kb(),
                 "peak_rss_kb": peak_rss_kb(),
             }
-            for stage, prof in stage_costs.items():
-                values[f"wall_seconds.{stage}"] = prof.wall_seconds
-                values[f"cpu_seconds.{stage}"] = prof.cpu_seconds
+            for key, timed in stage_costs.items():
+                values[f"wall_seconds.{key}"] = timed.seconds
+                values[f"cpu_seconds.{key}"] = timed.profile.cpu_seconds
             self.history.append("pipeline_week", values, week=week)
         LOG.info(kv(
             "pipeline.week",

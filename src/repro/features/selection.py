@@ -47,6 +47,7 @@ from repro.ml.boostexter import BStump, BStumpConfig, TRAIN_BACKENDS
 from repro.ml.metrics import auc, average_precision, entropy, top_n_average_precision
 from repro.ml.pca import PCA
 from repro.obs.metrics import get_registry
+from repro.obs.profile import stage
 from repro.obs.tracing import span
 from repro.parallel import parallel_map
 
@@ -221,22 +222,17 @@ def single_feature_ap(
     eligible = _eligible_columns(train.matrix)
     config = BStumpConfig(n_rounds=n_rounds, calibrate=False)
 
-    registry = get_registry()
-    registry.counter(
+    get_registry().counter(
         "repro_selection_candidates_total",
         "Candidate columns scored by the AP(N) selection sweep",
     ).inc(int(np.count_nonzero(eligible)))
-    sweep_seconds = registry.histogram(
-        "repro_selection_sweep_seconds",
-        "Wall time of one full AP(N) selection sweep",
-    )
 
     margins: dict[int, np.ndarray] = {}
-    with span(
+    with stage(
         "select.single_feature_ap",
         candidates=int(np.count_nonzero(eligible)),
         batched=batched,
-    ), sweep_seconds.time(batched=str(batched).lower()):
+    ):
         if batched:
             y_signed = BStump._canonical_labels(y_train)
             cont_cols = np.flatnonzero(eligible & ~train.categorical)

@@ -26,7 +26,6 @@ flip.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.lifecycle.config import LifecycleConfig
 from repro.ml.metrics import top_n_average_precision
-from repro.obs.tracing import span
+from repro.obs.profile import stage
 from repro.serve.registry import ModelBundle
 from repro.serve.scoring import DEFAULT_SHARD_SIZE, score_bundles
 from repro.serve.store import StoredWorld
@@ -137,8 +136,7 @@ class ShadowEvaluator:
         per_week: list[dict[str, Any]] = []
         champ_ap: list[float] = []
         chal_ap: list[float] = []
-        t0 = time.perf_counter()
-        with span("lifecycle.shadow", weeks=len(weeks)):
+        with stage("lifecycle.shadow", weeks=len(weeks)) as shadow:
             for week in weeks:
                 scores = score_bundles(
                     {"champion": champion, "challenger": challenger},
@@ -163,7 +161,6 @@ class ShadowEvaluator:
                     row[f"{name}_precision"] = float(top_hits.mean())
                     row[f"{name}_ap"] = float(ap)
                 per_week.append(row)
-        shadow_seconds = time.perf_counter() - t0
 
         champion_precision = float(np.mean([h.mean() for h in champ_top]))
         challenger_precision = float(np.mean([h.mean() for h in chal_top]))
@@ -178,7 +175,7 @@ class ShadowEvaluator:
             delta_ci_high=ci_high,
             champion_ap=float(np.mean(champ_ap)),
             challenger_ap=float(np.mean(chal_ap)),
-            shadow_seconds=shadow_seconds,
+            shadow_seconds=shadow.seconds,
             bootstrap_samples=self.config.bootstrap_samples,
             confidence=self.config.confidence,
             per_week=tuple(per_week),

@@ -7,7 +7,7 @@ Three pillars, all stdlib-only:
   as Prometheus text exposition format;
 * :mod:`repro.obs.tracing` -- ``with span("train.round", round=t):``
   hierarchical wall-time trees, toggled by ``REPRO_TRACE`` and free when
-  disabled, with serializable contexts for cross-worker propagation;
+  disabled, with span contexts that worker threads adopt on fan-out;
 * :mod:`repro.obs.log` -- stdlib logging with a key=value formatter,
   levelled by ``REPRO_LOG_LEVEL`` / ``--verbose``.
 
@@ -18,8 +18,11 @@ The *flight recorder* layer persists telemetry across runs:
 
 * :mod:`repro.obs.history` -- append-only JSONL snapshot store with
   schema versioning, retention, and a ``query(name, window)`` API;
-* :mod:`repro.obs.profile` -- ``with stage_profile("score_week"):``
-  wall/CPU/RSS profiling, ``REPRO_PROFILE=mem`` for allocation sites;
+* :mod:`repro.obs.profile` -- ``with stage("serve.score_week") as st:``,
+  the one way a block is timed: one clock reading per block feeds its
+  span, an exact per-call ``repro_stage_wall_seconds{stage=...}``
+  observation plus CPU/RSS metrics, the per-stage resource table, and
+  ``st.seconds``; ``REPRO_PROFILE=mem`` adds allocation sites;
 * :mod:`repro.obs.slo` -- declared serve objectives with multi-window
   burn-rate alerting feeding the history store and ``GET /health``;
 * :mod:`repro.obs.health` -- EWMA trending over history series, the
@@ -57,7 +60,7 @@ from repro.obs.profile import (
     profile_snapshot,
     reset_profiles,
     resource_section,
-    stage_profile,
+    stage,
 )
 from repro.obs.slo import DEFAULT_SLOS, SLO, SLOMonitor
 from repro.obs.promcheck import check_prometheus_text, parse_samples
@@ -73,8 +76,6 @@ from repro.obs.tracing import (
     set_tracer,
     set_tracing,
     span,
-    trace_in_subprocess,
-    traced,
     tracing_enabled,
 )
 
@@ -97,7 +98,7 @@ __all__ = [
     "profile_snapshot",
     "reset_profiles",
     "resource_section",
-    "stage_profile",
+    "stage",
     "DEFAULT_SLOS",
     "SLO",
     "SLOMonitor",
@@ -122,7 +123,5 @@ __all__ = [
     "set_tracer",
     "set_tracing",
     "span",
-    "trace_in_subprocess",
-    "traced",
     "tracing_enabled",
 ]

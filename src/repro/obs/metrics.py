@@ -228,7 +228,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
-        self._bucket_overrides: dict[str, tuple[float, ...]] = {}
 
     # ----- registration ---------------------------------------------------
 
@@ -254,35 +253,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def configure_buckets(
-        self, name: str, buckets: tuple[float, ...]
-    ) -> None:
-        """Override the bucket boundaries a named histogram will get.
-
-        Operators retune a metric's resolution (e.g. sub-millisecond
-        serve latencies) without touching call sites: the override wins
-        over both the instrumenting code's explicit ``buckets=`` and the
-        default.  Must run before the metric's first registration --
-        recorded observations cannot be rebinned.
-        """
-        bounds = _validate_buckets(buckets)
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if (
-                    isinstance(existing, Histogram)
-                    and existing.buckets == bounds
-                ):
-                    self._bucket_overrides[name] = bounds
-                    return  # a no-op re-configuration is fine
-                raise ValueError(
-                    f"histogram {name!r} is already registered; configure "
-                    "buckets before the metric's first use"
-                )
-            self._bucket_overrides[name] = bounds
-
     def histogram(
         self,
         name: str,
@@ -291,20 +261,15 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a histogram.
 
-        Bucket resolution order: a :meth:`configure_buckets` override,
-        then the caller's explicit ``buckets=``, then
+        Buckets are the caller's explicit ``buckets=``, else
         :data:`DEFAULT_BUCKETS`.  A get with boundaries different from
         the registered ones raises -- two call sites silently observing
         into differently-binned series is the bug this guards against.
         """
-        with self._lock:
-            override = self._bucket_overrides.get(name)
-        if override is not None:
-            resolved = override
-        elif buckets is not None:
-            resolved = _validate_buckets(buckets)
-        else:
-            resolved = DEFAULT_BUCKETS
+        resolved = (
+            _validate_buckets(buckets) if buckets is not None
+            else DEFAULT_BUCKETS
+        )
         metric = self._get_or_create(Histogram, name, help, buckets=resolved)
         if metric.buckets != resolved:
             raise ValueError(

@@ -1,34 +1,29 @@
-"""Per-stage resource profiling: wall time, CPU time, RSS deltas.
+"""``stage()``: the one way a block is timed -- span, metrics, profile.
 
-``with stage_profile("pipeline.score"):`` records what a stage *cost*,
-not just how long it took -- CPU seconds (``resource.getrusage``, so
-thread-pool fan-out shows up as cpu > wall) and resident-set-size
-before/after/peak (``/proc/self/status`` on Linux, ``ru_maxrss``
-elsewhere).  Every pipeline stage, the parallel fabric's fan-outs, and
-all four benchmark harnesses run under one, so ``BENCH_*.json`` carry
-resource sections and the flight recorder (:mod:`repro.obs.history`)
-gets ``wall_seconds.<stage>`` / ``peak_rss_kb`` series to trend.
+``with stage("pipeline.score", week=w) as st:`` takes one
+``perf_counter`` pair and one ``getrusage`` pair around the block and
+feeds every sink from those same readings:
 
-Two sinks, both cheap:
-
-* the metrics registry -- ``repro_stage_wall_seconds{stage=...}``
-  (histogram), ``repro_stage_cpu_seconds_total{stage=...}`` (counter),
+* the span tracer -- a span named ``name`` with the given tags, only
+  while tracing is on (:mod:`repro.obs.tracing`); an exception marks it
+  ``error`` and still records the block;
+* the metrics registry, one exact observation per call --
+  ``repro_stage_wall_seconds{stage=...}`` (histogram),
+  ``repro_stage_cpu_seconds_total{stage=...}`` (counter),
   ``repro_stage_rss_delta_kb`` / ``repro_stage_peak_rss_kb`` (gauges);
 * a process-local accumulation table (:func:`profile_snapshot`) that
   the benchmarks fold into their JSON reports via
-  :func:`resource_section`.
+  :func:`resource_section`;
+* the handle itself: ``st.seconds`` (the wall time every sink saw),
+  ``st.profile`` (a :class:`StageProfile`) and ``st.set_tag``.
 
-Memory attribution is opt-in: ``REPRO_PROFILE=mem`` turns on
-``tracemalloc`` around each profiled stage, reads true current RSS from
-``/proc/self/status``, and records the top-N allocation sites.  It is
-*off* by default because those probes cost real time -- the <3%
-instrumentation-overhead bench guard runs with the default level, where
-a stage profile is one ``getrusage`` call on each side of the block
-(RSS figures then track the high-water mark, which is what capacity
-planning reads anyway) and registry metrics are flushed from the
-accumulation table every ``_FLUSH_EVERY`` calls per stage: wall/CPU
-sums stay exact, histogram counts are batch-sampled, gauges lag by at
-most a few calls.
+CPU seconds are process-wide (``resource.getrusage``), so thread-pool
+fan-out shows up as cpu > wall.  At the default level RSS figures are
+the high-water mark (``ru_maxrss``), which is what capacity planning
+reads and costs no extra syscall.  ``REPRO_PROFILE=mem`` turns on
+``tracemalloc`` around each block, reads true current RSS from
+``/proc/self/status``, and records the top-N allocation sites; it is
+off by default because those probes cost real time.
 """
 
 from __future__ import annotations
@@ -41,11 +36,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.obs.metrics import get_registry
+from repro.obs.tracing import get_tracer, tracing_enabled
 
 __all__ = [
     "PROFILE_ENV_VAR",
     "StageProfile",
-    "stage_profile",
+    "stage",
     "profile_snapshot",
     "reset_profiles",
     "resource_section",
@@ -187,18 +183,6 @@ class StageProfile:
 _TABLE_LOCK = threading.Lock()
 _TABLE: dict[str, StageProfile] = {}
 
-#: Sampled-metric cadence: registry metrics are flushed on the first
-#: call and every Nth thereafter, per stage.  Sums stay exact (each
-#: flush covers everything since the last); the wall histogram sees
-#: batched observations and gauges lag by at most N-1 calls, which
-#: coarse trends tolerate -- exact per-call percentiles come from the
-#: flight recorder's raw series, not this histogram.
-_FLUSH_EVERY = 16
-
-# Wall/CPU seconds already flushed to the registry, per stage.
-_EMITTED_CPU: dict[str, float] = {}
-_EMITTED_WALL: dict[str, float] = {}
-
 
 def _accumulate(
     stage: str,
@@ -208,18 +192,16 @@ def _accumulate(
     rss_after: float,
     peak: float,
     allocators: list[dict] | None = None,
-) -> tuple[float, float] | None:
+) -> None:
     """Fold one block's raw readings into the table.
 
     Takes plain floats (not a :class:`StageProfile`) so the hot path
     never pays a dataclass construction for a block nobody inspects.
-    Returns ``(wall, cpu)`` seconds to flush to the registry when this
-    call falls on the sampling cadence, else ``None`` (emit nothing).
     """
     with _TABLE_LOCK:
         total = _TABLE.get(stage)
         if total is None:
-            total = StageProfile(
+            _TABLE[stage] = StageProfile(
                 stage=stage,
                 wall_seconds=wall,
                 cpu_seconds=cpu,
@@ -229,23 +211,15 @@ def _accumulate(
                 peak_rss_kb=peak,
                 allocators=list(allocators) if allocators else [],
             )
-            _TABLE[stage] = total
-        else:
-            total.calls += 1
-            total.wall_seconds += wall
-            total.cpu_seconds += cpu
-            total.rss_after_kb = rss_after
-            total.rss_delta_kb += rss_after - rss_before
-            total.peak_rss_kb = max(total.peak_rss_kb, peak)
-            if allocators:
-                total.allocators = allocators
-        if total.calls == 1 or total.calls % _FLUSH_EVERY == 0:
-            flush_wall = total.wall_seconds - _EMITTED_WALL.get(stage, 0.0)
-            flush_cpu = total.cpu_seconds - _EMITTED_CPU.get(stage, 0.0)
-            _EMITTED_WALL[stage] = total.wall_seconds
-            _EMITTED_CPU[stage] = total.cpu_seconds
-            return flush_wall, flush_cpu
-        return None
+            return
+        total.calls += 1
+        total.wall_seconds += wall
+        total.cpu_seconds += cpu
+        total.rss_after_kb = rss_after
+        total.rss_delta_kb += rss_after - rss_before
+        total.peak_rss_kb = max(total.peak_rss_kb, peak)
+        if allocators:
+            total.allocators = allocators
 
 
 def profile_snapshot() -> dict[str, dict]:
@@ -259,9 +233,7 @@ def reset_profiles() -> None:
     global _MEM_MODE
     with _TABLE_LOCK:
         _TABLE.clear()
-        _EMITTED_CPU.clear()
-        _EMITTED_WALL.clear()
-    _MEM_MODE = None  # re-read REPRO_PROFILE on the next profiled block
+    _MEM_MODE = None  # re-read REPRO_PROFILE on the next timed block
 
 
 def resource_section() -> dict:
@@ -277,7 +249,7 @@ def resource_section() -> dict:
 
 # ----- the context manager -------------------------------------------------
 
-# Metric handles are cached per registry object so a profiled block in a
+# Metric handles are cached per registry object so a timed block in a
 # hot loop pays dict-lookup-and-compare once, not four get-or-creates.
 # The benign race (two threads computing the same tuple) is harmless.
 _METRIC_CACHE: tuple | None = None
@@ -291,47 +263,57 @@ def _stage_metrics(registry):
     handles = (
         registry.histogram(
             "repro_stage_wall_seconds",
-            "Wall time per profiled stage",
+            "Wall time per timed stage",
             buckets=_STAGE_BUCKETS,
         ),
         registry.counter(
             "repro_stage_cpu_seconds_total",
-            "CPU (user+system) seconds per profiled stage",
+            "CPU (user+system) seconds per timed stage",
         ),
         registry.gauge(
             "repro_stage_rss_delta_kb",
-            "RSS change across the last run of each profiled stage",
+            "RSS change across the last run of each timed stage",
         ),
         registry.gauge(
             "repro_stage_peak_rss_kb",
-            "Process peak RSS at the end of each profiled stage",
+            "Process peak RSS at the end of each timed stage",
         ),
     )
     _METRIC_CACHE = (registry, *handles)
     return handles
 
-class stage_profile:
-    """Profile one block: ``with stage_profile("score_week") as sp: ...``.
+class stage:
+    """Time one block: ``with stage("serve.score_week", week=w) as st:``.
 
-    On exit the measured :class:`StageProfile` is available as
-    ``sp.profile``, folded into the process-local table, and emitted to
-    the metrics registry.  CPU time is process-wide (getrusage), so
-    concurrent profiled blocks each see the shared total -- fine for the
-    pipeline's serialized stages and the fabric's one-fan-out-at-a-time
-    usage, and documented rather than papered over.
+    Args:
+        name: the stage name -- the span name, the ``stage`` label of
+            the registry metrics, and the :func:`profile_snapshot` key.
+        registry: metrics registry to emit to (default: the global one).
+        **tags: span tags (recorded only while tracing is on).
 
-    The exit path stores raw readings only; ``sp.profile`` materialises
-    the :class:`StageProfile` on first access, so hot loops that never
-    inspect it skip the construction entirely.
+    On exit ``st.seconds`` is the block's wall time -- the same float the
+    span, the histogram and the table received -- and ``st.profile``
+    materialises the full :class:`StageProfile` on first access, so hot
+    loops that never inspect it skip the construction.  CPU time is
+    process-wide (getrusage), so concurrent blocks each see the shared
+    total -- fine for the pipeline's serialized stages and the fabric's
+    one-fan-out-at-a-time usage, and documented rather than papered over.
     """
 
-    def __init__(self, stage: str, registry=None):
-        self.stage = stage
+    def __init__(self, name: str, registry=None, **tags):
+        self.name = name
         self._registry = registry
+        self._tags = tags
+        self._span = None
         self._profile: StageProfile | None = None
         self._done = False
         self._tracemalloc = None
         self._allocators: list[dict] = []
+
+    @property
+    def seconds(self) -> float | None:
+        """Wall time of the block (None until the block exits)."""
+        return self._wall if self._done else None
 
     @property
     def profile(self) -> StageProfile | None:
@@ -340,7 +322,7 @@ class stage_profile:
             return None
         if self._profile is None:
             self._profile = StageProfile(
-                stage=self.stage,
+                stage=self.name,
                 wall_seconds=self._wall,
                 cpu_seconds=self._cpu,
                 rss_before_kb=self._rss_before,
@@ -351,7 +333,12 @@ class stage_profile:
             )
         return self._profile
 
-    def __enter__(self) -> "stage_profile":
+    def set_tag(self, key: str, value) -> None:
+        """Tag the block's span (a no-op while tracing is off)."""
+        if self._span is not None:
+            self._span.set_tag(key, value)
+
+    def __enter__(self) -> "stage":
         self._mem = _mem_mode()
         if self._mem:
             import tracemalloc
@@ -367,10 +354,18 @@ class stage_profile:
         self._cpu_before, maxrss = _rusage_readings()
         self._rss_before = current_rss_kb() if self._mem else maxrss
         self._wall_before = perf_counter()
+        if tracing_enabled():
+            self._tracer = get_tracer()
+            self._span = self._tracer.start_span(
+                self.name, self._tags, self._wall_before
+            )
         return self
 
-    def __exit__(self, *exc) -> bool:
-        wall = perf_counter() - self._wall_before
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = perf_counter()
+        wall = end - self._wall_before
+        if self._span is not None:
+            self._tracer.end_span(self._span, end, exc)
         cpu_after, peak = _rusage_readings()
         cpu = cpu_after - self._cpu_before
         rss_after = current_rss_kb() if self._mem else peak
@@ -389,19 +384,16 @@ class stage_profile:
         self._rss_after = rss_after
         self._peak = peak
         self._done = True
-        flushes = _accumulate(
-            self.stage, wall, cpu, self._rss_before, rss_after, peak,
+        _accumulate(
+            self.name, wall, cpu, self._rss_before, rss_after, peak,
             self._allocators or None,
         )
-        if flushes is not None:
-            flush_wall, flush_cpu = flushes
-            registry = (
-                self._registry if self._registry is not None
-                else get_registry()
-            )
-            wall_hist, cpu_total, rss_delta, rss_peak = _stage_metrics(registry)
-            wall_hist.observe(flush_wall, stage=self.stage)
-            cpu_total.inc(max(flush_cpu, 0.0), stage=self.stage)
-            rss_delta.set(rss_after - self._rss_before, stage=self.stage)
-            rss_peak.set(peak, stage=self.stage)
+        registry = (
+            self._registry if self._registry is not None else get_registry()
+        )
+        wall_hist, cpu_total, rss_delta, rss_peak = _stage_metrics(registry)
+        wall_hist.observe(wall, stage=self.name)
+        cpu_total.inc(max(cpu, 0.0), stage=self.name)
+        rss_delta.set(rss_after - self._rss_before, stage=self.name)
+        rss_peak.set(peak, stage=self.name)
         return False

@@ -15,25 +15,25 @@ returns a shared no-op context manager -- no allocation, no lock, no
 record -- so instrumented hot paths pay a single function call and a
 dict build for the tags.
 
-Cross-boundary propagation: a worker (thread or process) cannot see the
-submitting thread's span stack, so the fabric captures a serializable
-:class:`SpanContext` (just the parent span id) before fan-out and each
-task adopts it (:meth:`Tracer.adopt`).  Within a process the child span
-attaches to the still-open parent through the tracer's id index; across
-processes the child's exported span trees carry the parent id and
-:meth:`Tracer.merge_remote` grafts them back onto the parent tree (see
-:func:`trace_in_subprocess` for the worker-side half).
+Thread fan-out: a worker thread cannot see the submitting thread's span
+stack, so the fabric captures a :class:`SpanContext` (just the parent
+span id) before fan-out and each task adopts it (:meth:`Tracer.adopt`);
+the child span attaches to the still-open parent through the tracer's
+id index.
+
+:func:`repro.obs.profile.stage` records its span through
+:meth:`Tracer.start_span` / :meth:`Tracer.end_span` so the span shares the
+stage's own clock readings instead of taking a second pair.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 __all__ = [
     "TRACE_ENV_VAR",
@@ -45,9 +45,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span",
-    "traced",
     "current_context",
-    "trace_in_subprocess",
     "flame_report",
 ]
 
@@ -109,17 +107,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Span":
-        s = cls(payload["span_id"], payload["name"], dict(payload.get("tags", {})))
-        s.parent_id = payload.get("parent_id")
-        s.start = 0.0
-        s.end = float(payload.get("duration_seconds", 0.0))
-        s.status = payload.get("status", "ok")
-        s.error = payload.get("error")
-        s.children = [cls.from_dict(c) for c in payload.get("children", [])]
-        return s
-
 
 class _NoopSpan:
     """The shared do-nothing span handed out while tracing is disabled."""
@@ -140,18 +127,9 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class SpanContext(NamedTuple):
-    """A serializable reference to a span, safe to pickle across processes."""
+    """A reference to a span that another thread can adopt as its parent."""
 
     span_id: str | None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"span_id": self.span_id}
-
-    @classmethod
-    def from_wire(cls, payload: dict[str, Any] | None) -> "SpanContext":
-        if payload is None:
-            return cls(None)
-        return cls(payload.get("span_id"))
 
 
 class Tracer:
@@ -177,54 +155,65 @@ class Tracer:
 
     # ----- recording ------------------------------------------------------
 
+    def start_span(
+        self, name: str, tags: dict[str, Any], start: float
+    ) -> Span:
+        """Start a span at ``start``; nests under the thread's innermost
+        open span (or an adopted remote parent).  Pair with :meth:`end_span`."""
+        stack = self._stack()
+        s = Span(self._new_id(), name, tags)
+        if stack:
+            s.parent_id = stack[-1].span_id
+        else:
+            s.parent_id = getattr(self._local, "remote_parent", None)
+        with self._lock:
+            self._index[s.span_id] = s
+        stack.append(s)
+        s.start = start
+        return s
+
+    def end_span(
+        self, s: Span, end: float, exc: BaseException | None
+    ) -> None:
+        """Finish a span from :meth:`start_span` at ``end``; ``exc`` marks
+        it as failed."""
+        if exc is not None:
+            s.status = "error"
+            s.error = f"{type(exc).__name__}: {exc}"
+        s.end = end
+        stack = self._stack()
+        if stack and stack[-1] is s:  # a reset() mid-span drops the stack
+            stack.pop()
+        with self._lock:
+            owner = (
+                self._index.get(s.parent_id) if s.parent_id is not None
+                else None
+            )
+            if owner is not None:
+                owner.children.append(s)
+            else:
+                if s.parent_id is not None:
+                    s.tags.setdefault("remote_parent", s.parent_id)
+                self._roots.append(s)
+
     @contextmanager
     def span(self, name: str, **tags):
         """Record one span; nests under the thread's innermost open span."""
         if not tracing_enabled():
             yield _NOOP_SPAN
             return
-        stack = self._stack()
-        parent: Span | str | None = (
-            stack[-1] if stack else getattr(self._local, "remote_parent", None)
-        )
-        s = Span(self._new_id(), name, tags)
-        if isinstance(parent, Span):
-            s.parent_id = parent.span_id
-        elif isinstance(parent, str):
-            s.parent_id = parent
-        with self._lock:
-            self._index[s.span_id] = s
-        stack.append(s)
-        s.start = perf_counter()
+        s = self.start_span(name, tags, perf_counter())
         try:
             yield s
         except BaseException as exc:
-            s.status = "error"
-            s.error = f"{type(exc).__name__}: {exc}"
+            self.end_span(s, perf_counter(), exc)
             raise
-        finally:
-            s.end = perf_counter()
-            stack.pop()
-            self._attach(s, parent)
-
-    def _attach(self, s: Span, parent: "Span | str | None") -> None:
-        if isinstance(parent, Span):
-            with self._lock:
-                parent.children.append(s)
-            return
-        with self._lock:
-            if isinstance(parent, str):
-                owner = self._index.get(parent)
-                if owner is not None:
-                    owner.children.append(s)
-                    return
-                s.tags.setdefault("remote_parent", parent)
-            self._roots.append(s)
+        self.end_span(s, perf_counter(), None)
 
     # ----- propagation ----------------------------------------------------
 
     def current_context(self) -> SpanContext:
-        """A serializable handle to the calling thread's innermost span."""
+        """A handle to the calling thread's innermost span."""
         stack = self._stack()
         if stack:
             return SpanContext(stack[-1].span_id)
@@ -243,31 +232,6 @@ class Tracer:
         finally:
             self._local.remote_parent = previous
 
-    def merge_remote(self, spans: list[dict[str, Any]]) -> None:
-        """Graft exported span trees (from another process) onto this one.
-
-        Merging is idempotent per span id: a payload whose ``span_id``
-        is already indexed is dropped, so a worker batch delivered twice
-        (a retried pipe send, an at-least-once queue) does not duplicate
-        subtrees in the exported trace.
-        """
-        for payload in spans:
-            s = Span.from_dict(payload)
-            with self._lock:
-                if s.span_id in self._index:
-                    continue
-                owner = self._index.get(s.parent_id) if s.parent_id else None
-                if owner is not None:
-                    owner.children.append(s)
-                else:
-                    self._roots.append(s)
-                self._index_tree(s)
-
-    def _index_tree(self, s: Span) -> None:
-        self._index[s.span_id] = s
-        for child in s.children:
-            self._index_tree(child)
-
     # ----- reading --------------------------------------------------------
 
     def export(self) -> list[dict[str, Any]]:
@@ -280,12 +244,7 @@ class Tracer:
         return flame_report(self.export())
 
     def reset(self) -> None:
-        """Drop all recorded spans AND per-thread nesting state.
-
-        Clearing ``_local`` matters for forked workers: the child
-        inherits the submitting thread's open-span stack, and a task
-        span must not silently attach to the fork's dead copy of it.
-        """
+        """Drop all recorded spans and per-thread nesting state."""
         with self._lock:
             self._roots.clear()
             self._index.clear()
@@ -360,40 +319,6 @@ def span(name: str, **tags):
     return _TRACER.span(name, **tags)
 
 
-def traced(name: str | None = None, **tags) -> Callable:
-    """Decorator form of :func:`span` (span name defaults to the function)."""
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not tracing_enabled():
-                return fn(*args, **kwargs)
-            with _TRACER.span(label, **tags):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 def current_context() -> SpanContext:
-    """Serializable context of the calling thread (for fan-out capture)."""
+    """Context of the calling thread's innermost span (fan-out capture)."""
     return _TRACER.current_context()
-
-
-def trace_in_subprocess(context_wire, fn, *args, **kwargs):
-    """Worker-process entry point: adopt a wire context, run, export.
-
-    Run this inside the child process (it resets the child's
-    fork-inherited tracer so only the task's own spans export).  Returns
-    ``(result, exported_spans)``; the parent feeds the spans to
-    :meth:`Tracer.merge_remote` to graft them under the submitting span.
-    """
-    tracer = get_tracer()
-    tracer.reset()
-    context = SpanContext.from_wire(context_wire)
-    with tracer.adopt(context):
-        result = fn(*args, **kwargs)
-    return result, tracer.export()

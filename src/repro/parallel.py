@@ -26,14 +26,12 @@ Observability: every task reports into the :mod:`repro.obs` registry --
 tasks), ``repro_parallel_task_seconds`` (histogram, labelled by the
 caller's ``task_label``), and ``repro_parallel_worker_busy_seconds_total``
 (per-worker counter; pool threads carry a stable ``repro-worker_N``
-name, so utilization is busy-seconds per worker over wall time).  When
-``REPRO_TRACE`` is on, the submitting thread's span context is captured
-and every task runs under an adopted child span, so fan-out appears as
-children of the submitting span even though workers have their own
-stacks -- the context is a serializable
-:class:`repro.obs.tracing.SpanContext`, so the same mechanism carries
-spans across process boundaries (see
-:func:`repro.obs.tracing.trace_in_subprocess`).
+name, so utilization is busy-seconds per worker over wall time).  Each
+fan-out as a whole runs under one ``stage("fabric.<task_label>")``.
+When ``REPRO_TRACE`` is on, the span context is captured *inside* that
+stage and every task runs under an adopted child span, so at every
+worker count the task spans nest under the ``fabric.<task_label>``
+span even though worker threads have their own stacks.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.metrics import get_registry
-from repro.obs.profile import stage_profile
+from repro.obs.profile import stage
 from repro.obs.tracing import get_tracer, tracing_enabled
 
 __all__ = ["WORKERS_ENV_VAR", "worker_count", "parallel_map", "split_shards"]
@@ -156,7 +154,7 @@ def parallel_map(
     )
 
     tracer = get_tracer() if tracing_enabled() else None
-    context = tracer.current_context() if tracer is not None else None
+    context = None  # captured inside the fan-out's stage, below
 
     finished: list[None] = []  # list.append is atomic under the GIL
 
@@ -184,10 +182,13 @@ def parallel_map(
 
     queue_depth.inc(len(work))
     try:
-        # One profile block per *fan-out* (not per task): the resource
-        # ledger answers "what did this whole sweep cost", task-level
-        # wall time is already on repro_parallel_task_seconds.
-        with stage_profile(f"fabric.{task_label}"):
+        # One stage per *fan-out* (not per task): the resource ledger
+        # answers "what did this whole sweep cost"; per-task wall time
+        # feeds repro_parallel_task_seconds and the per-thread busy
+        # counters, which a process-wide getrusage cannot split.
+        with stage(f"fabric.{task_label}"):
+            if tracer is not None:
+                context = tracer.current_context()
             if n_workers == 1 or len(work) <= 1:
                 return [run(indexed) for indexed in enumerate(work)]
             with ThreadPoolExecutor(

@@ -30,7 +30,6 @@ at any ``REPRO_WORKERS`` count and any shard size.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from repro.explain.report import ExplanationReport, build_report
 from repro.features.encoding import FeatureSet
 from repro.obs.log import RateLimitedLogger, get_logger
-from repro.obs.metrics import get_registry
+from repro.obs.profile import stage
 from repro.obs.tracing import span
 from repro.parallel import parallel_map, split_shards
 from repro.serve.cache import ScoreCache
@@ -57,13 +56,6 @@ __all__ = ["WeekScores", "ScoringEngine", "DEFAULT_SHARD_SIZE", "score_bundles"]
 #: population, large enough that per-shard numpy dispatch overhead is noise.
 DEFAULT_SHARD_SIZE = 16_384
 
-#: Scoring-run durations: a cached test-scale week scores in milliseconds,
-#: a cold 100K-line week takes a second or two.
-_SCORE_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0,
-)
-
 #: Shard-level logging is a hot loop (a 100K-line week is dozens of
 #: shards per run, every run): sample 1-in-50 per event, not per line.
 _SHARD_LOG = RateLimitedLogger(get_logger("serve.scoring"), sample_every=50)
@@ -78,11 +70,13 @@ class WeekScores:
         day: absolute Saturday day of the underlying line test.
         scores: per-line calibrated ticket probabilities.
         n_shards: how many line-shards the run fanned out.
-        encode_seconds: wall time of the shared set-up before the shard
-            fan-out (population, dense cube, ticket vector).  Despite the
-            name, no feature encoding happens in this interval.
-        score_seconds: wall time of the shard fan-out (each shard's
-            Table-3 encode and ensemble scoring) plus calibration.
+        encode_seconds: wall time of the ``serve.prepare`` stage, the
+            shared set-up before the shard fan-out (population, dense
+            cube, ticket vector).  Despite the name, no feature encoding
+            happens in this interval.
+        score_seconds: the rest of the ``serve.score_week`` stage: the
+            shard fan-out (each shard's Table-3 encode and ensemble
+            scoring) plus calibration.
     """
 
     week: int
@@ -286,31 +280,23 @@ class ScoringEngine:
         if model is None:
             raise RuntimeError("bundle predictor is not fitted")
 
-        registry = get_registry()
-        week_seconds = registry.histogram(
-            "repro_serve_score_week_seconds",
-            "Wall time of one full (uncached) week scoring run",
-            buckets=_SCORE_BUCKETS,
-        )
-
-        with span("serve.score_week", week=week) as run_span, \
-                week_seconds.time():
-            t0 = time.perf_counter()
-            population = self.world.population()
-            if not self.world.out_of_core_active():
-                # Build the dense cube once, outside the shard fan-out;
-                # out-of-core worlds instead read per-shard rows below.
-                self.world.measurements()
-            day = self.world.store.day_of(week)
-            last_day = np.asarray(self.world.store.last_ticket_day(week))
-            t1 = time.perf_counter()
+        with stage("serve.score_week", week=week) as run:
+            with stage("serve.prepare", week=week) as prepare:
+                population = self.world.population()
+                if not self.world.out_of_core_active():
+                    # Build the dense cube once, outside the shard
+                    # fan-out; out-of-core worlds instead read per-shard
+                    # rows below.
+                    self.world.measurements()
+                day = self.world.store.day_of(week)
+                last_day = np.asarray(self.world.store.last_ticket_day(week))
 
             compiled = model.compiled()
             recipes = predictor.recipes
             encoder = predictor.encoder
             shards = split_shards(self.world.n_lines, self.shard_size)
-            run_span.set_tag("shards", len(shards))
-            run_span.set_tag("lines", self.world.n_lines)
+            run.set_tag("shards", len(shards))
+            run.set_tag("lines", self.world.n_lines)
 
             def encode_and_score(shard: slice) -> np.ndarray:
                 base = encoder.encode(
@@ -335,15 +321,14 @@ class ScoringEngine:
                 raise RuntimeError("bundle model has no calibrator")
             with span("serve.calibrate", week=week):
                 scores = model.calibrator.transform(margin)
-            t2 = time.perf_counter()
 
         result = WeekScores(
             week=week,
             day=day,
             scores=scores,
             n_shards=len(shards),
-            encode_seconds=t1 - t0,
-            score_seconds=t2 - t1,
+            encode_seconds=prepare.seconds,
+            score_seconds=run.seconds - prepare.seconds,
         )
         self._score_cache[week] = result
         if self.cache is not None:

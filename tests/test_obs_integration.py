@@ -101,11 +101,11 @@ class TestPipelineTelemetry:
         self, traced_pipeline_telemetry
     ):
         telemetry, pipeline = traced_pipeline_telemetry
-        entry = telemetry["metrics"]["repro_pipeline_stage_seconds"]
+        entry = telemetry["metrics"]["repro_stage_wall_seconds"]
         stages = {s["labels"]["stage"]: s["count"] for s in entry["samples"]}
-        assert stages["train"] >= 1
-        assert stages["score"] == len(pipeline.reports)
-        assert stages["dispatch"] == len(pipeline.reports)
+        assert stages["pipeline.train"] >= 1
+        assert stages["pipeline.score"] == len(pipeline.reports)
+        assert stages["pipeline.dispatch"] == len(pipeline.reports)
 
     def test_calibration_drift_is_bounded(self, traced_pipeline_telemetry):
         telemetry, _ = traced_pipeline_telemetry
@@ -144,7 +144,7 @@ class TestPipelineTelemetry:
         assert "== span timing" in text
         assert "pipeline.week" in text
         assert "== stage timings / distributions ==" in text
-        assert "repro_pipeline_stage_seconds{stage=score}" in text
+        assert "repro_stage_wall_seconds{stage=pipeline.score}" in text
         assert "== counters and gauges ==" in text
         assert "repro_pipeline_precision" in text
 
@@ -182,7 +182,13 @@ class TestServiceObservability:
         assert payload["requests"]["/dispatch"] == 1
         assert payload["lines_scored"] > 0
         assert payload["mean_lines_per_sec"] > 0
-        assert "repro_serve_score_week_seconds" in payload["metrics"]
+        stages = {
+            sample["labels"]["stage"]
+            for sample in payload["metrics"]["repro_stage_wall_seconds"][
+                "samples"
+            ]
+        }
+        assert "serve.score_week" in stages
 
     def test_trace_endpoint_exports_scoring_spans(self, service):
         service.dispatch_request("GET", "/dispatch")
@@ -198,7 +204,12 @@ class TestServiceObservability:
         service.dispatch_request("GET", "/dispatch")
         _, payload = service.dispatch_request("GET", "/trace")
         [run] = [s for s in payload["spans"] if s["name"] == "serve.score_week"]
-        shard_spans = [c for c in run["children"] if c["name"] == "serve.shard"]
+        [fabric] = [
+            c for c in run["children"] if c["name"] == "fabric.serve.shard"
+        ]
+        shard_spans = [
+            c for c in fabric["children"] if c["name"] == "serve.shard"
+        ]
         assert len(shard_spans) == run["tags"]["shards"] >= 2
 
 

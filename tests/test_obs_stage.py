@@ -1,0 +1,184 @@
+"""``stage()``: one clock reading per block feeds every timing sink exactly."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro import PipelineConfig, PopulationConfig, PredictorConfig, SimulationConfig
+from repro.core.pipeline import NevermindPipeline
+from repro.obs.history import HistoryStore
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.profile import profile_snapshot, reset_profiles, stage
+from repro.obs.tracing import Tracer, set_tracer, set_tracing
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def _clean_profiles():
+    reset_profiles()
+    yield
+    reset_profiles()
+
+
+@pytest.fixture()
+def registry():
+    return MetricsRegistry()
+
+
+@pytest.fixture()
+def tracer():
+    fresh = Tracer()
+    previous = set_tracer(fresh)
+    set_tracing(True)
+    try:
+        yield fresh
+    finally:
+        set_tracing(None)
+        set_tracer(previous)
+
+
+def _wall_sample(registry, name):
+    samples = registry.snapshot()["repro_stage_wall_seconds"]["samples"]
+    [sample] = [s for s in samples if s["labels"] == {"stage": name}]
+    return sample
+
+
+class TestOneReadingEverySink:
+    def test_handle_histogram_and_table_agree_exactly(self, registry):
+        with stage("unit.exact", registry=registry) as st:
+            assert st.seconds is None  # nothing to read mid-block
+            sum(range(10_000))
+        assert st.seconds > 0
+        assert _wall_sample(registry, "unit.exact")["sum"] == st.seconds
+        assert profile_snapshot()["unit.exact"]["wall_seconds"] == st.seconds
+        assert st.profile.wall_seconds == st.seconds
+
+    def test_span_duration_is_the_same_reading(self, registry, tracer):
+        with stage("unit.traced", registry=registry, week=3) as st:
+            st.set_tag("rows", 7)
+        [root] = tracer.export()
+        assert root["name"] == "unit.traced"
+        assert root["tags"] == {"week": 3, "rows": 7}
+        assert root["duration_seconds"] == st.seconds
+
+    def test_every_call_is_observed(self, registry):
+        seconds = []
+        for _ in range(32):
+            with stage("unit.many", registry=registry) as st:
+                pass
+            seconds.append(st.seconds)
+        sample = _wall_sample(registry, "unit.many")
+        table = profile_snapshot()["unit.many"]
+        assert sample["count"] == table["calls"] == 32
+        assert sample["sum"] == table["wall_seconds"] == sum(seconds)
+
+    def test_exception_marks_the_span_and_still_records(
+        self, registry, tracer
+    ):
+        with pytest.raises(RuntimeError, match="boom"):
+            with stage("unit.failing", registry=registry) as st:
+                raise RuntimeError("boom")
+        [root] = tracer.export()
+        assert root["status"] == "error"
+        assert "RuntimeError: boom" in root["error"]
+        assert _wall_sample(registry, "unit.failing")["count"] == 1
+        assert profile_snapshot()["unit.failing"]["calls"] == 1
+        assert st.seconds == root["duration_seconds"]
+
+    def test_tags_are_ignored_while_tracing_is_off(self, registry):
+        set_tracing(False)
+        try:
+            with stage("unit.quiet", registry=registry, week=1) as st:
+                st.set_tag("ignored", True)  # must not raise
+        finally:
+            set_tracing(None)
+        assert _wall_sample(registry, "unit.quiet")["count"] == 1
+
+
+def test_pipeline_history_and_histogram_share_the_readings(tmp_path):
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        history = HistoryStore(tmp_path / "flight.jsonl")
+        pipeline = NevermindPipeline(
+            SimulationConfig(
+                n_weeks=16,
+                population=PopulationConfig(n_lines=300, seed=3),
+                fault_rate_scale=5.0,
+                seed=41,
+            ),
+            PipelineConfig(
+                warmup_weeks=13,
+                predictor=PredictorConfig(
+                    capacity=15, train_rounds=8, selection_rounds=2,
+                    include_derived=False,
+                ),
+            ),
+            history=history,
+        )
+        pipeline.run()
+    finally:
+        set_registry(previous)
+    assert pipeline.reports
+    records = history.records("pipeline_week")
+    assert len(records) == len(pipeline.reports)
+    recorded = sum(r.values["wall_seconds.score"] for r in records)
+    sample = _wall_sample(registry, "pipeline.score")
+    assert sample["sum"] == pytest.approx(recorded, rel=1e-12)
+    assert sample["count"] == len(pipeline.reports)
+
+
+# ---------------------------------------------------------------------------
+# Guard: one timer per block
+# ---------------------------------------------------------------------------
+
+_TIMING_CALLS = {"span", "stage", "time"}
+
+
+def _is_timing_item(item: ast.withitem) -> bool:
+    call = item.context_expr
+    if not isinstance(call, ast.Call):
+        return False
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id in {"span", "stage"}
+    return isinstance(func, ast.Attribute) and func.attr in _TIMING_CALLS
+
+
+def _sources() -> list[Path]:
+    return sorted((ROOT / "src" / "repro").rglob("*.py")) + sorted(
+        (ROOT / "benchmarks").glob("*.py")
+    )
+
+
+def test_no_with_statement_stacks_timers():
+    stacked = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                if sum(_is_timing_item(item) for item in node.items) >= 2:
+                    stacked.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not stacked, f"time these blocks with one stage(): {stacked}"
+
+
+@pytest.mark.parametrize("module", [
+    "core/pipeline.py",
+    "serve/scoring.py",
+    "lifecycle/shadow.py",
+    "features/selection.py",
+])
+def test_stage_timed_modules_read_no_clock_of_their_own(module):
+    path = ROOT / "src" / "repro" / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    clocks = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "perf_counter")
+        or (isinstance(node, ast.Attribute) and node.attr == "perf_counter")
+    ]
+    assert not clocks, f"{module} calls perf_counter at lines {clocks}"
