@@ -281,7 +281,7 @@ def bench_serve(n_lines: int, n_weeks: int, n_rounds: int, shard_size: int,
         "workers": worker_count(workers),
         "snapshot_seconds": snapshot_seconds,
         "snapshot_line_weeks_per_sec": n_lines * n_weeks / snapshot_seconds,
-        "encode_seconds": cold.encode_seconds,
+        "prepare_seconds": cold.prepare_seconds,
         "score_seconds": cold.score_seconds,
         "cold_lines_per_sec": cold.lines_per_sec,
         "score_seconds_best": warm_seconds,
@@ -643,7 +643,7 @@ def main() -> None:
     print(f"snapshot: {serve['snapshot_line_weeks_per_sec']:.0f} "
           f"line-weeks/s over {n_weeks} weeks x {n_lines} lines")
     print(f"cold:     {serve['cold_lines_per_sec']:.0f} lines/s "
-          f"(encode {serve['encode_seconds']:.3f}s + "
+          f"(prepare {serve['prepare_seconds']:.3f}s + "
           f"score {serve['score_seconds']:.3f}s, "
           f"{serve['n_shards']} shards, {serve['workers']} workers)")
     print(f"score:    {serve['lines_per_sec']:.0f} lines/s "

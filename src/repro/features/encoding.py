@@ -51,6 +51,11 @@ _PROFILE_FEATURES: tuple[str, ...] = (
 #: Cap (days) on the "time since last ticket" feature for ticket-free lines.
 _NO_TICKET_CAP_DAYS = 365.0
 
+#: Lines per row tile of the time-series kernel: the tile's five
+#: ``(tile, 25)`` float64/int temporaries (~200 KB each at 1024 rows)
+#: stay cache-resident across both passes over the history weeks.
+TIMESERIES_TILE_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -271,56 +276,68 @@ class LineFeatureEncoder:
     ) -> np.ndarray:
         """Table-3 "timeseries": ``(l_iK - mean(l_i)) / std(l_i)`` per line.
 
-        A streaming kernel over the history weeks: each week's
-        ``(lines, features)`` slice is copied into one reused float64
-        buffer, and the ``(lines, weeks, features)`` cube is never
-        gathered.  Pass 1 folds each line's present-record count and
-        NaN-as-zero sum; pass 2 folds the squared deviations from that
-        mean, missing records contributing ``+0.0``.  That is exactly the
-        arithmetic of ``np.nanmean`` / ``np.nanstd`` (ddof 0) along the
-        week axis of the gathered cube, in numpy's own order for a
-        reduction over a non-contiguous axis: sequential over the weeks,
-        seeded with the first week rather than with ``+0.0``.  The block
-        is therefore bit-identical to that formulation, signed zeros and
-        NaN payloads included.
+        A streaming kernel over the history weeks, run one row tile of
+        :data:`TIMESERIES_TILE_ROWS` lines at a time: each week's
+        ``(tile, features)`` slice -- contiguous in the store's
+        week-major cube -- is copied into one reused float64 buffer, and
+        the ``(lines, weeks, features)`` cube is never gathered.  Pass 1
+        folds each line's present-record count and NaN-as-zero sum;
+        pass 2 folds the squared deviations from that mean, missing
+        records contributing ``+0.0``.  That is exactly the arithmetic of
+        ``np.nanmean`` / ``np.nanstd`` (ddof 0) along the week axis of
+        the gathered cube, in numpy's own order for a reduction over a
+        non-contiguous axis: sequential over the weeks, seeded with the
+        first week rather than with ``+0.0``.  Every operation is
+        elementwise per (line, feature), so neither the tiling nor the
+        storage layout enters the arithmetic, and the block is
+        bit-identical to that formulation, signed zeros and NaN payloads
+        included.
         """
         cfg = self.config
         history = measurements.filled_weeks
         history = history[(history < week) & (history >= week - cfg.history_weeks)]
         if history.size == 0:
             return np.full_like(current, np.nan)
-        data = measurements.data
-        missing = np.empty(current.shape, dtype=bool)
-        absent = np.zeros(current.shape, dtype=np.intp)
-        buf = np.empty_like(current)
-        total = np.empty_like(current)
-        squares = np.empty_like(current)
+        cube = measurements.cube
+        n_lines = current.shape[0]
+        tile = min(TIMESERIES_TILE_ROWS, n_lines)
+        deviation = np.empty_like(current)
+        missing = np.empty((tile, current.shape[1]), dtype=bool)
+        absent = np.empty(missing.shape, dtype=np.intp)
+        buf, total, squares = (np.empty(missing.shape) for _ in range(3))
         with np.errstate(all="ignore"):
-            for k, w in enumerate(history):
-                # The first week is written straight into the accumulator.
-                out = buf if k else total
-                np.copyto(out, data[:, w, :])
-                np.isnan(out, out=missing)
-                absent += missing
-                np.copyto(out, 0.0, where=missing)
-                if k:
-                    total += buf
-            counts = history.size - absent
-            mean = np.divide(total, counts, out=total)
-            for k, w in enumerate(history):
-                out = buf if k else squares
-                np.copyto(out, data[:, w, :])
-                np.isnan(out, out=missing)
-                out -= mean
-                np.copyto(out, 0.0, where=missing)
-                out *= out
-                if k:
-                    squares += buf
-            std = np.sqrt(np.divide(squares, counts, out=squares), out=squares)
-        enough = counts >= cfg.min_history_records
-        std = np.where(std > 1e-9, std, np.nan)
-        deviation = (current - mean) / std
-        deviation[~enough] = np.nan
+            for start in range(0, n_lines, tile):
+                rows = slice(start, start + tile)
+                n = min(tile, n_lines - start)
+                t_missing, t_absent = missing[:n], absent[:n]
+                t_buf, t_total, t_squares = buf[:n], total[:n], squares[:n]
+                t_absent[...] = 0
+                for k, w in enumerate(history):
+                    # The first week is written straight into the accumulator.
+                    out = t_buf if k else t_total
+                    np.copyto(out, cube[w, rows])
+                    np.isnan(out, out=t_missing)
+                    t_absent += t_missing
+                    np.copyto(out, 0.0, where=t_missing)
+                    if k:
+                        t_total += t_buf
+                counts = np.subtract(history.size, t_absent, out=t_absent)
+                mean = np.divide(t_total, counts, out=t_total)
+                for k, w in enumerate(history):
+                    out = t_buf if k else t_squares
+                    np.copyto(out, cube[w, rows])
+                    np.isnan(out, out=t_missing)
+                    out -= mean
+                    np.copyto(out, 0.0, where=t_missing)
+                    out *= out
+                    if k:
+                        t_squares += t_buf
+                std = np.divide(t_squares, counts, out=t_squares)
+                np.sqrt(std, out=std)
+                np.copyto(std, np.nan, where=~(std > 1e-9))
+                out = np.subtract(current[rows], mean, out=deviation[rows])
+                out /= std
+                np.copyto(out, np.nan, where=counts < cfg.min_history_records)
         return deviation
 
     def _profile_block(self, current: np.ndarray, population: Population) -> np.ndarray:

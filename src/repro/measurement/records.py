@@ -6,8 +6,6 @@ and ``up`` mean downstream (downloading) and upstream (uploading).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
@@ -84,34 +82,67 @@ def feature_index(name: str) -> int:
         raise KeyError(f"unknown line feature {name!r}") from None
 
 
-@dataclass
 class MeasurementStore:
     """Per-line weekly measurement time-series.
 
-    Data lives in a ``(n_lines, n_weeks, 25)`` float32 array.  A fully-NaN
-    feature row (except ``state`` = 0) marks a missed record -- the modem
-    was off during the Saturday test, the paper's main missingness channel.
+    Data lives in one week-major ``(n_weeks, n_lines, 25)`` float32 cube,
+    so a campaign is one contiguous block: recording a week is a plain
+    copy and :meth:`week_matrix` is a C-contiguous view.  ``data`` is the
+    ``(n_lines, n_weeks, 25)`` transposed view of that cube -- the
+    per-line layout every accessor and the Table-3 encoder index by.  A
+    fully-NaN feature row (except ``state`` = 0) marks a missed record --
+    the modem was off during the Saturday test, the paper's main
+    missingness channel.
 
     Attributes:
         n_lines: subscriber count.
         n_weeks: number of weekly campaigns the store can hold.
+        cube: the week-major cube (do not mutate; use :meth:`add_week`).
+        data: ``cube`` transposed to ``(n_lines, n_weeks, 25)``.
         saturday_day: absolute simulation-day index of each week's test.
     """
 
-    n_lines: int
-    n_weeks: int
-    data: np.ndarray = field(init=False, repr=False)
-    saturday_day: np.ndarray = field(init=False, repr=False)
-    _filled: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n_lines <= 0 or self.n_weeks <= 0:
+    def __init__(self, n_lines: int, n_weeks: int) -> None:
+        if n_lines <= 0 or n_weeks <= 0:
             raise ValueError("n_lines and n_weeks must be positive")
-        self.data = np.full(
-            (self.n_lines, self.n_weeks, N_FEATURES), np.nan, dtype=np.float32
+        self._bind(
+            np.full((n_weeks, n_lines, N_FEATURES), np.nan, dtype=np.float32),
+            np.full(n_weeks, -1, dtype=int),
+            np.zeros(n_weeks, dtype=bool),
         )
-        self.saturday_day = np.full(self.n_weeks, -1, dtype=int)
-        self._filled = np.zeros(self.n_weeks, dtype=bool)
+
+    @classmethod
+    def from_week_major(
+        cls, cube: np.ndarray, saturday_day: np.ndarray, filled: np.ndarray
+    ) -> "MeasurementStore":
+        """A store over an existing ``(n_weeks, n_lines, 25)`` cube.
+
+        No copy: ``cube`` (which may be a row slice of a larger cube),
+        ``saturday_day`` and the boolean ``filled`` mask are held as
+        given.  Weeks not marked filled must already be all-NaN.
+        """
+        if cube.dtype != np.float32 or cube.ndim != 3 or cube.shape[2] != N_FEATURES:
+            raise ValueError(
+                f"cube must be (n_weeks, n_lines, {N_FEATURES}) float32, "
+                f"got {cube.shape} {cube.dtype}"
+            )
+        n_weeks, n_lines = cube.shape[:2]
+        if n_lines <= 0 or n_weeks <= 0:
+            raise ValueError("n_lines and n_weeks must be positive")
+        if saturday_day.shape != (n_weeks,) or filled.shape != (n_weeks,):
+            raise ValueError("saturday_day and filled need one entry per week")
+        store = cls.__new__(cls)
+        store._bind(cube, saturday_day, np.asarray(filled, dtype=bool))
+        return store
+
+    def _bind(
+        self, cube: np.ndarray, saturday_day: np.ndarray, filled: np.ndarray
+    ) -> None:
+        self.cube = cube
+        self.data = cube.transpose(1, 0, 2)
+        self.n_weeks, self.n_lines = cube.shape[:2]
+        self.saturday_day = saturday_day
+        self._filled = filled
 
     def add_week(self, week: int, day: int, features: np.ndarray) -> None:
         """Record one campaign.
@@ -130,7 +161,7 @@ class MeasurementStore:
             )
         if self._filled[week]:
             raise ValueError(f"week {week} was already recorded")
-        self.data[:, week, :] = features
+        self.cube[week] = features
         self.saturday_day[week] = day
         self._filled[week] = True
 
@@ -143,7 +174,7 @@ class MeasurementStore:
         """(n_lines, 25) snapshot of one week (a view, do not mutate)."""
         if not self._filled[week]:
             raise ValueError(f"week {week} has not been recorded")
-        return self.data[:, week, :]
+        return self.cube[week]
 
     def line_series(self, line: int) -> np.ndarray:
         """(n_weeks, 25) time-series of one line (a view, do not mutate)."""
@@ -161,11 +192,11 @@ class MeasurementStore:
         This is the Table-3 "Modem" customer feature.  ``upto_week`` bounds
         the history (exclusive); None uses all recorded weeks.
         """
-        weeks = self.filled_weeks
+        recorded = self.filled_weeks
         if upto_week is not None:
-            weeks = weeks[weeks < upto_week]
-        if weeks.size == 0:
+            recorded = recorded[recorded < upto_week]
+        if recorded.size == 0:
             return np.zeros(self.n_lines)
-        state = self.data[:, weeks, feature_index("state")]
+        state = self.cube[recorded, :, feature_index("state")]
         off = (state == 0) | np.isnan(state)
-        return np.mean(off, axis=1)
+        return np.mean(off, axis=0)

@@ -42,12 +42,7 @@ from repro.obs.tracing import span
 from repro.parallel import parallel_map, split_shards
 from repro.serve.cache import ScoreCache
 from repro.serve.registry import ModelBundle
-from repro.serve.store import (
-    StoredWorld,
-    _measurement_row_view,
-    _population_row_view,
-    _StoredTicketView,
-)
+from repro.serve.store import StoredWorld, _population_row_view, _StoredTicketView
 from repro.tickets.dispatch import DispatchList, Dispatcher, build_dispatch_list
 
 __all__ = ["WeekScores", "ScoringEngine", "DEFAULT_SHARD_SIZE", "score_bundles"]
@@ -70,32 +65,25 @@ class WeekScores:
         day: absolute Saturday day of the underlying line test.
         scores: per-line calibrated ticket probabilities.
         n_shards: how many line-shards the run fanned out.
-        encode_seconds: wall time of the ``serve.prepare`` stage, the
+        prepare_seconds: wall time of the ``serve.prepare`` stage, the
             shared set-up before the shard fan-out (population, dense
-            cube, ticket vector).  Despite the name, no feature encoding
-            happens in this interval.
+            cube, ticket vector).
         score_seconds: the rest of the ``serve.score_week`` stage: the
-            shard fan-out (each shard's Table-3 encode and ensemble
-            scoring) plus calibration.
+            shard fan-out (each shard's ``serve.read``, ``serve.encode``
+            and ``serve.ensemble`` stages) plus calibration.
     """
 
     week: int
     day: int
     scores: np.ndarray
     n_shards: int
-    encode_seconds: float
+    prepare_seconds: float
     score_seconds: float
 
     @property
     def lines_per_sec(self) -> float:
-        total = self.encode_seconds + self.score_seconds
+        total = self.prepare_seconds + self.score_seconds
         return len(self.scores) / total if total > 0 else 0.0
-
-
-# Row views live next to the store (the out-of-core StoredWorld uses the
-# same machinery); re-exported here for their historical import site.
-_slice_measurements = _measurement_row_view
-_slice_population = _population_row_view
 
 
 class _AssembledColumns:
@@ -121,6 +109,19 @@ class _AssembledColumns:
             return self._rows[:, self._quad[j - n_base]] ** 2
         i, k = self._pairs[j - n_base - n_quad]
         return self._rows[:, i] * self._rows[:, k]
+
+
+def _read_and_encode(world, encoder, week, day, population, last_day, shard):
+    """One shard's ``serve.read`` then ``serve.encode`` stage."""
+    with stage("serve.read", week=week):
+        measurements = world.shard_measurements(shard)
+    with stage("serve.encode", week=week):
+        return encoder.encode(
+            measurements,
+            week,
+            _population_row_view(population, shard),
+            _StoredTicketView(last_day[shard], day),
+        )
 
 
 def score_bundles(
@@ -170,23 +171,20 @@ def score_bundles(
         run_span.set_tag("shards", len(shards))
 
         def encode_and_score_all(shard: slice) -> list[np.ndarray]:
-            base = encoder.encode(
-                world.shard_measurements(shard),
-                week,
-                _population_row_view(population, shard),
-                _StoredTicketView(last_day[shard], day),
-            )
+            base = _read_and_encode(world, encoder, week, day, population,
+                                    last_day, shard)
             n_rows = base.matrix.shape[0]
             _SHARD_LOG.debug(
                 "serve.shadow_shard", week=week, rows=n_rows,
                 models=len(names),
             )
-            return [
-                compiled.decision_function_columns(
-                    _AssembledColumns(base.matrix, recipes), n_rows
-                )
-                for compiled, recipes in (models[n] for n in names)
-            ]
+            with stage("serve.ensemble", week=week):
+                return [
+                    compiled.decision_function_columns(
+                        _AssembledColumns(base.matrix, recipes), n_rows
+                    )
+                    for compiled, recipes in (models[n] for n in names)
+                ]
 
         per_shard = parallel_map(
             encode_and_score_all, shards, workers, task_label="serve.shadow_shard"
@@ -299,19 +297,16 @@ class ScoringEngine:
             run.set_tag("lines", self.world.n_lines)
 
             def encode_and_score(shard: slice) -> np.ndarray:
-                base = encoder.encode(
-                    self.world.shard_measurements(shard),
-                    week,
-                    _population_row_view(population, shard),
-                    _StoredTicketView(last_day[shard], day),
-                )
+                base = _read_and_encode(self.world, encoder, week, day,
+                                        population, last_day, shard)
                 columns = _AssembledColumns(base.matrix, recipes)
                 _SHARD_LOG.debug(
                     "serve.shard", week=week, rows=base.matrix.shape[0],
                 )
-                return compiled.decision_function_columns(
-                    columns, base.matrix.shape[0]
-                )
+                with stage("serve.ensemble", week=week):
+                    return compiled.decision_function_columns(
+                        columns, base.matrix.shape[0]
+                    )
 
             margins = parallel_map(
                 encode_and_score, shards, self.workers, task_label="serve.shard"
@@ -327,7 +322,7 @@ class ScoringEngine:
             day=day,
             scores=scores,
             n_shards=len(shards),
-            encode_seconds=prepare.seconds,
+            prepare_seconds=prepare.seconds,
             score_seconds=run.seconds - prepare.seconds,
         )
         self._score_cache[week] = result

@@ -244,7 +244,7 @@ class ScoringService:
         fresh = not engine.is_cached(week)
         scored = engine.score_week(week)
         if fresh:
-            seconds = scored.encode_seconds + scored.score_seconds
+            seconds = scored.prepare_seconds + scored.score_seconds
             self._lines_scored_total.inc(len(scored.scores))
             self._scoring_seconds_total.inc(seconds)
             self._last_week.set(week)

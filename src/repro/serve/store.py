@@ -39,7 +39,9 @@ ranges straight from disk offsets (no mmap, so touched pages never
 accumulate in RSS), and :class:`StoredWorld` switches to an out-of-core
 mode -- automatically past :data:`DENSE_LINE_WEEK_BUDGET` line-weeks --
 where scoring shards and chunked encodes read only their own rows
-instead of assembling the full ``(n_lines, n_weeks, 25)`` cube.
+instead of assembling the full ``(n_weeks, n_lines, 25)`` cube; either
+way each stored week's rows are read in place into their contiguous
+block of a week-major cube.
 """
 
 from __future__ import annotations
@@ -452,30 +454,66 @@ class LineWeekStore:
             self._layouts[name] = layout
         return layout
 
-    def _read_rows(self, name: str, start: int, stop: int) -> np.ndarray:
-        shape, dtype, offset = self._shard_layout(name)
-        if not 0 <= start <= stop <= shape[0]:
+    def _row_layout(
+        self, name: str, start: int, stop: int
+    ) -> tuple[tuple[int, ...], np.dtype, int]:
+        """:meth:`_shard_layout`, after checking ``[start, stop)`` fits."""
+        layout = self._shard_layout(name)
+        if not 0 <= start <= stop <= layout[0][0]:
             raise ValueError(
-                f"row range [{start}, {stop}) outside shard of {shape[0]} rows"
+                f"row range [{start}, {stop}) outside shard of {layout[0][0]} rows"
             )
-        row_items = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
-        row_bytes = row_items * dtype.itemsize
+        return layout
+
+    def _read_rows_into(self, name: str, start: int, out: np.ndarray) -> None:
+        stop = start + out.shape[0]
+        shape, dtype, offset = self._row_layout(name, start, stop)
+        if (
+            out.dtype != dtype
+            or out.shape[1:] != tuple(shape[1:])
+            or not out.flags.c_contiguous
+            or not out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be a writeable C-contiguous (rows, "
+                f"{', '.join(map(str, shape[1:]))}) {dtype} array, got "
+                f"{out.shape} {out.dtype}"
+            )
+        if out.size == 0:
+            return
+        row_bytes = out.nbytes // out.shape[0]
         with open(self.root / name, "rb") as fh:
             fh.seek(offset + start * row_bytes)
-            buf = fh.read((stop - start) * row_bytes)
-        if len(buf) != (stop - start) * row_bytes:
+            # A buffered readinto keeps reading until ``out`` is full or
+            # the file ends, so a short count means a truncated shard.
+            got = fh.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:
             raise ValueError(f"shard {name} is truncated")
-        return np.frombuffer(buf, dtype=dtype).reshape(
-            (stop - start,) + tuple(shape[1:])
-        )
+
+    def _read_rows(self, name: str, start: int, stop: int) -> np.ndarray:
+        shape, dtype, _ = self._row_layout(name, start, stop)
+        out = np.empty((stop - start,) + tuple(shape[1:]), dtype=dtype)
+        self._read_rows_into(name, start, out)
+        return out
+
+    def read_rows_into(self, week: int, start: int, out: np.ndarray) -> None:
+        """Read rows ``[start, start + len(out))`` of a week into ``out``.
+
+        A direct positioned read of exactly that byte range into the
+        caller's buffer -- no mmap, so out-of-core scoring never
+        accumulates touched pages in resident memory, and no
+        intermediate copy.  ``out`` must be a writeable C-contiguous
+        ``(rows, 25)`` float32 array (e.g. one week's block of a
+        week-major cube); raises ``ValueError`` for a range outside the
+        shard or a truncated shard file.
+        """
+        self._read_rows_into(self._entry(week).measurements, start, out)
 
     def read_rows(self, week: int, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)`` of a week's measurement matrix.
 
-        A direct positioned read of exactly the requested byte range --
-        no mmap, so out-of-core scoring never accumulates touched pages
-        in resident memory.  Returns a fresh ``(stop - start, 25)``
-        float32 array equal to ``week_matrix(week)[start:stop]``.
+        A fresh ``(stop - start, 25)`` float32 array equal to
+        ``week_matrix(week)[start:stop]``, read by :meth:`read_rows_into`.
         """
         return self._read_rows(self._entry(week).measurements, start, stop)
 
@@ -518,18 +556,13 @@ class _StoredTicketView:
 def _measurement_row_view(full: MeasurementStore, shard: slice) -> MeasurementStore:
     """A zero-copy row view of a dense measurement store.
 
-    Built without ``__init__`` so ``data`` stays a slice view of the full
-    array instead of a fresh allocation; every MeasurementStore method
-    reduces along the week/feature axes per line, so the view behaves
-    exactly like the full store restricted to these rows.
+    Every MeasurementStore method reduces along the week/feature axes
+    per line, so the view behaves exactly like the full store restricted
+    to these rows.
     """
-    view = object.__new__(MeasurementStore)
-    view.data = full.data[shard]
-    view.n_lines = view.data.shape[0]
-    view.n_weeks = full.n_weeks
-    view.saturday_day = full.saturday_day
-    view._filled = full._filled
-    return view
+    return MeasurementStore.from_week_major(
+        full.cube[:, shard], full.saturday_day, full._filled
+    )
 
 
 def _population_row_view(full: Population, shard: slice) -> Population:
@@ -606,16 +639,7 @@ class StoredWorld:
         """
         weeks = tuple(self.store.weeks)
         if self._measurements is None or self._measured_weeks != weeks:
-            if not weeks:
-                raise ValueError("the store holds no weeks yet")
-            assembled = MeasurementStore(
-                n_lines=self.store.n_lines, n_weeks=max(weeks) + 1
-            )
-            for week in weeks:
-                assembled.add_week(
-                    week, self.store.day_of(week), self.store.week_matrix(week)
-                )
-            self._measurements = assembled
+            self._measurements = self._read_measurements(0, self.store.n_lines)
             self._measured_weeks = weeks
         return self._measurements
 
@@ -629,23 +653,35 @@ class StoredWorld:
         """
         if not self.out_of_core_active():
             return _measurement_row_view(self.measurements(), shard)
-        weeks = self.store.weeks
-        if not weeks:
-            raise ValueError("the store holds no weeks yet")
         start, stop, step = shard.indices(self.store.n_lines)
         if step != 1:
             raise ValueError("shards must be contiguous row ranges")
         if stop <= start:
             raise ValueError(f"empty shard [{start}, {stop})")
-        assembled = MeasurementStore(
-            n_lines=stop - start, n_weeks=max(weeks) + 1
-        )
-        for week in weeks:
-            assembled.add_week(
-                week, self.store.day_of(week),
-                self.store.read_rows(week, start, stop),
-            )
-        return assembled
+        return self._read_measurements(start, stop)
+
+    def _read_measurements(self, start: int, stop: int) -> MeasurementStore:
+        """Rows ``[start, stop)`` of every stored week, read in place.
+
+        Each stored week's rows land straight in its contiguous block of
+        a week-major cube (one positioned ``readinto`` per week); only
+        the weeks the store does not hold are NaN-filled.
+        """
+        stored = self.store.weeks
+        if not stored:
+            raise ValueError("the store holds no weeks yet")
+        n_weeks = max(stored) + 1
+        cube = np.empty((n_weeks, stop - start, N_FEATURES), dtype=np.float32)
+        saturday_day = np.full(n_weeks, -1, dtype=int)
+        filled = np.zeros(n_weeks, dtype=bool)
+        filled[stored] = True
+        for week in range(n_weeks):
+            if filled[week]:
+                self.store.read_rows_into(week, start, cube[week])
+                saturday_day[week] = self.store.day_of(week)
+            else:
+                cube[week] = np.nan
+        return MeasurementStore.from_week_major(cube, saturday_day, filled)
 
     def iter_encode_week(
         self,

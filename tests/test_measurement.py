@@ -103,6 +103,82 @@ class TestStore:
             MeasurementStore(n_lines=0, n_weeks=1)
 
 
+class TestWeekMajorLayout:
+    """The week-major cube is invisible to every accessor.
+
+    The reference is the line-major ``(n_lines, n_weeks, 25)`` cube the
+    store used to hold; each accessor must return the same shape and
+    bytes from it.
+    """
+
+    @pytest.fixture()
+    def filled(self, rng):
+        n_lines, n_weeks = 37, 6
+        store = MeasurementStore(n_lines=n_lines, n_weeks=n_weeks)
+        reference = np.full((n_lines, n_weeks, N_FEATURES), np.nan, np.float32)
+        state = feature_index("state")
+        for week in (0, 1, 3, 5):  # week 2 and 4 are never recorded
+            features = rng.normal(size=(n_lines, N_FEATURES))
+            features[:, state] = rng.random(n_lines) < 0.7
+            features[rng.random(n_lines) < 0.2] = np.nan
+            features[rng.random(features.shape) < 0.1] = -0.0
+            store.add_week(week, week * 7 + 5, features)
+            reference[:, week, :] = features
+        return store, reference
+
+    @staticmethod
+    def _same(got, expected):
+        assert got.shape == expected.shape
+        assert got.dtype == expected.dtype
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+    def test_week_matrix_is_contiguous_and_unchanged(self, filled):
+        store, reference = filled
+        for week in store.filled_weeks:
+            got = store.week_matrix(week)
+            assert got.flags.c_contiguous
+            self._same(got, reference[:, week, :])
+
+    def test_data_line_and_feature_series_unchanged(self, filled):
+        store, reference = filled
+        self._same(store.data, reference)
+        for line in (0, 17, 36):
+            self._same(store.line_series(line), reference[line])
+        for name in ("state", "dnbr", "upcells"):
+            self._same(
+                store.feature_series(name), reference[:, :, feature_index(name)]
+            )
+
+    def test_modem_off_fraction_unchanged(self, filled):
+        store, reference = filled
+        state = feature_index("state")
+        for upto in (None, 1, 3, 6):
+            weeks = store.filled_weeks
+            if upto is not None:
+                weeks = weeks[weeks < upto]
+            column = reference[:, weeks, state]
+            expected = np.mean((column == 0) | np.isnan(column), axis=1)
+            self._same(store.modem_off_fraction(upto_week=upto), expected)
+
+    def test_from_week_major_wraps_without_copy(self, filled):
+        store, _ = filled
+        rows = store.cube[:, 5:20]
+        view = MeasurementStore.from_week_major(
+            rows, store.saturday_day, store._filled
+        )
+        assert (view.n_lines, view.n_weeks) == (15, store.n_weeks)
+        assert np.shares_memory(view.week_matrix(3), store.week_matrix(3))
+        self._same(view.data, store.data[5:20])
+        with pytest.raises(ValueError):
+            MeasurementStore.from_week_major(
+                rows.astype(np.float64), store.saturday_day, store._filled
+            )
+        with pytest.raises(ValueError):
+            MeasurementStore.from_week_major(
+                rows, store.saturday_day[:-1], store._filled
+            )
+
+
 class TestLineTester:
     @pytest.fixture(scope="class")
     def world(self):

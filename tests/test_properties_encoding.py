@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features.encoding import EncoderConfig, LineFeatureEncoder
+from repro.features.encoding import (
+    TIMESERIES_TILE_ROWS,
+    EncoderConfig,
+    LineFeatureEncoder,
+)
 from repro.measurement.records import N_FEATURES, MeasurementStore, feature_index
 from repro.netsim.population import PopulationConfig, build_population
 
@@ -41,7 +45,7 @@ def timeseries_oracle(
 
 
 @st.composite
-def timeseries_worlds(draw):
+def timeseries_worlds(draw, n_lines=st.integers(1, 10)):
     """Stores that stress the time-series kernel's edge cases.
 
     Gaps in the filled weeks, NaN-heavy weeks, all-missing lines,
@@ -49,7 +53,7 @@ def timeseries_worlds(draw):
     ``history_weeks`` and ``min_history_records`` above the present
     count; the prediction week may be week 0.
     """
-    n_lines = draw(st.integers(1, 10))
+    n_lines = draw(n_lines)
     n_weeks = draw(st.integers(1, 12))
     filled = draw(st.lists(st.booleans(), min_size=n_weeks, max_size=n_weeks))
     filled[draw(st.integers(0, n_weeks - 1))] = True
@@ -80,19 +84,35 @@ def timeseries_worlds(draw):
     return store, population, config, week
 
 
+#: Plant sizes that cross row-tile boundaries of the time-series kernel:
+#: a partial last tile after several full ones, an exact multiple, and a
+#: single row spilling into a second tile.
+_MULTI_TILE_LINES = (
+    3 * TIMESERIES_TILE_ROWS + 17, 2 * TIMESERIES_TILE_ROWS,
+    TIMESERIES_TILE_ROWS + 1,
+)
+
+
+def _assert_timeseries_bit_identical(world):
+    store, population, config, week = world
+    fs = LineFeatureEncoder(config).encode(store, week, population)
+    columns = [i for i, g in enumerate(fs.groups) if g == "timeseries"]
+    assert len(columns) == N_FEATURES
+    got = np.ascontiguousarray(fs.matrix[:, columns])
+    expected = timeseries_oracle(store, week, config)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestTimeseriesKernel:
     @given(timeseries_worlds())
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_gathered_nanstd(self, world):
-        store, population, config, week = world
-        fs = LineFeatureEncoder(config).encode(store, week, population)
-        columns = [i for i, g in enumerate(fs.groups) if g == "timeseries"]
-        assert len(columns) == N_FEATURES
-        got = np.ascontiguousarray(fs.matrix[:, columns])
-        expected = timeseries_oracle(store, week, config)
-        np.testing.assert_array_equal(
-            got.view(np.uint64), expected.view(np.uint64)
-        )
+        _assert_timeseries_bit_identical(world)
+
+    @given(timeseries_worlds(n_lines=st.sampled_from(_MULTI_TILE_LINES)))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_across_row_tiles(self, world):
+        _assert_timeseries_bit_identical(world)
 
 
 @st.composite

@@ -153,3 +153,68 @@ class TestStoredWorld:
             view.last_ticket_day_before(small_store.n_lines + 1, view_day)
         with pytest.raises(ValueError, match="day"):
             view.last_ticket_day_before(small_store.n_lines, view_day + 1)
+
+
+class TestOutOfCoreReads:
+    """Out-of-core shard reads land in a week-major cube, byte for byte."""
+
+    N_LINES = 1_000
+    STORED = (0, 1, 3, 4)  # week 2 is never appended
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        rng = np.random.default_rng(7)
+        store = LineWeekStore.create(
+            tmp_path / "s", n_lines=self.N_LINES,
+            population=PopulationConfig(n_lines=self.N_LINES),
+        )
+        for week in self.STORED:
+            features = rng.normal(size=(self.N_LINES, N_FEATURES))
+            features[rng.random(self.N_LINES) < 0.2] = np.nan
+            features[rng.random(features.shape) < 0.1] = -0.0
+            store.append_week(
+                week, week * 7 + 5, features.astype(np.float32),
+                np.full(self.N_LINES, -1),
+            )
+        return store
+
+    def test_shards_equal_the_dense_row_view(self, store):
+        from repro.parallel import split_shards
+
+        dense = StoredWorld(store, out_of_core=False)
+        ooc = StoredWorld(store, out_of_core=True)
+        shards = split_shards(self.N_LINES, 384)
+        assert shards[-1].stop - shards[-1].start < 384  # a partial last shard
+        for shard in shards:
+            d = dense.shard_measurements(shard)
+            o = ooc.shard_measurements(shard)
+            assert o.data.shape == d.data.shape
+            assert o.data.tobytes() == d.data.tobytes()
+            assert np.isnan(o.data[:, 2, :]).all()  # the unstored week
+            assert o.saturday_day.tolist() == d.saturday_day.tolist()
+            assert o.filled_weeks.tolist() == list(self.STORED)
+            for week in self.STORED:
+                assert o.week_matrix(week).flags.c_contiguous
+                assert o.week_matrix(week).tobytes() == (
+                    store.week_matrix(week)[shard].tobytes()
+                )
+
+    def test_read_rows_into_fills_the_caller_buffer(self, store):
+        out = np.full((100, N_FEATURES), 7.0, dtype=np.float32)
+        store.read_rows_into(3, 250, out)
+        assert out.tobytes() == store.week_matrix(3)[250:350].tobytes()
+        assert store.read_rows(3, 250, 350).tobytes() == out.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            store.read_rows_into(3, self.N_LINES - 50, out)
+        with pytest.raises(ValueError, match="float32"):
+            store.read_rows_into(3, 0, out.astype(np.float64))
+        with pytest.raises(ValueError, match="float32"):
+            store.read_rows_into(3, 0, np.empty((N_FEATURES, 100), np.float32).T)
+
+    def test_truncated_week_file_raises(self, store):
+        path = store.root / "week_00003.npy"
+        path.write_bytes(path.read_bytes()[:-N_FEATURES * 4 * 10])
+        ooc = StoredWorld(LineWeekStore.open(store.root), out_of_core=True)
+        ooc.shard_measurements(slice(0, 500))  # rows before the cut still read
+        with pytest.raises(ValueError, match="truncated"):
+            ooc.shard_measurements(slice(500, self.N_LINES))
