@@ -5,7 +5,8 @@ Measures the three hot paths this repo optimises and writes the numbers
 
 * **score** -- ``CompiledEnsemble.decision_function`` vs the round-by-round
   naive scorer on a deep synthetic ensemble (default 100K rows x 400
-  rounds, the Fig-3 weekly-scoring shape), asserting the margins agree.
+  rounds, the Fig-3 weekly-scoring shape), asserting the margins equal
+  ``naive_grouped_margin`` bit for bit.
 * **train** -- ``BStump.fit`` throughput in rows/sec.
 * **train_locator** -- the full Section-6 combined-locator fit (52
   disposition heads + 4 location heads + CV-fold refits) unified on one
@@ -42,7 +43,7 @@ import numpy as np
 from repro.features.encoding import FeatureSet
 from repro.features.selection import single_feature_ap
 from repro.ml.boostexter import BStump, BStumpConfig
-from repro.ml.ensemble_scoring import compile_stumps
+from repro.ml.ensemble_scoring import compile_stumps, naive_grouped_margin
 from repro.ml.stumps import Stump
 from repro.obs.profile import resource_section, stage
 from repro.obs.tracing import set_tracing
@@ -100,11 +101,15 @@ def bench_score(rng, n_rows: int, n_rounds: int, n_features: int, repeats: int):
         return margin
 
     compile_time, _ = _timed(lambda: compile_stumps(stumps, n_features))
-    naive_time, naive_margin = _timed(naive, repeats)
+    naive_time, _ = _timed(naive, repeats)
     compiled_time, compiled_margin = _timed(
         lambda: compiled.decision_function(X), repeats
     )
-    np.testing.assert_allclose(compiled_margin, naive_margin, rtol=1e-10, atol=1e-10)
+    # Bit for bit against the per-stump reference summed in the compiled
+    # fold order (the round-order sum above differs by a few ULPs).
+    assert np.array_equal(
+        compiled_margin, naive_grouped_margin(stumps, X, n_features)
+    ), "compiled margins differ from naive_grouped_margin"
     return {
         "n_rows": n_rows,
         "n_rounds": n_rounds,

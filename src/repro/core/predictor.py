@@ -112,6 +112,57 @@ class _DerivedRecipes:
     def n_columns(self) -> int:
         return len(self.base_indices) + len(self.quad_indices) + len(self.product_pairs)
 
+    def columns(self, base_rows: np.ndarray) -> "_AssembledColumns":
+        """Provider of the model-input columns over ``base_rows``."""
+        return _AssembledColumns(base_rows, self)
+
+
+class _AssembledColumns:
+    """The model-input columns of some base-feature rows.
+
+    The one spelling of the derived-column recipe.  Column ``j`` is, in
+    recipe order: a selected base column, a selected base column
+    squared, or a product of two base columns.  The recipe is held as
+    operand arrays: column ``j`` is ``base[left[j]]`` for the selected
+    base columns and ``base[left[j]] * base[right[j]]`` after them (a
+    square has ``left == right``; ``x * x`` is ``x ** 2`` bit for bit).
+    The serving shards read columns one at a time through ``__call__``,
+    so unused columns cost nothing and each base column is copied out
+    of the row-major matrix once; training, batch scoring
+    (``TicketPredictor._assemble``) and the explanation path take whole
+    rows through :meth:`rows`.  Both read the one operand list, so the
+    served fold, the batch scores and the explained row see the same
+    doubles.
+    """
+
+    def __init__(self, base_rows: np.ndarray, recipes: _DerivedRecipes):
+        self._rows = base_rows
+        self._n_base = len(recipes.base_indices)
+        pairs = [(i, i) for i in recipes.quad_indices] + list(recipes.product_pairs)
+        self._left = np.array(
+            list(recipes.base_indices) + [i for i, _ in pairs], dtype=np.intp
+        )
+        self._right = np.array([k for _, k in pairs], dtype=np.intp)
+        self._base: dict[int, np.ndarray] = {}
+
+    def _column(self, i: int) -> np.ndarray:
+        col = self._base.get(i)
+        if col is None:
+            col = self._base[i] = np.ascontiguousarray(self._rows[:, i])
+        return col
+
+    def __call__(self, j: int) -> np.ndarray:
+        left = self._column(self._left[j])
+        if j < self._n_base:
+            return left
+        return left * self._column(self._right[j - self._n_base])
+
+    def rows(self) -> np.ndarray:
+        """Every model column at once, as an (n_rows, n_columns) matrix."""
+        out = self._rows[:, self._left]
+        out[:, self._n_base:] *= self._rows[:, self._right]
+        return out
+
 
 class TicketPredictor:
     """Learns to rank DSL lines by P(edge ticket within T weeks)."""
@@ -342,17 +393,7 @@ class TicketPredictor:
     # ----- column assembly ------------------------------------------------
 
     def _assemble(self, base: FeatureSet) -> np.ndarray:
-        r = self.recipes
-        blocks = [base.matrix[:, r.base_indices]]
-        if r.quad_indices:
-            blocks.append(base.matrix[:, r.quad_indices] ** 2)
-        if r.product_pairs:
-            blocks.append(
-                np.column_stack(
-                    [base.matrix[:, i] * base.matrix[:, j] for i, j in r.product_pairs]
-                )
-            )
-        return np.hstack(blocks)
+        return self.recipes.columns(base.matrix).rows()
 
     def _column_names(self, base: FeatureSet) -> list[str]:
         r = self.recipes

@@ -1,7 +1,7 @@
 """Exact per-feature attribution of compiled stump-ensemble margins.
 
 A stump ensemble is additive over (feature, kind) groups: the compiled
-scorer (:mod:`repro.ml.ensemble_scoring`) folds one bucket-table gather
+scorer (:mod:`repro.ml.ensemble_scoring`) folds one slot-table gather
 per group into the margin, in ascending ``(feature, categorical)`` order.
 That makes the margin *exactly* decomposable -- each group's gathered
 table entry IS that feature's total vote, and re-summing the votes in the
@@ -35,6 +35,7 @@ from repro.ml.ensemble_scoring import (
     MultiHeadEnsemble,
     _FeatureGroup,
     _MergedGroup,
+    _slots,
 )
 
 __all__ = [
@@ -166,24 +167,10 @@ def _name_of(names, feature: int) -> str | None:
     return names[feature]
 
 
-def _continuous_context(
-    keys: np.ndarray, value: float, missing: bool
-) -> tuple[int, float]:
-    """(thresholds crossed, last threshold crossed) for a continuous group."""
-    if missing:
-        return 0, float("nan")
-    crossed = int(np.searchsorted(keys, value, side="right"))
-    last = float(keys[crossed - 1]) if crossed else float("nan")
-    return crossed, last
-
-
-def _categorical_context(
-    keys: np.ndarray, value: float, missing: bool
-) -> tuple[int, float]:
-    """(matched flag, matched code) for a categorical group."""
-    if not missing and np.any(keys == value):
-        return 1, float(value)
-    return 0, float("nan")
+def _slot(group: _FeatureGroup | _MergedGroup, row: np.ndarray) -> int:
+    """The row's slot in the group's table -- the scorer's own rule."""
+    value = row[group.feature : group.feature + 1]
+    return int(_slots(group.keys, group.categorical, value)[0])
 
 
 def attribute_ensemble(
@@ -211,28 +198,31 @@ def attribute_ensemble(
     margin = 0.0
     contributions: list[FeatureContribution] = []
     for group in compiled.groups:
-        value = float(row[group.feature])
-        missing = bool(np.isnan(value))
-        col = row[group.feature : group.feature + 1]
-        vote = float(CompiledEnsemble._group_contribution(group, col)[0])
+        slot = _slot(group, row)
+        vote = float(group.table[slot])
         margin += vote
-        contributions.append(
-            _contribution(group, value, missing, vote, names)
-        )
+        contributions.append(_contribution(group, row, slot, vote, names))
     return MarginAttribution(margin=margin, contributions=tuple(contributions))
 
 
 def _contribution(
     group: _FeatureGroup | _MergedGroup,
-    value: float,
-    missing: bool,
+    row: np.ndarray,
+    slot: int,
     vote: float,
     names,
 ) -> FeatureContribution:
-    if group.categorical:
-        crossed, threshold = _categorical_context(group.keys, value, missing)
+    size = group.keys.size
+    value = float(row[group.feature])
+    missing = slot == size + 1
+    if missing:
+        crossed, threshold = 0, float("nan")
+    elif group.categorical:
+        crossed = int(slot < size)
+        threshold = value if crossed else float("nan")
     else:
-        crossed, threshold = _continuous_context(group.keys, value, missing)
+        crossed = slot
+        threshold = float(group.keys[slot - 1]) if slot else float("nan")
     return FeatureContribution(
         feature=group.feature,
         name=_name_of(names, group.feature),
@@ -241,7 +231,7 @@ def _contribution(
         missing=missing,
         contribution=vote,
         thresholds_crossed=crossed,
-        n_thresholds=int(group.keys.size),
+        n_thresholds=int(size),
         threshold=threshold,
     )
 
@@ -282,43 +272,18 @@ def attribute_head(
         members = np.flatnonzero(group.head_positions == pos)
         if not members.size:
             continue
-        value = float(row[group.feature])
-        missing = bool(np.isnan(value))
-        size = group.keys.size
-        # Same slot arithmetic as MultiHeadEnsemble.decision_matrix.
-        if missing:
-            slot = size + 1
-        elif group.categorical:
-            idx = min(
-                int(np.searchsorted(group.keys, value)), size - 1
-            )
-            slot = idx if group.keys[idx] == value else size
-        else:
-            slot = int(np.searchsorted(group.keys, value, side="right"))
+        slot = _slot(group, row)
         vote = float(group.tables[int(members[0])][slot])
         margin += vote
-        contributions.append(
-            _contribution(group, value, missing, vote, names)
-        )
+        contributions.append(_contribution(group, row, slot, vote, names))
     return MarginAttribution(margin=margin, contributions=tuple(contributions))
 
 
 def assemble_model_row(base_row: np.ndarray, recipes) -> np.ndarray:
     """One line's model-input row from its base-feature row.
 
-    Applies the predictor's derived-column recipes exactly like the
-    serving path's lazy column provider (base value, base value squared,
-    pairwise product), so the assembled doubles -- and therefore the
-    attribution margin -- match the served scoring run bit-for-bit.
+    Goes through the serving path's column provider
+    (``recipes.columns``), so the assembled doubles -- and therefore the
+    attribution margin -- are the ones the served scoring run folded.
     """
-    base_row = np.asarray(base_row, dtype=float)
-    parts = [base_row[np.asarray(recipes.base_indices, dtype=np.intp)]]
-    if recipes.quad_indices:
-        parts.append(base_row[np.asarray(recipes.quad_indices, dtype=np.intp)] ** 2)
-    if recipes.product_pairs:
-        parts.append(
-            np.array(
-                [base_row[i] * base_row[j] for i, j in recipes.product_pairs]
-            )
-        )
-    return np.concatenate(parts)
+    return recipes.columns(np.asarray(base_row, dtype=float)[None, :]).rows()[0]

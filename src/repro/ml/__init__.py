@@ -17,8 +17,8 @@ Everything here is implemented from scratch on top of numpy:
 * :mod:`repro.ml.metrics` -- ranking metrics: precision@r, top-N average
   precision AP(N), ROC/AUC, accuracy@N, entropy and gain ratio.
 * :mod:`repro.ml.ensemble_scoring` -- ``CompiledEnsemble``: fitted stump
-  ensembles compiled into per-feature threshold/score tables so that
-  scoring costs one ``searchsorted`` per used feature instead of one
+  ensembles compiled into per-feature slot tables so that scoring costs
+  one slot pass and one table gather per used feature instead of one
   matrix pass per boosting round.
 """
 

@@ -11,20 +11,24 @@ feature:
 * for a **continuous** feature with stump thresholds ``d_1 <= ... <= d_T``,
   a present value ``v`` falls into one of ``T + 1`` buckets (how many
   thresholds are ``<= v``), and every value in a bucket receives the same
-  total score from that feature's stumps -- precompute the ``T + 1``
-  bucket totals once and scoring becomes one ``np.searchsorted`` plus one
-  table gather per feature;
+  total score from that feature's stumps;
 * for a **categorical** feature, a value either equals one of the tested
   category codes (one precomputed total per distinct code) or none of
   them (a single "no match" total);
 * a missing (NaN) value receives the feature's precomputed total of
   ``s_miss`` scores.
 
-Scoring therefore costs ``O(n log T_j)`` per *used feature* instead of
-``O(n)`` per *round*, a ~``T / F_used`` speedup for deep ensembles, and
-never materialises per-round intermediates.
+Each group therefore compiles to one table of ``len(keys) + 2`` totals
+-- the buckets (or the codes plus the no-match total), then the missing
+total -- and :func:`_slots` maps a column to slots of that table, so a
+group costs one slot pass plus one ``take``.  A fitted BStump's groups
+are narrow (one or two thresholds each is typical), so the slot is the
+count of ``v >= key`` over the few keys, in one-byte counters; only
+wide groups and short batches (see :data:`SEARCHSORTED_MIN_KEYS`) pay
+for ``np.searchsorted``.  Scoring costs ``O(n)`` per *used group* instead of
+per *round*, and never materialises per-round intermediates.
 
-Exactness: the bucket tables are accumulated stump-by-stump **in round
+Exactness: the slot tables are accumulated stump-by-stump **in round
 order within each feature**, and the final margin folds the per-feature
 totals in ascending feature order.  Both are plain IEEE-754 double
 additions, so the compiled margin is *bit-identical* to a naive scorer
@@ -49,35 +53,87 @@ __all__ = [
 ]
 
 
+#: The narrow slot path runs one comparison pass per key, so it wins
+#: only while a group has few keys (per-row work) *and* the batch has
+#: enough rows to amortise a numpy call per key (per-call overhead).
+#: Groups with at least ``SEARCHSORTED_MIN_KEYS`` keys, or fewer than
+#: ``SLOT_ROWS_PER_KEY`` rows per key, use ``np.searchsorted`` instead.
+#: Both crossovers were measured on this repo's shard shapes; see
+#: DESIGN.md, "Compiled ensemble scoring".  The narrow path counts in
+#: one-byte slots, so ``SEARCHSORTED_MIN_KEYS`` must stay <= 254.
+SEARCHSORTED_MIN_KEYS = 64
+SLOT_ROWS_PER_KEY = 256
+
+
+def _slots(keys: np.ndarray, categorical: bool, col: np.ndarray) -> np.ndarray:
+    """Each value's slot in a group's ``len(keys) + 2`` table.
+
+    * continuous: the number of keys ``<= v`` (the count of ``v >= key``),
+      ``0 .. len(keys)``;
+    * categorical: the index of the key equal to ``v``, or ``len(keys)``
+      when none matches;
+    * NaN, either kind: ``len(keys) + 1``, the trailing missing slot.
+
+    Returns an ``intp`` array shaped like ``col``.
+    """
+    size = keys.size
+    missing = np.isnan(col)
+    if size >= SEARCHSORTED_MIN_KEYS or col.size < size * SLOT_ROWS_PER_KEY:
+        if categorical:
+            idx = np.searchsorted(keys, col)
+            np.minimum(idx, size - 1, out=idx)
+            slot = np.where(keys[idx] == col, idx, size)
+        else:
+            slot = np.searchsorted(keys, col, side="right")
+        # NaN sorts past every key, so it sits in slot ``size`` (the top
+        # bucket, or no match) and steps up into the missing slot.
+        slot += missing
+        return slot
+    # Narrow group: one comparison pass per key into one-byte slots,
+    # widened once for the gather.
+    slot = missing.view(np.uint8)
+    hit = np.empty(col.shape, dtype=bool)
+    if categorical:
+        # Start every value at no-match (NaN one past it); a match with
+        # code i steps down by ``size - i``.  Codes are distinct, so at
+        # most one step lands per value.
+        slot += size
+        step = np.empty(col.shape, dtype=np.uint8)
+        for i, code in enumerate(keys):
+            np.equal(col, code, out=hit)
+            np.multiply(hit, np.uint8(size - i), out=step)
+            slot -= step
+    else:
+        slot *= size + 1
+        for key in keys:
+            np.greater_equal(col, key, out=hit)
+            slot += hit
+    return slot.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class _FeatureGroup:
-    """All stumps of one (feature, kind) compiled into lookup tables.
+    """All stumps of one (feature, kind) compiled into one slot table.
 
-    For a continuous group, ``keys`` holds the sorted stump thresholds and
-    ``table`` the ``len(keys) + 1`` bucket totals: bucket ``k`` is the
-    total score for a value with exactly ``k`` thresholds ``<= v``.
-
-    For a categorical group, ``keys`` holds the distinct tested category
-    codes, ``table`` the per-code totals when the value matches that code,
-    and ``no_match`` the total when it matches none of them.
-
-    ``miss`` is the total of the group's ``s_miss`` scores, emitted for
-    NaN values regardless of kind.
+    ``keys`` holds the sorted stump thresholds (continuous, duplicates
+    kept) or the distinct tested category codes (categorical).
+    ``table`` holds ``len(keys) + 2`` totals indexed by :func:`_slots`:
+    the bucket totals (bucket ``k`` = exactly ``k`` thresholds ``<= v``)
+    or the per-code totals followed by the no-match total, and last the
+    group's ``s_miss`` total for NaN values.
     """
 
     feature: int
     categorical: bool
     keys: np.ndarray
     table: np.ndarray
-    no_match: float
-    miss: float
 
 
 def _compile_continuous(stumps: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted thresholds and the T+1 bucket-total table for one feature.
+    """Sorted thresholds and the slot table of one continuous group.
 
     The table is accumulated one stump at a time in the order given (round
-    order), so each entry is the exact left-fold of that bucket's branch
+    order), so each entry is the exact left-fold of that slot's branch
     scores -- the property the bit-identity tests rely on.
     """
     thresholds = np.array([s.threshold for s in stumps], dtype=float)
@@ -86,23 +142,30 @@ def _compile_continuous(stumps: list) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(stumps), dtype=np.intp)
     rank[order] = np.arange(len(stumps))
     buckets = np.arange(len(stumps) + 1)
-    table = np.zeros(len(stumps) + 1)
+    table = np.zeros(len(stumps) + 2)
+    totals = table[:-1]
+    miss = 0.0
     for i, stump in enumerate(stumps):
         # Bucket k counts thresholds <= v; stump i fires "high" iff its
         # threshold is among them, i.e. iff its sorted rank is < k.
-        table += np.where(buckets > rank[i], stump.s_hi, stump.s_lo)
+        totals += np.where(buckets > rank[i], stump.s_hi, stump.s_lo)
+        miss += stump.s_miss
+    table[-1] = miss
     return thresholds[order], table
 
 
-def _compile_categorical(stumps: list) -> tuple[np.ndarray, np.ndarray, float]:
-    """Distinct codes, per-code totals, and the no-match total."""
+def _compile_categorical(stumps: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes and the slot table of one categorical group."""
     values = np.unique(np.array([s.threshold for s in stumps], dtype=float))
-    table = np.zeros(values.size)
-    no_match = 0.0
+    table = np.zeros(values.size + 2)
+    totals = table[:-2]
+    no_match = miss = 0.0
     for stump in stumps:
-        table += np.where(values == stump.threshold, stump.s_hi, stump.s_lo)
+        totals += np.where(values == stump.threshold, stump.s_hi, stump.s_lo)
         no_match += stump.s_lo
-    return values, table, no_match
+        miss += stump.s_miss
+    table[-2:] = no_match, miss
+    return values, table
 
 
 def compile_stumps(stumps: list, n_features: int) -> "CompiledEnsemble":
@@ -129,33 +192,18 @@ def compile_stumps(stumps: list, n_features: int) -> "CompiledEnsemble":
     groups: list[_FeatureGroup] = []
     for (feature, categorical) in sorted(by_group):
         members = by_group[(feature, categorical)]
-        miss = 0.0
-        for stump in members:
-            miss += stump.s_miss
-        if categorical:
-            keys, table, no_match = _compile_categorical(members)
-        else:
-            keys, table = _compile_continuous(members)
-            no_match = 0.0
-        groups.append(
-            _FeatureGroup(
-                feature=feature,
-                categorical=categorical,
-                keys=keys,
-                table=table,
-                no_match=no_match,
-                miss=miss,
-            )
-        )
+        compile_group = _compile_categorical if categorical else _compile_continuous
+        keys, table = compile_group(members)
+        groups.append(_FeatureGroup(feature, categorical, keys, table))
     return CompiledEnsemble(n_features=n_features, groups=tuple(groups))
 
 
 @dataclass(frozen=True)
 class CompiledEnsemble:
-    """A stump ensemble compiled to per-feature threshold/score tables.
+    """A stump ensemble compiled to per-feature slot tables.
 
     Build with :func:`compile_stumps` (or ``BStump.compiled()``).  Scoring
-    runs one ``searchsorted`` + table gather per used feature and is
+    runs one :func:`_slots` pass plus one table ``take`` per group and is
     independent of the number of boosting rounds.
     """
 
@@ -173,26 +221,30 @@ class CompiledEnsemble:
         return np.array(sorted({g.feature for g in self.groups}), dtype=np.intp)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Additive margin ``f(x) = sum_t h_t(x)`` for each row of ``X``."""
+        """Additive margin ``f(x) = sum_t h_t(x)`` for each row of ``X``.
+
+        Each used column is copied out contiguously once, so a group's
+        slot passes stream over adjacent doubles instead of touching one
+        cache line per row of a C-order matrix.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"X must be 2-D with {self.n_features} columns, got {X.shape}"
             )
-        margin = np.zeros(X.shape[0])
-        for group in self.groups:
-            margin += self._group_contribution(group, X[:, group.feature])
-        return margin
+        return self.decision_function_columns(
+            lambda j: np.ascontiguousarray(X[:, j]), X.shape[0]
+        )
 
     def decision_function_columns(self, column, n_rows: int) -> np.ndarray:
         """Additive margin from a columnar feature source.
 
         ``column(j)`` must return the length-``n_rows`` values of feature
         column ``j``.  Only the ensemble's *used* features are requested,
-        so a columnar store (or a lazy derived-feature provider) never
-        materialises columns the model does not read.  The per-group fold
-        order matches :meth:`decision_function`, so the margins are
-        bit-identical to scoring the fully assembled row matrix.
+        each once, so a columnar store (or a lazy derived-feature
+        provider) never materialises columns the model does not read.
+        Groups fold in ascending (feature, kind) order, so the margins
+        are bit-identical to :func:`naive_grouped_margin`.
 
         Args:
             column: callable mapping a feature index to its column.
@@ -204,33 +256,18 @@ class CompiledEnsemble:
         if n_rows < 0:
             raise ValueError(f"n_rows must be >= 0, got {n_rows}")
         margin = np.zeros(n_rows)
+        feature, col = -1, None
         for group in self.groups:
-            col = np.asarray(column(group.feature), dtype=float)
-            if col.shape != (n_rows,):
-                raise ValueError(
-                    f"column {group.feature} must have shape ({n_rows},), "
-                    f"got {col.shape}"
-                )
-            margin += self._group_contribution(group, col)
+            if group.feature != feature:
+                feature = group.feature
+                col = np.asarray(column(feature), dtype=float)
+                if col.shape != (n_rows,):
+                    raise ValueError(
+                        f"column {feature} must have shape ({n_rows},), "
+                        f"got {col.shape}"
+                    )
+            margin += group.table.take(_slots(group.keys, group.categorical, col))
         return margin
-
-    @staticmethod
-    def _group_contribution(group: _FeatureGroup, col: np.ndarray) -> np.ndarray:
-        missing = np.isnan(col)
-        if group.categorical:
-            # NaN queries sort past every key; the clip makes the gather
-            # safe and the equality check then fails, which is correct.
-            idx = np.searchsorted(group.keys, col)
-            np.minimum(idx, group.keys.size - 1, out=idx)
-            contrib = np.where(
-                group.keys[idx] == col, group.table[idx], group.no_match
-            )
-        else:
-            # Bucket k = number of thresholds <= v, so side="right"; NaN
-            # lands in the last bucket and is overwritten below.
-            idx = np.searchsorted(group.keys, col, side="right")
-            contrib = group.table[idx]
-        return np.where(missing, group.miss, contrib)
 
 
 # ----- stacked multi-head scoring -----------------------------------------
@@ -242,14 +279,12 @@ class _MergedGroup:
 
     ``keys`` is the union of the participating heads' keys (sorted
     thresholds for a continuous column, distinct category codes for a
-    categorical one).  Each head's bucket table is *expanded* onto the
-    merged key grid so one ``searchsorted`` over the column serves every
-    head; ``tables[h]`` has ``len(keys) + 2`` entries -- the merged
-    buckets (continuous) or merged codes plus a no-match slot
-    (categorical), followed by a trailing missing-value slot.  The
-    expansion is a pure gather of each head's own bucket totals, so the
-    per-head contributions are the exact doubles
-    :meth:`CompiledEnsemble._group_contribution` produces.
+    categorical one).  Each head's slot table is *expanded* onto the
+    merged key grid so one :func:`_slots` pass over the column serves
+    every head; ``tables[h]`` has ``len(keys) + 2`` entries in the same
+    layout as a :class:`_FeatureGroup` table.  The expansion is a pure
+    gather of each head's own totals, so the per-head contributions are
+    the exact doubles that head's :class:`CompiledEnsemble` adds.
     """
 
     feature: int
@@ -259,31 +294,21 @@ class _MergedGroup:
     tables: np.ndarray
 
 
-def _expand_continuous(group: _FeatureGroup, merged: np.ndarray) -> np.ndarray:
-    """One head's T+1 bucket table re-indexed by merged-grid bucket."""
-    # Merged bucket i >= 1 means the largest merged key <= v is
-    # merged[i - 1]; the head's bucket is then the number of *its*
-    # thresholds <= merged[i - 1] (its keys are a subset of the merged
-    # grid, so none lie strictly between merged[i - 1] and v).
-    own = np.searchsorted(group.keys, merged, side="right")
-    table = np.empty(merged.size + 2)
-    table[0] = group.table[0]
-    table[1 : merged.size + 1] = group.table[own]
-    table[merged.size + 1] = group.miss
-    return table
-
-
-def _expand_categorical(group: _FeatureGroup, merged: np.ndarray) -> np.ndarray:
-    """One head's per-code totals re-indexed by merged category code."""
-    pos = np.searchsorted(group.keys, merged)
-    np.minimum(pos, group.keys.size - 1, out=pos)
-    table = np.empty(merged.size + 2)
-    table[: merged.size] = np.where(
-        group.keys[pos] == merged, group.table[pos], group.no_match
-    )
-    table[merged.size] = group.no_match
-    table[merged.size + 1] = group.miss
-    return table
+def _expand(group: _FeatureGroup, merged: np.ndarray) -> np.ndarray:
+    """One head's slot table re-indexed by slot of the merged key grid."""
+    size = group.keys.size
+    own = _slots(group.keys, group.categorical, merged)
+    if group.categorical:
+        # Merged code i -> the head's slot for that code (its own index,
+        # or its no-match slot); then no-match and missing map across.
+        slots = np.concatenate([own, [size, size + 1]])
+    else:
+        # Merged bucket i >= 1 means the largest merged key <= v is
+        # merged[i - 1]; the head's bucket is then the number of *its*
+        # thresholds <= merged[i - 1] (its keys are a subset of the
+        # merged grid, so none lie strictly between merged[i - 1] and v).
+        slots = np.concatenate([[0], own, [size + 1]])
+    return group.table[slots]
 
 
 def compile_multihead(
@@ -328,14 +353,13 @@ def compile_multihead(
     for (feature, categorical) in sorted(by_key):
         members = by_key[(feature, categorical)]
         merged = np.unique(np.concatenate([g.keys for _, g in members]))
-        expand = _expand_categorical if categorical else _expand_continuous
         merged_groups.append(
             _MergedGroup(
                 feature=feature,
                 categorical=categorical,
                 keys=merged,
                 head_positions=np.array([p for p, _ in members], dtype=np.intp),
-                tables=np.stack([expand(g, merged) for _, g in members]),
+                tables=np.stack([_expand(g, merged) for _, g in members]),
             )
         )
     return MultiHeadEnsemble(
@@ -354,12 +378,12 @@ class MultiHeadEnsemble:
     each head separately -- 52 ``decision_function`` calls for the
     trouble locator, each re-reading its feature columns -- this scorer
     visits every *merged* (feature, kind) column once: one
-    ``searchsorted`` (or category match) per column, then one table
-    gather per participating head.  Heads usually share their most
+    :func:`_slots` pass per column, then one table ``take`` per
+    participating head.  Heads usually share their most
     informative features, so the per-column bucketing cost is paid once
     instead of per head.
 
-    Exactness: each head's expanded tables hold the same bucket-total
+    Exactness: each head's expanded tables hold the same slot-total
     doubles as its own :class:`CompiledEnsemble`, and a head's groups
     are accumulated in the same ascending (feature, kind) order, so
     every margin column is *bit-identical* to that head's
@@ -401,18 +425,10 @@ class MultiHeadEnsemble:
             return out
         acc = np.zeros((n, self.head_columns.size))
         for group in self.groups:
-            col = X[:, group.feature]
-            missing = np.isnan(col)
-            size = group.keys.size
-            if group.categorical:
-                idx = np.searchsorted(group.keys, col)
-                np.minimum(idx, size - 1, out=idx)
-                slot = np.where(group.keys[idx] == col, idx, size)
-            else:
-                slot = np.searchsorted(group.keys, col, side="right")
-            slot = np.where(missing, size + 1, slot)
+            col = np.ascontiguousarray(X[:, group.feature])
+            slot = _slots(group.keys, group.categorical, col)
             for pos, table in zip(group.head_positions, group.tables):
-                acc[:, pos] += table[slot]
+                acc[:, pos] += table.take(slot)
         out[:, self.head_columns] = acc
         return out
 

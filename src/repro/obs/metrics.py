@@ -7,9 +7,11 @@ Design constraints, in order:
 
 * **dependency-free** -- stdlib only, per the repo's no-new-deps rule;
 * **thread-safe** -- the serving layer observes from handler threads and
-  the parallel fabric from pool workers; one registry lock guards every
-  mutation (observations are a dict lookup plus a float add, so the
-  critical section is nanoseconds and never formats anything);
+  the parallel fabric from pool workers; one process-wide lock guards
+  every mutation of every registry (observations are a dict lookup plus
+  a float add, so the critical section is nanoseconds and never formats
+  anything).  :func:`repro.obs.profile.stage` updates its accumulation
+  table and its four stage series under that same lock, taken once;
 * **cheap when idle** -- a metric that is never observed costs one dict
   entry; reading (:meth:`MetricsRegistry.snapshot`) copies plain data
   under the lock so formatting happens outside it;
@@ -67,6 +69,9 @@ _LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
 _LabelKey = tuple[tuple[str, str], ...]
 
+#: The one lock behind every registry's mutations and reads.
+_LOCK = threading.Lock()
+
 
 def _label_key(labels: dict[str, Any]) -> _LabelKey:
     for name in labels:
@@ -89,6 +94,15 @@ class _Metric:
         raise NotImplementedError
 
 
+class _Value:
+    """One counter or gauge series: a mutable float."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0.0
+
+
 class Counter(_Metric):
     """A monotonically increasing sum, one series per label set."""
 
@@ -96,23 +110,31 @@ class Counter(_Metric):
 
     def __init__(self, name: str, help: str, lock: threading.Lock):
         super().__init__(name, help, lock)
-        self._values: dict[_LabelKey, float] = {}
+        self._values: dict[_LabelKey, _Value] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
         key = _label_key(labels)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            self._cell(key).value += amount
+
+    def _cell(self, key: _LabelKey) -> _Value:
+        """One series, created on first use; the caller holds the lock."""
+        cell = self._values.get(key)
+        if cell is None:
+            cell = self._values[key] = _Value()
+        return cell
 
     def value(self, **labels) -> float:
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            cell = self._values.get(_label_key(labels))
+            return cell.value if cell is not None else 0.0
 
     def _samples(self) -> list[dict[str, Any]]:
         return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._values.items())
+            {"labels": dict(key), "value": cell.value}
+            for key, cell in sorted(self._values.items())
         ]
 
     def _clear(self) -> None:
@@ -127,23 +149,31 @@ class Gauge(Counter):
     def inc(self, amount: float = 1.0, **labels) -> None:
         key = _label_key(labels)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            self._cell(key).value += amount
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
 
     def set(self, value: float, **labels) -> None:
+        key = _label_key(labels)
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._cell(key).value = float(value)
 
 
 class _HistogramSeries:
-    __slots__ = ("counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count")
 
-    def __init__(self, n_buckets: int):
-        self.counts = [0] * (n_buckets + 1)  # last slot = +Inf overflow
+    def __init__(self, buckets: tuple[float, ...]):
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)  # last slot = +Inf overflow
         self.sum = 0.0
         self.count = 0
+
+    def observe(self, value: float) -> None:
+        """Record one value; the caller holds the lock."""
+        self.counts[bisect_left(self.buckets, value)] += 1  # inclusive bounds
+        self.sum += value
+        self.count += 1
 
 
 class Histogram(_Metric):
@@ -168,16 +198,16 @@ class Histogram(_Metric):
         self._series: dict[_LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels) -> None:
-        value = float(value)
-        idx = bisect_left(self.buckets, value)  # inclusive upper bounds
         key = _label_key(labels)
         with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.buckets))
-            series.counts[idx] += 1
-            series.sum += value
-            series.count += 1
+            self._cell(key).observe(float(value))
+
+    def _cell(self, key: _LabelKey) -> _HistogramSeries:
+        """One series, created on first use; the caller holds the lock."""
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(self.buckets)
+        return series
 
     def time(self, **labels):
         """Context manager observing the block's wall time in seconds."""
@@ -226,8 +256,11 @@ class MetricsRegistry:
     """A named collection of metrics with JSON and Prometheus output."""
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = _LOCK
         self._metrics: dict[str, _Metric] = {}
+        #: Bumped by :meth:`reset`; series cells resolved before a reset
+        #: (see ``_cell``) are detached from the registry after it.
+        self.generation = 0
 
     # ----- registration ---------------------------------------------------
 
@@ -312,6 +345,7 @@ class MetricsRegistry:
         with self._lock:
             for metric in self._metrics.values():
                 metric._clear()
+            self.generation += 1
 
 
 # ----- Prometheus text exposition ----------------------------------------

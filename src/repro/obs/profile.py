@@ -31,11 +31,10 @@ from __future__ import annotations
 import os
 import resource
 import sys
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import _LOCK, _label_key, get_registry
 from repro.obs.tracing import get_tracer, tracing_enabled
 
 __all__ = [
@@ -84,12 +83,15 @@ def _mem_mode() -> bool:
 
 # ----- raw process readings -----------------------------------------------
 
+_getrusage = resource.getrusage
+_RUSAGE_SELF = resource.RUSAGE_SELF
+#: ``ru_maxrss`` units per kB: Linux reports kB, macOS bytes.
+_MAXRSS_PER_KB = 1024.0 if sys.platform == "darwin" else 1.0
+
+
 def _maxrss_kb() -> float:
-    """``ru_maxrss`` normalised to kB (Linux reports kB, macOS bytes)."""
-    value = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return value / 1024.0
-    return float(value)
+    """``ru_maxrss`` normalised to kB."""
+    return _getrusage(_RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_KB
 
 
 # /proc/self/status is re-read with pread on one cached descriptor:
@@ -135,22 +137,13 @@ def peak_rss_kb() -> float:
 
 def cpu_seconds() -> float:
     """User + system CPU seconds consumed by this process so far."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
+    usage = _getrusage(_RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
-
-
-def _rusage_readings() -> tuple[float, float]:
-    """(cpu seconds, peak RSS kB) from a single ``getrusage`` syscall."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    maxrss = usage.ru_maxrss
-    if sys.platform == "darwin":
-        maxrss /= 1024.0
-    return usage.ru_utime + usage.ru_stime, float(maxrss)
 
 
 # ----- the profile record --------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StageProfile:
     """What one profiled block cost."""
 
@@ -178,61 +171,31 @@ class StageProfile:
         return out
 
 
-# Process-local accumulation, keyed by stage name.  Guarded by its own
-# lock (not the metrics registry's): fabric workers profile concurrently.
-_TABLE_LOCK = threading.Lock()
+# Process-local accumulation, keyed by stage name.  Fabric workers
+# profile concurrently, so it is guarded by the metrics lock: a stage's
+# exit updates its row and its registry series in one acquisition.
+# :func:`reset_profiles` bumps the generation, which detaches the rows
+# stage sinks resolved before it.
 _TABLE: dict[str, StageProfile] = {}
-
-
-def _accumulate(
-    stage: str,
-    wall: float,
-    cpu: float,
-    rss_before: float,
-    rss_after: float,
-    peak: float,
-    allocators: list[dict] | None = None,
-) -> None:
-    """Fold one block's raw readings into the table.
-
-    Takes plain floats (not a :class:`StageProfile`) so the hot path
-    never pays a dataclass construction for a block nobody inspects.
-    """
-    with _TABLE_LOCK:
-        total = _TABLE.get(stage)
-        if total is None:
-            _TABLE[stage] = StageProfile(
-                stage=stage,
-                wall_seconds=wall,
-                cpu_seconds=cpu,
-                rss_before_kb=rss_before,
-                rss_after_kb=rss_after,
-                rss_delta_kb=rss_after - rss_before,
-                peak_rss_kb=peak,
-                allocators=list(allocators) if allocators else [],
-            )
-            return
-        total.calls += 1
-        total.wall_seconds += wall
-        total.cpu_seconds += cpu
-        total.rss_after_kb = rss_after
-        total.rss_delta_kb += rss_after - rss_before
-        total.peak_rss_kb = max(total.peak_rss_kb, peak)
-        if allocators:
-            total.allocators = allocators
+_TABLE_GENERATION = 0
+# Bound once for the stage exit, which takes the lock on every block.
+_acquire, _release = _LOCK.acquire, _LOCK.release
 
 
 def profile_snapshot() -> dict[str, dict]:
     """Accumulated per-stage totals since the last :func:`reset_profiles`."""
-    with _TABLE_LOCK:
-        return {name: p.to_dict() for name, p in sorted(_TABLE.items())}
+    with _LOCK:
+        return {
+            name: p.to_dict() for name, p in sorted(_TABLE.items()) if p.calls
+        }
 
 
 def reset_profiles() -> None:
     """Clear the accumulation table (tests, benchmark section boundaries)."""
-    global _MEM_MODE
-    with _TABLE_LOCK:
+    global _MEM_MODE, _TABLE_GENERATION
+    with _LOCK:
         _TABLE.clear()
+        _TABLE_GENERATION += 1
     _MEM_MODE = None  # re-read REPRO_PROFILE on the next timed block
 
 
@@ -249,18 +212,9 @@ def resource_section() -> dict:
 
 # ----- the context manager -------------------------------------------------
 
-# Metric handles are cached per registry object so a timed block in a
-# hot loop pays dict-lookup-and-compare once, not four get-or-creates.
-# The benign race (two threads computing the same tuple) is harmless.
-_METRIC_CACHE: tuple | None = None
-
-
-def _stage_metrics(registry):
-    global _METRIC_CACHE
-    cached = _METRIC_CACHE
-    if cached is not None and cached[0] is registry:
-        return cached[1:]
-    handles = (
+def _stage_metrics(registry) -> tuple:
+    """The four stage metrics of ``registry`` (get-or-create)."""
+    return (
         registry.histogram(
             "repro_stage_wall_seconds",
             "Wall time per timed stage",
@@ -279,8 +233,47 @@ def _stage_metrics(registry):
             "Process peak RSS at the end of each timed stage",
         ),
     )
-    _METRIC_CACHE = (registry, *handles)
-    return handles
+
+
+class _StageSink:
+    """Everything one stage name's exit updates, resolved once.
+
+    The name's profile-table row and its four registry series cells, so
+    an exit updates them with no label validation and no lookups.  A
+    sink is current until its registry is reset or
+    :func:`reset_profiles` clears the table (a generation moves on).
+    """
+
+    __slots__ = (
+        "registry", "generation", "table_generation", "row",
+        "wall", "cpu", "rss_delta", "rss_peak",
+    )
+
+    def __init__(self, registry, name: str):
+        key = _label_key({"stage": name})
+        metrics = _stage_metrics(registry)
+        with _LOCK:
+            self.registry = registry
+            self.generation = registry.generation
+            self.table_generation = _TABLE_GENERATION
+            row = _TABLE.get(name)
+            if row is None:
+                row = _TABLE[name] = StageProfile(stage=name, calls=0)
+            self.row = row
+            self.wall, self.cpu, self.rss_delta, self.rss_peak = (
+                metric._cell(key) for metric in metrics
+            )
+
+
+# The benign race (two threads resolving the same name) is harmless.
+_SINKS: dict[str, _StageSink] = {}
+
+
+def _resolve_sink(registry, name: str) -> _StageSink:
+    """A fresh sink for ``name`` -- the stage exit's slow path."""
+    sink = _SINKS[name] = _StageSink(registry, name)
+    return sink
+
 
 class stage:
     """Time one block: ``with stage("serve.score_week", week=w) as st:``.
@@ -298,27 +291,37 @@ class stage:
     process-wide (getrusage), so concurrent blocks each see the shared
     total -- fine for the pipeline's serialized stages and the fabric's
     one-fan-out-at-a-time usage, and documented rather than papered over.
+
+    The default-level path is kept to its two ``perf_counter`` and two
+    ``getrusage`` readings, one lock acquisition and plain float
+    updates: the serving path wraps every shard's ensemble fold in a
+    stage, and ``bench_perf.py`` holds the wrap under 3% of that fold.
     """
+
+    __slots__ = (
+        "name", "_registry", "_tags", "_span", "_tracer", "_mem",
+        "_owns_tracemalloc", "_allocators", "_cpu_before", "_rss_before",
+        "_wall_before", "_wall", "_cpu", "_rss_after", "_peak", "_profile",
+    )
 
     def __init__(self, name: str, registry=None, **tags):
         self.name = name
         self._registry = registry
         self._tags = tags
         self._span = None
+        self._allocators: list[dict] = _NO_ALLOCATORS
+        self._wall: float | None = None
         self._profile: StageProfile | None = None
-        self._done = False
-        self._tracemalloc = None
-        self._allocators: list[dict] = []
 
     @property
     def seconds(self) -> float | None:
         """Wall time of the block (None until the block exits)."""
-        return self._wall if self._done else None
+        return self._wall
 
     @property
     def profile(self) -> StageProfile | None:
         """The measured block cost (None until the block exits)."""
-        if not self._done:
+        if self._wall is None:
             return None
         if self._profile is None:
             self._profile = StageProfile(
@@ -329,7 +332,7 @@ class stage:
                 rss_after_kb=self._rss_after,
                 rss_delta_kb=self._rss_after - self._rss_before,
                 peak_rss_kb=self._peak,
-                allocators=self._allocators,
+                allocators=list(self._allocators),
             )
         return self._profile
 
@@ -339,61 +342,102 @@ class stage:
             self._span.set_tag(key, value)
 
     def __enter__(self) -> "stage":
-        self._mem = _mem_mode()
-        if self._mem:
-            import tracemalloc
-
-            self._tracemalloc = tracemalloc
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            else:
-                self._tracemalloc = None  # someone else owns the tracer
+        mem = self._mem = _mem_mode()
+        if mem:
+            self._owns_tracemalloc = _start_tracemalloc()
         # Default level: one getrusage syscall -- RSS-before is the
         # high-water mark, so rss_delta measures peak *growth*.  Mem
         # mode pays the /proc read for a true current-RSS delta.
-        self._cpu_before, maxrss = _rusage_readings()
-        self._rss_before = current_rss_kb() if self._mem else maxrss
-        self._wall_before = perf_counter()
+        usage = _getrusage(_RUSAGE_SELF)
+        self._cpu_before = usage.ru_utime + usage.ru_stime
+        self._rss_before = (
+            current_rss_kb() if mem else usage.ru_maxrss / _MAXRSS_PER_KB
+        )
+        start = self._wall_before = perf_counter()
         if tracing_enabled():
-            self._tracer = get_tracer()
-            self._span = self._tracer.start_span(
-                self.name, self._tags, self._wall_before
-            )
+            tracer = self._tracer = get_tracer()
+            self._span = tracer.start_span(self.name, self._tags, start)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = perf_counter()
-        wall = end - self._wall_before
+        wall = self._wall = end - self._wall_before
         if self._span is not None:
             self._tracer.end_span(self._span, end, exc)
-        cpu_after, peak = _rusage_readings()
-        cpu = cpu_after - self._cpu_before
-        rss_after = current_rss_kb() if self._mem else peak
-        if self._tracemalloc is not None:
-            snapshot = self._tracemalloc.take_snapshot()
-            self._tracemalloc.stop()
-            for stat in snapshot.statistics("lineno")[:_TOP_ALLOCATORS]:
-                frame = stat.traceback[0]
-                self._allocators.append({
-                    "site": f"{frame.filename}:{frame.lineno}",
-                    "size_kb": stat.size / 1024.0,
-                    "count": stat.count,
-                })
-        self._wall = wall
-        self._cpu = cpu
+        usage = _getrusage(_RUSAGE_SELF)
+        cpu = self._cpu = usage.ru_utime + usage.ru_stime - self._cpu_before
+        peak = self._peak = usage.ru_maxrss / _MAXRSS_PER_KB
+        if self._mem:
+            rss_after = current_rss_kb()
+            if self._owns_tracemalloc:
+                self._allocators = _stop_tracemalloc()
+        else:
+            rss_after = peak
         self._rss_after = rss_after
-        self._peak = peak
-        self._done = True
-        _accumulate(
-            self.name, wall, cpu, self._rss_before, rss_after, peak,
-            self._allocators or None,
-        )
-        registry = (
-            self._registry if self._registry is not None else get_registry()
-        )
-        wall_hist, cpu_total, rss_delta, rss_peak = _stage_metrics(registry)
-        wall_hist.observe(wall, stage=self.name)
-        cpu_total.inc(max(cpu, 0.0), stage=self.name)
-        rss_delta.set(rss_after - self._rss_before, stage=self.name)
-        rss_peak.set(peak, stage=self.name)
+        delta = rss_after - self._rss_before
+        registry = self._registry
+        if registry is None:
+            registry = get_registry()
+        sink = _SINKS.get(self.name)
+        if (
+            sink is None
+            or sink.registry is not registry
+            or sink.generation != registry.generation
+            or sink.table_generation != _TABLE_GENERATION
+        ):
+            sink = _resolve_sink(registry, self.name)
+        row = sink.row
+        # acquire/release rather than ``with``: the context-manager
+        # protocol costs more than the dozen float updates it guards.
+        _acquire()
+        try:
+            row.calls += 1
+            row.wall_seconds += wall
+            row.cpu_seconds += cpu
+            row.rss_after_kb = rss_after
+            row.rss_delta_kb += delta
+            if peak > row.peak_rss_kb:
+                row.peak_rss_kb = peak
+            if self._allocators:
+                row.allocators = self._allocators
+            sink.wall.observe(wall)
+            if cpu > 0.0:
+                sink.cpu.value += cpu
+            sink.rss_delta.value = delta
+            sink.rss_peak.value = peak
+        finally:
+            _release()
         return False
+
+
+# ----- REPRO_PROFILE=mem -----------------------------------------------------
+
+#: Shared by every block that captured no allocation sites; never mutated.
+_NO_ALLOCATORS: list[dict] = []
+
+
+def _start_tracemalloc() -> bool:
+    """Start tracemalloc for one block; False if someone else owns it."""
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        return False
+    tracemalloc.start()
+    return True
+
+
+def _stop_tracemalloc() -> list[dict]:
+    """Stop tracemalloc and return the block's top allocation sites."""
+    import tracemalloc
+
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    allocators = []
+    for stat in snapshot.statistics("lineno")[:_TOP_ALLOCATORS]:
+        frame = stat.traceback[0]
+        allocators.append({
+            "site": f"{frame.filename}:{frame.lineno}",
+            "size_kb": stat.size / 1024.0,
+            "count": stat.count,
+        })
+    return allocators

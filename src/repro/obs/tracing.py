@@ -9,8 +9,8 @@ The API is one context manager::
 
 Spans nest per thread, record wall time, tags, and error status, and
 export as JSON trees or a flame-style text report.  Tracing is **off by
-default**: the ``REPRO_TRACE`` environment variable (or
-:func:`set_tracing`) turns it on, and when it is off :func:`span`
+default**: the ``REPRO_TRACE`` environment variable (read at import)
+or :func:`set_tracing` turns it on, and when it is off :func:`span`
 returns a shared no-op context manager -- no allocation, no lock, no
 record -- so instrumented hot paths pay a single function call and a
 dict build for the tags.
@@ -53,20 +53,30 @@ TRACE_ENV_VAR = "REPRO_TRACE"
 
 _FALSY = {"", "0", "false", "no", "off"}
 
-_override: bool | None = None
 
-
-def tracing_enabled() -> bool:
-    """Whether spans record (programmatic override, else ``REPRO_TRACE``)."""
-    if _override is not None:
-        return _override
+def _env_enabled() -> bool:
     return os.environ.get(TRACE_ENV_VAR, "").strip().lower() not in _FALSY
 
 
+# Read once here and again on every set_tracing(): every stage() entry
+# asks, and an environment lookup per timed block shows on the hot path.
+_enabled = _env_enabled()
+
+
+def tracing_enabled() -> bool:
+    """Whether spans record.
+
+    The programmatic override from :func:`set_tracing`, else
+    ``REPRO_TRACE`` as read at import (or at the last
+    ``set_tracing(None)``).
+    """
+    return _enabled
+
+
 def set_tracing(enabled: bool | None) -> None:
-    """Force tracing on/off; ``None`` returns control to the environment."""
-    global _override
-    _override = enabled
+    """Force tracing on/off; ``None`` re-reads ``REPRO_TRACE``."""
+    global _enabled
+    _enabled = _env_enabled() if enabled is None else bool(enabled)
 
 
 class Span:

@@ -86,31 +86,6 @@ class WeekScores:
         return len(self.scores) / total if total > 0 else 0.0
 
 
-class _AssembledColumns:
-    """Lazy provider of the predictor's model-input columns for one shard.
-
-    Column ``j`` of the assembled matrix is, in order: a selected base
-    column, a selected base column squared, or a product of two base
-    columns -- exactly what ``TicketPredictor._assemble`` materialises,
-    computed here on demand so unused columns cost nothing.
-    """
-
-    def __init__(self, base_rows: np.ndarray, recipes):
-        self._rows = base_rows
-        self._base = recipes.base_indices
-        self._quad = recipes.quad_indices
-        self._pairs = recipes.product_pairs
-
-    def __call__(self, j: int) -> np.ndarray:
-        n_base, n_quad = len(self._base), len(self._quad)
-        if j < n_base:
-            return self._rows[:, self._base[j]]
-        if j < n_base + n_quad:
-            return self._rows[:, self._quad[j - n_base]] ** 2
-        i, k = self._pairs[j - n_base - n_quad]
-        return self._rows[:, i] * self._rows[:, k]
-
-
 def _read_and_encode(world, encoder, week, day, population, last_day, shard):
     """One shard's ``serve.read`` then ``serve.encode`` stage."""
     with stage("serve.read", week=week):
@@ -181,7 +156,7 @@ def score_bundles(
             with stage("serve.ensemble", week=week):
                 return [
                     compiled.decision_function_columns(
-                        _AssembledColumns(base.matrix, recipes), n_rows
+                        recipes.columns(base.matrix), n_rows
                     )
                     for compiled, recipes in (models[n] for n in names)
                 ]
@@ -299,7 +274,7 @@ class ScoringEngine:
             def encode_and_score(shard: slice) -> np.ndarray:
                 base = _read_and_encode(self.world, encoder, week, day,
                                         population, last_day, shard)
-                columns = _AssembledColumns(base.matrix, recipes)
+                columns = recipes.columns(base.matrix)
                 _SHARD_LOG.debug(
                     "serve.shard", week=week, rows=base.matrix.shape[0],
                 )

@@ -15,7 +15,8 @@ from repro.explain import (
     technician_steps,
 )
 from repro.ml.boostexter import BStump, BStumpConfig
-from repro.ml.ensemble_scoring import compile_multihead
+from repro.ml.ensemble_scoring import compile_multihead, compile_stumps
+from repro.ml.stumps import Stump
 from repro.netsim.components import DISPOSITIONS
 from repro.serve import ModelBundle, ScoringEngine, StoredWorld
 
@@ -98,6 +99,32 @@ class TestAttributionParity:
         assert attribution.margin == compiled.decision_function(row[None])[0]
         assert all(c.missing for c in attribution.contributions)
         assert all("missing" in c.evidence for c in attribution.contributions)
+
+    def test_vote_context_follows_the_slot(self):
+        def stump(feature, threshold, categorical):
+            return Stump(feature=feature, threshold=threshold, s_lo=-0.5,
+                         s_hi=1.0, s_miss=0.25, categorical=categorical, z=1.0)
+
+        compiled = compile_stumps(
+            [stump(0, 1.0, False), stump(0, 3.0, False),
+             stump(1, 2.0, True), stump(1, 5.0, True)],
+            2,
+        )
+
+        def context(row):
+            return [
+                (c.thresholds_crossed, c.threshold, c.missing)
+                for c in attribute_ensemble(compiled, np.array(row))
+                .contributions
+            ]
+
+        assert context([3.0, 5.0]) == [(2, 3.0, False), (1, 5.0, False)]
+        (cont, cont_last, _), (cat, cat_code, _) = context([0.5, 4.0])
+        assert (cont, cat) == (0, 0)
+        assert np.isnan(cont_last) and np.isnan(cat_code)
+        assert [(c, m) for c, _, m in context([np.nan, np.nan])] == [
+            (0, True), (0, True)
+        ]
 
     def test_shape_mismatch_rejected(self, rng):
         X, y, categorical = _training_matrix(rng)
@@ -189,6 +216,28 @@ class TestReport:
                 calibrator.transform(np.array([attribution.margin]))[0]
             )
             assert calibrated == float(scored.scores[line])
+
+    def test_row_and_column_assembly_follow_the_recipe(
+        self, explain_engine, small_store, small_predictor
+    ):
+        base = explain_engine.base_features(small_store.latest_week)
+        recipes = small_predictor.recipes
+        assert recipes.quad_indices and recipes.product_pairs
+        m = base.matrix
+        reference = np.column_stack(
+            [m[:, i] for i in recipes.base_indices]
+            + [m[:, i] ** 2 for i in recipes.quad_indices]
+            + [m[:, i] * m[:, k] for i, k in recipes.product_pairs]
+        ).view(np.uint64)
+        columns = recipes.columns(m)
+        stacked = np.column_stack(
+            [columns(j) for j in range(recipes.n_columns)]
+        )
+        assert np.array_equal(stacked.view(np.uint64), reference)
+        assert np.array_equal(columns.rows().view(np.uint64), reference)
+        assert np.array_equal(
+            small_predictor._assemble(base).view(np.uint64), reference
+        )
 
     def test_report_two_stage_rendering(self, explain_engine, small_store):
         week = small_store.latest_week

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,55 @@ class TestOneReadingEverySink:
         finally:
             set_tracing(None)
         assert _wall_sample(registry, "unit.quiet")["count"] == 1
+
+    def test_concurrent_blocks_lose_no_update(self, registry):
+        # Each exit updates the table row and the stage series under one
+        # lock acquisition: a lost update breaks the counts, and the two
+        # wall sums only agree bit for bit if every exit added to both in
+        # the same order.
+        n_threads, per_thread = 8, 300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                for _ in range(per_thread):
+                    with stage("unit.concurrent", registry=registry):
+                        pass
+
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sample = _wall_sample(registry, "unit.concurrent")
+        table = profile_snapshot()["unit.concurrent"]
+        total = n_threads * per_thread
+        assert sample["count"] == sum(sample["counts"]) == table["calls"] == total
+        assert sample["sum"] == table["wall_seconds"]
+
+    def test_registry_reset_is_seen_by_the_next_block(self, registry):
+        with stage("unit.reset", registry=registry):
+            pass
+        registry.reset()
+        with stage("unit.reset", registry=registry) as st:
+            pass
+        sample = _wall_sample(registry, "unit.reset")
+        assert sample["count"] == 1
+        assert sample["sum"] == st.seconds
+
+    def test_reset_profiles_is_seen_by_the_next_block(self, registry):
+        with stage("unit.table", registry=registry):
+            pass
+        reset_profiles()
+        assert "unit.table" not in profile_snapshot()
+        with stage("unit.table", registry=registry) as st:
+            pass
+        entry = profile_snapshot()["unit.table"]
+        assert entry["calls"] == 1
+        assert entry["wall_seconds"] == st.seconds
 
 
 def test_pipeline_history_and_histogram_share_the_readings(tmp_path):

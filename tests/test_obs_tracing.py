@@ -40,6 +40,22 @@ def disabled():
         set_tracing(None)
 
 
+def test_environment_is_read_only_by_set_tracing(monkeypatch):
+    try:
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        set_tracing(None)
+        assert tracing_enabled()
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert tracing_enabled()  # cached until the next set_tracing
+        set_tracing(None)
+        assert not tracing_enabled()
+        set_tracing(True)
+        assert tracing_enabled()
+    finally:
+        monkeypatch.undo()
+        set_tracing(None)
+
+
 class TestDisabledMode:
     def test_span_returns_the_shared_noop(self, disabled):
         assert not tracing_enabled()
