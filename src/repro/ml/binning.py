@@ -12,8 +12,10 @@ on per-bin aggregates instead of per-row sorted scans.
 consumer that would otherwise re-sort the same matrix:
 
 * ``BStump.fit(backend="hist")`` via
-  :class:`repro.ml.stumps.HistStumpSearch` (per-round histograms from
-  ``np.bincount`` over the bin codes);
+  :class:`repro.ml.stumps.HistStumpSearch`, whose per-round class
+  histograms are one ``np.bincount`` over a flat table index derived
+  from the bin codes once per binning
+  (:meth:`BinnedDataset.histogram_key`);
 * the AP(N) selection sweep (:mod:`repro.features.sweep`), whose
   single-feature boosting recurrence collapses onto per-bin weights;
 * the ticket predictor's select-then-train path, which bins the feature
@@ -50,11 +52,17 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BinnedDataset", "DEFAULT_MAX_BINS"]
+__all__ = ["BinnedDataset", "DEFAULT_MAX_BINS", "NARROW_RUN_MIN_SAVED_CELLS"]
 
 #: Default bin budget per feature, aligned with ``StumpSearch``'s default
 #: ``max_split_points`` so both backends scan comparable candidate sets.
 DEFAULT_MAX_BINS = 256
+
+#: Boundary cells ((feature, bin) pairs) a narrow continuous run must
+#: save before the histogram search scans it apart from the wide run:
+#: one more run costs a fixed dozen numpy calls per round, about 1,600
+#: cells of scan work on a 2-vCPU x86 host.
+NARROW_RUN_MIN_SAVED_CELLS = 2048
 
 
 def _split_grid(n: int, max_split_points: int) -> np.ndarray:
@@ -102,9 +110,14 @@ def _continuous_edges(
 class BinnedDataset:
     """A feature matrix quantised once for histogram-based training.
 
+    The histogram search reads the codes through
+    :meth:`histogram_key`, a flat ``(feature, class, bin)`` table index
+    cached on the dataset, so every head trained over one binning shares
+    it; :meth:`histogram_runs` fixes the table's feature order.
+
     Attributes:
         codes: (n_features, n_rows) bin codes, feature-major so each
-            feature's row is contiguous for the per-round ``bincount``.
+            feature's row is contiguous.
             Continuous feature ``f``: code ``b`` means
             ``edges[f][b-1] <= x < edges[f][b]`` (with the obvious open
             ends); categorical: code ``b`` means ``x == values[f][b]``.
@@ -252,29 +265,68 @@ class BinnedDataset:
             max_bins=self.max_bins,
         )
 
-    def shifted_codes(self) -> np.ndarray:
-        """The bin codes pre-shifted left by one, cached on the dataset.
+    def histogram_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The histogram search's feature runs, in table order.
 
-        :class:`~repro.ml.stumps.HistStumpSearch` fuses its per-round
-        class histograms by binning on ``2 * code + (y > 0)``; the
-        ``2 * code`` part depends only on the dataset, so many heads
-        trained over one shared binning (the locator's 52 one-vs-rest
-        models) reuse this widened copy instead of each re-shifting the
-        full code matrix.  Treat the returned array as read-only.
+        Returns ``(narrow, wide, categorical)``: the continuous features
+        whose value bins plus the missing bin fit in half the table width
+        (``n_bins_total``), the other continuous features, and the
+        categorical features with at least one category (an all-missing
+        categorical has no split), each in column order.  The narrow run
+        lets the search scan those features' boundaries in a narrower
+        slice; it is folded into the wide run when it would save fewer
+        than ``NARROW_RUN_MIN_SAVED_CELLS`` boundary cells.  Cached, so
+        the runs and :meth:`histogram_key` always agree.
         """
-        cached = getattr(self, "_shifted_codes", None)
+        cached = getattr(self, "_histogram_runs", None)
         if cached is None:
-            code2_max = 2 * int(self.n_value_bins.max()) + 1
-            dtype = (
-                np.uint16
-                if code2_max <= np.iinfo(np.uint16).max
-                else np.uint32
+            width = self.n_bins_total
+            continuous = np.flatnonzero(~self.categorical)
+            bins = self.n_value_bins[continuous] + 1
+            is_narrow = bins <= width // 2
+            if is_narrow.any():
+                saved = int(is_narrow.sum()) * (
+                    width - int(bins[is_narrow].max())
+                )
+                if saved < NARROW_RUN_MIN_SAVED_CELLS:
+                    is_narrow[:] = False
+            has_category = np.array(
+                [v is not None and v.size > 0 for v in self.values],
+                dtype=bool,
             )
-            cached = self.codes.astype(dtype)
-            cached <<= 1
+            cached = (
+                continuous[is_narrow],
+                continuous[~is_narrow],
+                np.flatnonzero(self.categorical & has_category),
+            )
+            object.__setattr__(self, "_histogram_runs", cached)
+        return cached
+
+    def histogram_key(self) -> np.ndarray:
+        """The label-independent histogram index, cached on the dataset.
+
+        Row ``p`` of the ``(P, n_rows)`` ``intp`` result belongs to the
+        ``p``-th feature of the concatenated :meth:`histogram_runs`.  It
+        holds each row's flat position in the class-0 half of a
+        ``(P, 2, n_bins_total)`` table, ``p * 2 * n_bins_total + bin``,
+        with the missing bin moved to the last column.
+        :class:`~repro.ml.stumps.HistStumpSearch` adds ``n_bins_total``
+        for positive rows, so the many heads trained over one shared
+        binning (the locator's one-vs-rest models) reuse this array
+        instead of each re-deriving it from the codes.  Treat the
+        returned array as read-only.
+        """
+        cached = getattr(self, "_histogram_key", None)
+        if cached is None:
+            features = np.concatenate(self.histogram_runs())
+            width = self.n_bins_total
+            cached = self.codes[features].astype(np.intp)
+            missing = cached == self.n_value_bins[features][:, None]
+            cached[missing] = width - 1
+            cached += (2 * width) * np.arange(features.size)[:, None]
             # Frozen dataclass; the cache is idempotent, so a racing
             # double-compute is benign.
-            object.__setattr__(self, "_shifted_codes", cached)
+            object.__setattr__(self, "_histogram_key", cached)
         return cached
 
     def select(self, columns: Sequence[int] | np.ndarray) -> "BinnedDataset":

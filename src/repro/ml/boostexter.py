@@ -246,32 +246,43 @@ class BStump:
 
             traced_run = tracing_enabled()
             margin = np.zeros(n)
+            # Per-round metric values are flushed once per fit: one
+            # labelled lock pass per metric instead of three per round.
+            round_times: list[float] = []
             with span("train.boost_rounds"):
-                for t in range(self.config.n_rounds):
-                    round_start = perf_counter()
-                    stump = search.best_stump(weights)
-                    if stump.z >= self.config.early_stop_z and t > 0:
-                        break
-                    self.learners.append(
-                        WeakLearner(stump=stump, round_index=t, z=stump.z)
-                    )
-                    self.train_z_.append(stump.z)
-                    # The hist search reads outputs straight off the bin
-                    # codes (one table gather); the exact path keeps the
-                    # row-comparison predict unchanged.
-                    h = search.round_outputs(stump) if hist else stump.predict(X)
-                    margin += h
-                    weights = weights * np.exp(-y * h)
-                    total = np.sum(weights)
-                    round_seconds.observe(perf_counter() - round_start)
-                    round_z.observe(stump.z)
-                    rounds_total.inc()
-                    if traced_run:
-                        # The extra O(n) reduction only runs on traced fits.
-                        margin_gauge.set(float(np.mean(np.abs(margin))))
-                    if not np.isfinite(total) or total <= 0:
-                        break
-                    weights /= total
+                try:
+                    for t in range(self.config.n_rounds):
+                        round_start = perf_counter()
+                        stump = search.best_stump(weights)
+                        if stump.z >= self.config.early_stop_z and t > 0:
+                            break
+                        self.learners.append(
+                            WeakLearner(stump=stump, round_index=t, z=stump.z)
+                        )
+                        self.train_z_.append(stump.z)
+                        # The hist search reads outputs straight off the
+                        # bin codes (one table gather); the exact path
+                        # keeps the row-comparison predict unchanged.
+                        h = (
+                            search.round_outputs(stump) if hist
+                            else stump.predict(X)
+                        )
+                        margin += h
+                        weights = weights * np.exp(-y * h)
+                        total = np.sum(weights)
+                        round_times.append(perf_counter() - round_start)
+                        if traced_run:
+                            # The extra O(n) reduction only runs on
+                            # traced fits.
+                            margin_gauge.set(float(np.mean(np.abs(margin))))
+                        if not np.isfinite(total) or total <= 0:
+                            break
+                        weights /= total
+                finally:
+                    if round_times:
+                        round_seconds.observe_many(round_times)
+                        round_z.observe_many(self.train_z_[: len(round_times)])
+                        rounds_total.inc(len(round_times))
 
             if not self.learners:
                 raise RuntimeError("boosting selected no weak learners")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.binning import BinnedDataset
-from repro.parallel import parallel_map, worker_count
+from repro.parallel import parallel_map
 
 __all__ = [
     "Stump",
@@ -41,9 +41,10 @@ __all__ = [
     "MISSING_POLICIES",
 ]
 
-#: Engage the parallel fabric for per-round histogram builds only above
-#: this many matrix cells (rows x continuous features).  Below it the
-#: per-round thread-pool spin-up costs more than the histograms.
+#: Cells (rows x features) per histogram-table block.  A matrix within
+#: one block is binned in one call per round; a bigger one is binned
+#: block by block over the parallel fabric, which bounds the per-round
+#: weight tile and amortises the pool's per-round spin-up.
 _HIST_PARALLEL_MIN_CELLS = 2_000_000
 
 _EPS_SCALE = 0.5  # eps = _EPS_SCALE / n, the standard 1/(2n) smoothing
@@ -543,16 +544,31 @@ class StumpSearch:
         )
 
 
+class _ContinuousRun:
+    """Boundary-scan buffers for histogram-table rows ``start:stop``."""
+
+    __slots__ = ("start", "stop", "lo", "hi", "z", "z_hi")
+
+    def __init__(self, start: int, stop: int, width: int):
+        rows = stop - start
+        self.start = start
+        self.stop = stop
+        # Per-class prefix sums below boundary k; column 0 is the "split
+        # before everything" boundary and stays 0.
+        self.lo = np.zeros((rows, 2, width))
+        self.hi = np.empty((rows, 2, width))
+        self.z = np.empty((rows, width))
+        self.z_hi = np.empty((rows, width))
+
+
 class HistStumpSearch:
     """Histogram-binned best-stump search over a pre-binned matrix.
 
     The LightGBM trick applied to Schapire-Singer stumps: features are
     quantised once into a :class:`~repro.ml.binning.BinnedDataset`, and
-    each boosting round builds per-bin class-weight histograms with one
-    weighted ``np.bincount`` per feature, then scans the ~``max_bins``
-    bin boundaries instead of ``n`` sorted row positions.  Per-round cost
-    drops from O(n) weight gathers + grid sums per feature to a single
-    O(n) bincount per feature with an O(bins) candidate scan.
+    each boosting round builds per-bin class-weight histograms, then
+    scans the ~``max_bins`` bin boundaries instead of ``n`` sorted row
+    positions.
 
     Candidate thresholds are the dataset's bin edges, which
     :meth:`BinnedDataset.from_matrix` places exactly where the exact
@@ -561,19 +577,32 @@ class HistStumpSearch:
     this search scans the identical candidate set as the uncapped exact
     search and recovers the same stump), and on the exact search's
     quantile-rank grid above that.  Missing values live in a dedicated
-    trailing bin, so both ``missing_policy`` values behave exactly as in
+    bin, so both ``missing_policy`` values behave exactly as in
     :class:`StumpSearch` -- with the missing block's weights read straight
     off the histogram instead of by subtraction.
 
-    Class-weight histograms are fused: bin codes are pre-shifted to
-    ``2 * code + (y > 0)`` so one ``bincount`` per feature yields the
-    positive- and negative-class histograms in its even/odd slots,
-    halving the per-round passes over the rows.  When the matrix is large
-    enough to amortise pool dispatch (``rows x features`` at least
-    ``_HIST_PARALLEL_MIN_CELLS``), the per-feature histogram builds fan
-    out over :func:`repro.parallel.parallel_map` in contiguous feature
-    blocks; results are written into disjoint buffer rows, so the output
-    is identical for every worker count.
+    One round is one fused histogram table of shape ``(P, 2, W)``:
+    feature, class (negative, positive), bin.  Features follow
+    :meth:`BinnedDataset.histogram_runs` -- narrow continuous, wide
+    continuous, then categorical.  ``W`` is the widest feature's value
+    bins plus one, and every feature's missing bin sits in the last
+    column ``W - 1``.  The label-dependent flat index into the table is
+    built once per search (:meth:`BinnedDataset.histogram_key` plus
+    ``W`` for positive rows), so a round fills every class histogram
+    with one weighted ``np.bincount`` per feature block.  Blocks are
+    contiguous feature ranges of at most ``_HIST_PARALLEL_MIN_CELLS``
+    cells (rows x features); a table of more than one block fans its
+    blocks out over :func:`repro.parallel.parallel_map`.  Each block
+    sums its own features' bins in row order, so the per-bin sums -- and
+    the stumps -- are identical for every worker count.
+
+    Each continuous run is scanned as a plain view of the table, the
+    narrow run only up to its own widest feature.  The scan needs no
+    validity mask: a boundary ``k`` past feature ``f``'s value bins only
+    adds empty bins, so its Z equals the one at ``k = n_value_bins[f]``
+    exactly and the boundary-major ``argmin`` always picks that earlier
+    boundary instead (DESIGN.md section 7).  All categorical slots are
+    searched in one padded pass.
     """
 
     def __init__(
@@ -603,69 +632,78 @@ class HistStumpSearch:
         self.y = y
         self.missing_policy = missing_policy
         self.categorical = binned.categorical
-        self._cont_slots = np.flatnonzero(~binned.categorical)
-        self._cat_slots = np.flatnonzero(binned.categorical)
-
-        F = self.n_features
         self._nvb = binned.n_value_bins.astype(np.int64)
-        W = int(self._nvb.max()) + 1  # value bins + the missing bin
-        self._W = W
-        # Fused class-and-bin codes: slot 2b+1 of the per-feature bincount
-        # is the positive-class weight of bin b, slot 2b the negative.
-        # The label-independent ``2 * code`` half is cached on the binned
-        # dataset, so multi-head consumers sharing one binning (the
-        # locator) widen and shift the code matrix only once.
-        self._codes2 = binned.shifted_codes() + (y > 0)
-        self._hp = np.empty((F, W))
-        self._hn = np.empty((F, W))
-        C = self._cont_slots.size
-        if C:
-            nvb_c = self._nvb[self._cont_slots]
-            self._rows_c = np.arange(C)
-            # Candidate boundary k of feature f is valid for k = 0..nvb[f];
-            # padding boundaries of narrower features never win.
-            self._invalid_c = np.arange(W)[None, :] > nvb_c[:, None]
-            # Boundary-k buffers; column 0 is the "split before everything"
-            # boundary and stays 0, rounds only write columns 1..W-1.
-            self._buf_wp_lo = np.zeros((C, W))
-            self._buf_wn_lo = np.zeros((C, W))
-            self._buf_wp_hi = np.empty((C, W))
-            self._buf_wn_hi = np.empty((C, W))
-            self._buf_z = np.empty((C, W))
         self._workers = workers
-        n_workers = worker_count(workers)
-        if n_workers > 1 and n * F >= _HIST_PARALLEL_MIN_CELLS:
-            bounds = np.linspace(0, F, n_workers + 1).astype(int)
-            self._blocks = [
-                (int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
+
+        narrow, wide, cats = binned.histogram_runs()
+        features = np.concatenate([narrow, wide, cats])
+        P = features.size
+        W = binned.n_bins_total
+        C = narrow.size + wide.size
+        self._features = features
+        self._W = W
+        self._n_cont = C
+        # Continuous boundary scans: the narrow run over its own widest
+        # feature's columns, the wide run over the whole table width.
+        self._runs = [
+            _ContinuousRun(start, stop, width)
+            for start, stop, width in (
+                (0, narrow.size, int(self._nvb[narrow].max(initial=0)) + 1),
+                (narrow.size, C, W),
+            )
+            if stop > start
+        ]
+
+        # Contiguous feature blocks of at most _HIST_PARALLEL_MIN_CELLS
+        # cells; each block's bincount indexes its own table slice.
+        per_block = max(1, _HIST_PARALLEL_MIN_CELLS // n)
+        bounds = list(range(0, P, per_block)) + [P]
+        self._blocks = list(zip(bounds[:-1], bounds[1:]))
+        key = binned.histogram_key() + W * (y > 0)
+        for lo, hi in self._blocks[1:]:
+            key[lo:hi] -= lo * 2 * W
+        self._key = key
+        # Every block bins the same weights, so one tile serves them all.
+        self._weight_tile = np.empty((min(per_block, P), n))
+
+        n_cats = np.array(
+            [binned.values[f].size for f in features[C:]], dtype=np.int64
+        )
+        if n_cats.size:
+            width = int(n_cats.max())
+            self._cat_width = width
+            self._cat_pad = np.arange(width)[None, :] >= n_cats[:, None]
+            # Category totals are summed per distinct category count: a
+            # zero-padded row can reorder numpy's pairwise summation, an
+            # exact-width row sums exactly like np.sum over that slot's
+            # categories alone.
+            self._cat_groups = [
+                (np.flatnonzero(n_cats == count), int(count))
+                for count in np.unique(n_cats)
             ]
-        else:
-            self._blocks = None
 
     # ----- per-round histogram build ------------------------------------
 
-    def _fill_block(self, block: tuple[int, int], weights: np.ndarray) -> None:
+    def _block_histograms(self, block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        width = 2 * self._W
-        for f in range(lo, hi):
-            h2 = np.bincount(
-                self._codes2[f], weights=weights, minlength=width
-            ).reshape(-1, 2)
-            self._hn[f] = h2[:, 0]
-            self._hp[f] = h2[:, 1]
+        counts = np.bincount(
+            self._key[lo:hi].ravel(),
+            weights=self._weight_tile[: hi - lo].ravel(),
+            minlength=(hi - lo) * 2 * self._W,
+        )
+        return counts.reshape(hi - lo, 2, self._W)
 
-    def _fill_histograms(self, weights: np.ndarray) -> None:
-        if self._blocks is not None:
-            parallel_map(
-                lambda block: self._fill_block(block, weights),
-                self._blocks,
-                workers=self._workers,
-                task_label="train.hist_block",
-            )
-        else:
-            self._fill_block((0, self.n_features), weights)
+    def _histograms(self, weights: np.ndarray) -> np.ndarray:
+        """The ``(P, 2, W)`` class-weight histogram table for ``weights``."""
+        np.copyto(self._weight_tile, weights)
+        if len(self._blocks) == 1:
+            return self._block_histograms(self._blocks[0])
+        return np.concatenate(parallel_map(
+            self._block_histograms,
+            self._blocks,
+            workers=self._workers,
+            task_label="train.hist_block",
+        ))
 
     # ----- search --------------------------------------------------------
 
@@ -674,107 +712,105 @@ class HistStumpSearch:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n,):
             raise ValueError("weights must be 1-D with one entry per row")
-        self._fill_histograms(weights)
-        best: Stump | None = None
-        if self._cont_slots.size:
-            best = self._best_continuous()
-        for slot in self._cat_slots:
-            cand = self._best_categorical(int(slot))
-            if cand is not None and (best is None or cand.z < best.z):
-                best = cand
-        if best is None:
+        if not self._features.size:
             raise ValueError("no usable feature found")
+        table = self._histograms(weights)
+        z_miss, s_miss = _missing_block_terms(
+            table[:, 1, -1], table[:, 0, -1], self.eps, self.missing_policy
+        )
+        C = self._n_cont
+        best, best_k = None, 0
+        for run in self._runs:
+            cand, k = self._best_continuous(run, table, z_miss, s_miss)
+            # Boundary-major across runs as within one: lowest Z, then
+            # lowest boundary, then lowest column.
+            if best is None or (cand.z, k, cand.feature) < (
+                best.z, best_k, best.feature
+            ):
+                best, best_k = cand, k
+        if self._features.size > C:
+            cand = self._best_categorical(table[C:], z_miss[C:], s_miss[C:])
+            if best is None or cand.z < best.z:
+                best = cand
         return best
 
-    def _best_continuous(self) -> Stump:
-        slots = self._cont_slots
-        C = slots.size
-        rows = self._rows_c
-        nvb = self._nvb[slots]
-        hp = self._hp[slots]
-        hn = self._hn[slots]
-        wp_miss = hp[rows, nvb].copy()
-        wn_miss = hn[rows, nvb].copy()
-        # The missing bin sits past each feature's value bins; zero it so
-        # the boundary prefix sums cover present weight only.
-        hp[rows, nvb] = 0.0
-        hn[rows, nvb] = 0.0
+    def _best_continuous(
+        self,
+        run: _ContinuousRun,
+        table: np.ndarray,
+        z_miss: np.ndarray,
+        s_miss: np.ndarray,
+    ) -> tuple[Stump, int]:
+        """The run's best stump and its boundary ``k``."""
+        lo, hi = run.lo, run.hi
+        rows, width = run.z.shape
+        # Columns width-1.. hold no value bin of the run (the table's last
+        # column is the missing bin): prefix sums cover present weight
+        # only, and lo[..., -1] is each feature's present total.
+        hist = table[run.start:run.stop, :, : width - 1]
+        np.cumsum(hist, axis=2, out=lo[:, :, 1:])
+        np.subtract(lo[:, :, -1:], lo, out=hi)
+        np.maximum(hi, 0.0, out=hi)
 
-        wp_lo = self._buf_wp_lo
-        wn_lo = self._buf_wn_lo
-        np.cumsum(hp[:, :-1], axis=1, out=wp_lo[:, 1:])
-        np.cumsum(hn[:, :-1], axis=1, out=wn_lo[:, 1:])
-        wp_tot = wp_lo[rows, nvb]
-        wn_tot = wn_lo[rows, nvb]
-        wp_hi = np.subtract(wp_tot[:, None], wp_lo, out=self._buf_wp_hi)
-        wn_hi = np.subtract(wn_tot[:, None], wn_lo, out=self._buf_wn_hi)
-        np.clip(wp_hi, 0.0, None, out=wp_hi)
-        np.clip(wn_hi, 0.0, None, out=wn_hi)
-
-        z_miss, s_miss = _missing_block_terms(
-            wp_miss, wn_miss, self.eps, self.missing_policy
-        )
-        z = self._buf_z
-        np.multiply(wp_lo, wn_lo, out=z)
+        z, z_hi = run.z, run.z_hi
+        np.multiply(lo[:, 1], lo[:, 0], out=z)
         np.sqrt(z, out=z)
-        tmp = np.sqrt(wp_hi * wn_hi)
-        np.add(z, tmp, out=z)
+        np.multiply(hi[:, 1], hi[:, 0], out=z_hi)
+        np.sqrt(z_hi, out=z_hi)
+        np.add(z, z_hi, out=z)
         np.multiply(z, 2.0, out=z)
-        np.add(z, z_miss[:, None], out=z)
-        z[self._invalid_c] = np.inf
+        np.add(z, z_miss[run.start:run.stop, None], out=z)
 
         # Boundary-major argmin, matching the exact search's tie-break
         # (lowest candidate split first, then lowest feature slot).
-        flat = int(np.argmin(z.T))
-        k, c = divmod(flat, C)
-        feature = int(slots[c])
-        m = int(nvb[c])
+        k, c = divmod(int(np.argmin(z.T)), rows)
+        feature = int(self._features[run.start + c])
+        m = int(self._nvb[feature])
         if k == 0:
             threshold = -math.inf
         elif k >= m:
             threshold = math.inf
         else:
             threshold = float(self.binned.edges[feature][k - 1])
-        return Stump(
+        stump = Stump(
             feature=feature,
             threshold=threshold,
-            s_lo=_block_score(float(wp_lo[c, k]), float(wn_lo[c, k]), self.eps),
-            s_hi=_block_score(float(wp_hi[c, k]), float(wn_hi[c, k]), self.eps),
-            s_miss=float(s_miss[c]),
+            s_lo=_block_score(float(lo[c, 1, k]), float(lo[c, 0, k]), self.eps),
+            s_hi=_block_score(float(hi[c, 1, k]), float(hi[c, 0, k]), self.eps),
+            s_miss=float(s_miss[run.start + c]),
             categorical=False,
             z=float(z[c, k]),
         )
+        return stump, k
 
-    def _best_categorical(self, slot: int) -> Stump | None:
-        values = self.binned.values[slot]
-        if values is None or values.size == 0:
-            return None
-        ncat = values.size
-        nvb = int(self._nvb[slot])
-        wp_eq = self._hp[slot, :ncat]
-        wn_eq = self._hn[slot, :ncat]
-        wp_miss = float(self._hp[slot, nvb])
-        wn_miss = float(self._hn[slot, nvb])
-        z_miss_arr, s_miss_arr = _missing_block_terms(
-            np.array([wp_miss]), np.array([wn_miss]),
-            self.eps, self.missing_policy,
-        )
-        wp_tot = float(np.sum(wp_eq))
-        wn_tot = float(np.sum(wn_eq))
-        wp_ne = np.clip(wp_tot - wp_eq, 0.0, None)
-        wn_ne = np.clip(wn_tot - wn_eq, 0.0, None)
-        z = 2.0 * (np.sqrt(wp_eq * wn_eq) + np.sqrt(wp_ne * wn_ne)) + float(
-            z_miss_arr[0]
-        )
-        j = int(np.argmin(z))
+    def _best_categorical(
+        self, hist: np.ndarray, z_miss: np.ndarray, s_miss: np.ndarray
+    ) -> Stump:
+        width = self._cat_width
+        eq = hist[:, :, :width]
+        tot = np.empty(eq.shape[:2])
+        for rows, count in self._cat_groups:
+            tot[rows] = hist[rows, :, :count].sum(axis=2)
+        ne = tot[:, :, None] - eq
+        np.maximum(ne, 0.0, out=ne)
+        z = np.sqrt(eq[:, 1] * eq[:, 0])
+        z += np.sqrt(ne[:, 1] * ne[:, 0])
+        z *= 2.0
+        z += z_miss[:, None]
+        z[self._cat_pad] = np.inf
+        # Slot-major argmin: the first slot in column order reaching the
+        # minimum, and its first such category -- what a slot-by-slot
+        # strict-< scan picks.
+        s, j = divmod(int(np.argmin(z)), width)
+        feature = int(self._features[self._n_cont + s])
         return Stump(
-            feature=int(slot),
-            threshold=float(values[j]),
-            s_lo=_block_score(float(wp_ne[j]), float(wn_ne[j]), self.eps),
-            s_hi=_block_score(float(wp_eq[j]), float(wn_eq[j]), self.eps),
-            s_miss=float(s_miss_arr[0]),
+            feature=feature,
+            threshold=float(self.binned.values[feature][j]),
+            s_lo=_block_score(float(ne[s, 1, j]), float(ne[s, 0, j]), self.eps),
+            s_hi=_block_score(float(eq[s, 1, j]), float(eq[s, 0, j]), self.eps),
+            s_miss=float(s_miss[s]),
             categorical=True,
-            z=float(z[j]),
+            z=float(z[s, j]),
         )
 
     # ----- per-round outputs from bin codes ------------------------------

@@ -202,6 +202,18 @@ class Histogram(_Metric):
         with self._lock:
             self._cell(key).observe(float(value))
 
+    def observe_many(self, values, **labels) -> None:
+        """Record ``values`` in order into one series, under one lock pass.
+
+        Counts and the running sum end up exactly as after one
+        :meth:`observe` per value.
+        """
+        key = _label_key(labels)
+        with self._lock:
+            series = self._cell(key)
+            for value in values:
+                series.observe(float(value))
+
     def _cell(self, key: _LabelKey) -> _HistogramSeries:
         """One series, created on first use; the caller holds the lock."""
         series = self._series.get(key)

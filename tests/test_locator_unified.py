@@ -25,7 +25,7 @@ from repro.core.locator import (
 )
 from repro.data.joins import LocatorDataset
 from repro.features.encoding import FeatureSet
-from repro.ml.binning import BinnedDataset
+from repro.ml.binning import NARROW_RUN_MIN_SAVED_CELLS, BinnedDataset
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.ensemble_scoring import compile_multihead, compile_stumps
 from repro.ml.serialize import (
@@ -190,11 +190,50 @@ class TestBinnedRows:
         with pytest.raises(ValueError):
             binned.rows(np.zeros((2, 2), dtype=np.int64))
 
-    def test_shifted_codes_cached_and_correct(self, rng):
-        _, binned = self._binned(rng)
-        first = binned.shifted_codes()
-        assert first is binned.shifted_codes()  # cached
-        assert np.array_equal(first, binned.codes.astype(np.uint16) << 1)
+    def test_histogram_key_cached_and_correct(self, rng):
+        X, _ = self._binned(rng)
+        X = np.column_stack([
+            rng.integers(0, 3, size=40).astype(float),  # categorical
+            X,
+            np.full(40, np.nan),                         # empty categorical
+        ])
+        categorical = np.zeros(X.shape[1], dtype=bool)
+        categorical[[0, -1]] = True
+        binned = BinnedDataset.from_matrix(X, categorical)
+        narrow, wide, cats = binned.histogram_runs()
+        assert (narrow.tolist(), wide.tolist(), cats.tolist()) == (
+            [], [1, 2, 3, 4, 5], [0]
+        )
+        features = np.concatenate([narrow, wide, cats])
+        key = binned.histogram_key()
+        assert key is binned.histogram_key()  # cached
+        assert key.dtype == np.intp and key.shape == (6, 40)
+        width = binned.n_bins_total
+        for p, f in enumerate(features):
+            codes = binned.codes[f].astype(np.intp)
+            bins = np.where(codes == binned.n_value_bins[f], width - 1, codes)
+            assert np.array_equal(key[p], p * 2 * width + bins)
+
+    @pytest.mark.parametrize("n_binary, split", [(10, False), (12, True)])
+    def test_narrow_run_only_when_it_saves_enough(self, rng, n_binary, split):
+        # 200 distinct values make a 201-column table; each binary
+        # feature's 3 columns then save 198 boundary cells in a narrow
+        # run, so 10 of them stay under the threshold and 12 clear it.
+        X = np.column_stack([
+            rng.normal(size=200),
+            rng.integers(0, 2, size=(200, n_binary)).astype(float),
+        ])
+        binned = BinnedDataset.from_matrix(X)
+        assert binned.n_bins_total == 201
+        narrow, wide, cats = binned.histogram_runs()
+        binary = list(range(1, n_binary + 1))
+        if split:
+            assert n_binary * 198 >= NARROW_RUN_MIN_SAVED_CELLS
+            assert (narrow.tolist(), wide.tolist()) == (binary, [0])
+        else:
+            assert n_binary * 198 < NARROW_RUN_MIN_SAVED_CELLS
+            assert (narrow.tolist(), wide.tolist()) == ([], [0, *binary])
+        assert cats.size == 0
 
 
 # ----- the stacked multi-head scorer --------------------------------------

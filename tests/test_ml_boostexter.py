@@ -5,6 +5,7 @@ import pytest
 
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.metrics import auc
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 def make_problem(rng, n=1500, n_features=6, noise=0.3):
@@ -23,6 +24,30 @@ class TestFit:
         X, y = make_problem(rng)
         model = BStump(BStumpConfig(n_rounds=20)).fit(X, np.where(y > 0, 1.0, -1.0))
         assert auc(y, model.decision_function(X)) > 0.8
+
+    @pytest.mark.parametrize("backend", ["exact", "hist"])
+    def test_round_metrics_count_the_rounds_trained(self, rng, backend):
+        X, y = make_problem(rng, n=300)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            config = BStumpConfig(n_rounds=15, backend=backend)
+            first = BStump(config).fit(X, y)
+            second = BStump(config).fit(X[:200], y[:200])
+        finally:
+            set_registry(previous)
+        rounds = len(first.learners) + len(second.learners)
+        snapshot = registry.snapshot()
+        [total] = snapshot["repro_train_rounds_total"]["samples"]
+        assert total["value"] == rounds
+        [seconds] = snapshot["repro_train_round_seconds"]["samples"]
+        assert seconds["count"] == rounds
+        [z] = snapshot["repro_train_round_z"]["samples"]
+        assert z["count"] == rounds
+        expected_sum = 0.0
+        for value in first.train_z_ + second.train_z_:
+            expected_sum += value
+        assert z["sum"] == expected_sum
 
     def test_rejects_weird_labels(self, rng):
         X, _ = make_problem(rng, n=50)

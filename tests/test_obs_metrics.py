@@ -72,6 +72,15 @@ class TestHistogramBuckets:
         assert count == 6
         assert total == pytest.approx(0.5 + 1.0 + 2.0 + 2.0001 + 5.0 + 99.0)
 
+    def test_observe_many_matches_one_observe_per_value(self, registry):
+        values = (0.5, 1.0, 2.0, 2.0001, 5.0, 99.0, 0.1)
+        one = registry.histogram("one", buckets=(1.0, 2.0, 5.0))
+        many = registry.histogram("many", buckets=(1.0, 2.0, 5.0))
+        for value in values:
+            one.observe(value, stage="x")
+        many.observe_many(values, stage="x")
+        assert many.series(stage="x") == one.series(stage="x")
+
     def test_bucket_validation(self, registry):
         with pytest.raises(ValueError, match="at least one"):
             registry.histogram("h1", buckets=())
