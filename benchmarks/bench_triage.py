@@ -46,6 +46,7 @@ from repro import (
     plan_dispatches,
     scenario,
 )
+from repro.fleet import triage_eval_week
 from repro.netsim.population import PopulationConfig
 from repro.netsim.simulator import SATURDAY_OFFSET, DslSimulator
 from repro.obs.profile import resource_section
@@ -107,19 +108,6 @@ def bench_aggregation(n_lines: int, repeats: int) -> dict:
 # correlated scenario: recall + precision-at-capacity
 # ---------------------------------------------------------------------------
 
-def _eval_week(result, n_weeks: int) -> int:
-    """Late week with the most shared-fault-affected lines (ties: latest)."""
-    counts = {
-        week: int(
-            result.group_faults.affected_lines(
-                week * 7 + SATURDAY_OFFSET
-            ).sum()
-        )
-        for week in range(max(0, n_weeks - 6), n_weeks)
-    }
-    return max(counts, key=lambda week: (counts[week], week))
-
-
 def bench_scenario(n_lines: int, n_weeks: int, rounds: int, seed: int) -> dict:
     """Baseline vs suppression+backfill precision on ``correlated_faults``."""
     config = scenario("correlated_faults", n_lines, n_weeks, seed=seed)
@@ -134,7 +122,7 @@ def bench_scenario(n_lines: int, n_weeks: int, rounds: int, seed: int) -> dict:
         PredictorConfig(capacity=capacity, train_rounds=rounds)
     ).fit(result, split)
 
-    week = _eval_week(result, n_weeks)
+    week = triage_eval_week(result)
     day = week * 7 + SATURDAY_OFFSET
     topology = result.population.topology
     scores = predictor.score_week(result, week)
@@ -155,10 +143,8 @@ def bench_scenario(n_lines: int, n_weeks: int, rounds: int, seed: int) -> dict:
     # active group fault, how many landed inside an upstream cluster?
     degraded = result.group_faults.affected_lines(day)
     pool_degraded = triage.pool_line_ids[degraded[triage.pool_line_ids]]
-    in_cluster = triage.upstream_line_mask()
-    recall = (
-        float(in_cluster[pool_degraded].mean()) if pool_degraded.size else 1.0
-    )
+    assert pool_degraded.size, "no truly-upstream line in the anomaly pool"
+    recall = float(triage.upstream_line_mask()[pool_degraded].mean())
 
     upstream = triage.upstream_clusters
     print(

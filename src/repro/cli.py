@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three subcommands mirror how an operator would poke at the system:
+Eleven subcommands mirror how an operator would poke at the system:
 
 * ``simulate`` -- run the plant simulator and print a world summary
   (tickets, outages, dispatch mix, weekly seasonality);
@@ -12,8 +12,7 @@ Three subcommands mirror how an operator would poke at the system:
   (measurements, tickets, dispatches, subscribers);
 * ``snapshot`` -- simulate and persist the weekly campaigns into a
   line-week store (optionally training + publishing a model bundle);
-* ``serve`` -- run the scoring service over a store and registry, or
-  ``--smoke`` for an end-to-end in-process self-test;
+* ``serve`` -- run the scoring service over a store and registry;
 * ``obs`` -- observability tooling: ``obs report`` runs an instrumented
   proactive loop (or reads a saved telemetry JSON) and renders the
   per-stage timing and quality breakdown;
@@ -21,24 +20,16 @@ Three subcommands mirror how an operator would poke at the system:
   proactive loop under the lifecycle controller (scheduled retrains,
   shadow champion--challenger gating, auto-rollback) and ``lifecycle
   status`` renders the signed decision log of a previous run;
-  ``--smoke`` runs the CI loop with one forced promotion and one forced
-  rollback;
 * ``triage`` -- plant-level triage: cluster one week's anomalous lines
   by shared DSLAM/binder, classify upstream vs in-home, and compare
   precision-at-capacity with and without dispatch suppression;
-  ``--smoke`` asserts the acceptance bar on a small correlated plant;
 * ``explain`` -- serve one line-week's two-stage diagnosis report:
   exact per-feature attribution of the served margin, plant context,
-  and the templated technician next steps; ``--smoke`` asserts report
-  well-formedness, bit-identical attribution parity, full disposition-
-  template coverage, and score-cache behaviour across a reload;
+  and the templated technician next steps;
 * ``scale`` -- the paper-scale streaming weekly cycle: chunked netsim
   generation appended incrementally into an out-of-core line-week
   store, then a streaming Table-3 encode -- peak memory stays bounded
-  by the chunk size, never the full measurement cube; ``--smoke``
-  asserts the streaming invariants (chunked == monolithic generation,
-  chunk appends byte-identical to whole-week appends, out-of-core
-  encode equal to dense, multi-worker scores equal to single-worker).
+  by the chunk size, never the full measurement cube.
 
 All commands are seeded, run at laptop scale by default, and accept
 ``--scenario`` to pick a plant preset (suburban/urban/rural/storm_season/
@@ -131,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 = ephemeral)")
     serve.add_argument("--shard-size", type=int, default=None,
                        help="lines per scoring shard")
-    serve.add_argument("--smoke", action="store_true",
-                       help="in-process end-to-end self-test: simulate, "
-                            "snapshot, publish, serve on an ephemeral port, "
-                            "and check the HTTP dispatch list against the "
-                            "batch predictor")
 
     obs = sub.add_parser(
         "obs", parents=[common],
@@ -185,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--cadence", type=int, default=4,
                            help="scheduled retrain cadence in weeks "
                                 "(drift triggers can fire sooner)")
-    lifecycle.add_argument("--smoke", action="store_true",
-                           help="in-process end-to-end self-test in a temp "
-                                "dir: run the loop with one forced "
-                                "promotion and one sabotaged challenger, "
-                                "and check that the watchdog rolls it back "
-                                "with an intact decision chain")
 
     triage = sub.add_parser(
         "triage", parents=[common],
@@ -203,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     triage.add_argument("--week", type=int, default=None,
                         help="evaluation week (default: the late week with "
                              "the most shared-fault-affected lines)")
-    triage.add_argument("--smoke", action="store_true",
-                        help="small fixed-scale self-test on the "
-                             "correlated_faults scenario: asserts >=90%% "
-                             "upstream recall, one group dispatch per "
-                             "cluster, and a strict precision-at-capacity "
-                             "improvement")
 
     explain = sub.add_parser(
         "explain", parents=[common],
@@ -228,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "week)")
     explain.add_argument("--top", type=int, default=5,
                          help="feature attributions shown in the summary")
-    explain.add_argument("--smoke", action="store_true",
-                         help="small fixed-scale self-test: asserts the "
-                              "report is well-formed, every disposition "
-                              "template renders, attributions reproduce "
-                              "the served score bit-identically, and "
-                              "repeat reads hit the score cache")
 
     scale = sub.add_parser(
         "scale", parents=[common],
@@ -244,13 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "whole RNG blocks; default: one block)")
     scale.add_argument("--store", default=None,
                        help="persist the store here (default: temp dir)")
-    scale.add_argument("--smoke", action="store_true",
-                       help="fixed-scale self-test of the streaming "
-                            "invariants: chunked generation bit-identical "
-                            "to monolithic, chunk appends byte-identical "
-                            "to whole-week appends, out-of-core encode "
-                            "equal to dense, and multi-worker scores "
-                            "equal to single-worker")
     return parser
 
 
@@ -370,7 +331,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _trained_predictor(args: argparse.Namespace, result, rounds: int):
     from repro import PredictorConfig, TicketPredictor, paper_style_split
 
-    capacity = getattr(args, "capacity", None) or max(20, args.lines // 50)
+    capacity = args.capacity or max(20, args.lines // 50)
     history = max(2, args.weeks - 11)
     split = paper_style_split(args.weeks, history=history, train=3,
                               selection=2, test=0)
@@ -413,128 +374,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_smoke(args: argparse.Namespace) -> int:
-    """End-to-end self-test: simulate -> snapshot -> publish -> serve -> check.
-
-    Verifies over real HTTP that the served top-N dispatch list names
-    exactly the lines the batch predictor would submit -- the serving
-    subsystem's parity invariant.  Used by the CI smoke job.
-    """
-    import json
-    import tempfile
-    import threading
-    import urllib.request
-    from pathlib import Path
-
-    from repro.serve import (
-        ModelBundle,
-        ModelRegistry,
-        ScoringService,
-        make_server,
-        snapshot_result,
-    )
-
-    result = _simulate(args)
-    predictor = _trained_predictor(args, result, rounds=60)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store_root = Path(tmp) / "store"
-        registry_root = Path(tmp) / "registry"
-        snapshot_result(result, store_root)
-        ModelRegistry(registry_root).publish(
-            ModelBundle(predictor=predictor), activate=True
-        )
-        service = ScoringService(store_root, registry_root)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-
-        def get(path: str) -> dict:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                return json.load(response)
-
-        def get_text(path: str) -> str:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                return response.read().decode()
-
-        def get_with_headers(path: str) -> tuple[bytes, dict]:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                headers = {k.lower(): v for k, v in response.headers.items()}
-                return response.read(), headers
-
-        try:
-            health = get("/healthz")
-            week = health["latest_week"]
-            served = get(f"/dispatch?week={week}")
-            metrics = get("/metrics")
-            body, slo_headers = get_with_headers("/health")
-            slo_health = json.loads(body)
-            prom_bytes, prom_headers = get_with_headers(
-                "/metrics?format=prometheus"
-            )
-            prometheus = prom_bytes.decode("utf-8")
-            trace = get("/trace")
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    if health.get("status") != "ok":
-        print(f"smoke FAILED: /healthz returned {health}")
-        return 1
-    if slo_health.get("status") != "ok":
-        print(f"smoke FAILED: /health returned {slo_health}")
-        return 1
-    for name, headers in (("/health", slo_headers),
-                          ("/metrics?format=prometheus", prom_headers)):
-        if headers.get("cache-control") != "no-store":
-            print(f"smoke FAILED: {name} response is missing "
-                  "Cache-Control: no-store")
-            return 1
-        if "charset=utf-8" not in headers.get("content-type", ""):
-            print(f"smoke FAILED: {name} content type "
-                  f"{headers.get('content-type')!r} declares no charset")
-            return 1
-    if not slo_headers.get("content-type", "").startswith("application/json"):
-        print(f"smoke FAILED: /health content type is "
-              f"{slo_headers.get('content-type')!r}, expected JSON")
-        return 1
-    expected = [int(i) for i in predictor.predict_top(result, week)]
-    if served["line_ids"] != expected:
-        print("smoke FAILED: served dispatch list differs from the batch "
-              "predictor's predict_top")
-        return 1
-
-    from repro.obs import check_prometheus_text, tracing_enabled
-
-    problems = check_prometheus_text(prometheus)
-    if problems:
-        print("smoke FAILED: /metrics?format=prometheus is not valid "
-              "exposition text:")
-        for problem in problems[:10]:
-            print(f"  {problem}")
-        return 1
-    if "repro_http_requests_total" not in prometheus:
-        print("smoke FAILED: exposition text is missing the request counter")
-        return 1
-    if tracing_enabled() and not trace.get("spans"):
-        print("smoke FAILED: REPRO_TRACE is on but /trace exported no spans")
-        return 1
-    span_note = (
-        f", {len(trace['spans'])} span tree(s)" if trace.get("spans") else ""
-    )
-    print(f"smoke ok: model {health['model_version']}, week {week}, "
-          f"top-{len(served['line_ids'])} dispatch list matches the batch "
-          f"predictor ({metrics['mean_lines_per_sec']:.0f} lines/sec, "
-          f"prometheus text valid, /health {slo_health['status']}"
-          f"{span_note})")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.smoke:
-        return _serve_smoke(args)
-
     from repro.serve import DEFAULT_SHARD_SIZE, ScoringService, make_server
 
     service = ScoringService(
@@ -634,7 +474,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lifecycle_controller(args: argparse.Namespace, root, config=None):
+def _lifecycle_controller(args: argparse.Namespace, root):
     """Build a pipeline + lifecycle controller rooted at ``root``.
 
     Creates ``root/store`` and ``root/registry``; the decision log lands
@@ -673,118 +513,8 @@ def _lifecycle_controller(args: argparse.Namespace, root, config=None):
         registry=ModelRegistry(root / "registry"),
     )
     return LifecycleController(
-        pipeline, config or LifecycleConfig(cadence_weeks=args.cadence)
+        pipeline, LifecycleConfig(cadence_weeks=args.cadence)
     )
-
-
-def _inverted_challenger(pipeline, week: int):
-    """Train a real challenger, then negate every stump score.
-
-    The result ranks lines exactly backwards -- the worst live regression
-    the smoke can hand the watchdog -- while remaining a perfectly
-    ordinary, serialisable, fitted predictor to the registry and the
-    shadow scorer.
-    """
-    from dataclasses import replace
-
-    challenger = pipeline.train_challenger(week)
-    model = challenger.model
-    model.learners = [
-        replace(learner, stump=replace(
-            learner.stump,
-            s_lo=-learner.stump.s_lo,
-            s_hi=-learner.stump.s_hi,
-            s_miss=-learner.stump.s_miss,
-        ))
-        for learner in model.learners
-    ]
-    model._compiled = None
-    return challenger
-
-
-def _lifecycle_smoke(args: argparse.Namespace) -> int:
-    """End-to-end self-test of the continuous-training loop.
-
-    Runs the full controller in a temp dir and forces both interesting
-    paths: the first challenger is pushed through the gate (forced
-    promotion), the second is an inverted saboteur that the gate is also
-    forced to accept -- so the *watchdog* must catch it live and roll the
-    registry back.  Exit 0 only if both legs happened and the decision
-    chain verifies.  Used by the CI lifecycle-smoke job.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.lifecycle import LifecycleConfig, lifecycle_status
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        controller = _lifecycle_controller(args, root, config=LifecycleConfig(
-            cadence_weeks=2,
-            shadow_weeks=2,
-            bootstrap_samples=100,
-            watchdog_drop=0.6,
-            watchdog_patience=2,
-            seed=args.seed,
-        ))
-        pipeline = controller.pipeline
-        controller.force_next_decision = "promote"
-        sabotaged = False
-        total = pipeline.simulator.config.n_weeks
-        while pipeline.simulator.week < total:
-            controller.step()
-            counts = controller.status()["decision_counts"]
-            if counts.get("promote", 0) >= 1 and not sabotaged:
-                # Leg 2: the next challenger is deliberately inverted and
-                # the gate is forced open, so only the watchdog stands
-                # between it and the customers.
-                controller.challenger_factory = (
-                    lambda week: _inverted_challenger(pipeline, week)
-                )
-                controller.force_next_decision = "promote"
-                sabotaged = True
-            if counts.get("rollback", 0) >= 1:
-                break
-        status = controller.status()
-        disk = lifecycle_status(root / "registry")
-
-    counts = status["decision_counts"]
-    if counts.get("promote", 0) < 2 or counts.get("rollback", 0) < 1:
-        print(f"lifecycle smoke FAILED: expected >=2 promotions and >=1 "
-              f"rollback, got decisions {counts} (is --weeks long enough "
-              f"past --warmup?)")
-        return 1
-    if not disk["chain_valid"]:
-        print("lifecycle smoke FAILED: decision chain did not verify:")
-        for problem in disk["chain_problems"][:10]:
-            print(f"  {problem}")
-        return 1
-    if disk["active_version"] != status["champion_version"]:
-        print(f"lifecycle smoke FAILED: registry active "
-              f"{disk['active_version']} != controller champion "
-              f"{status['champion_version']}")
-        return 1
-    promotes = [r for r in disk["decisions"] if r["action"] == "promote"]
-    rollbacks = [r for r in disk["decisions"] if r["action"] == "rollback"]
-    restored = rollbacks[-1]["details"]["restored"]
-    if restored != promotes[0]["details"]["version"]:
-        print(f"lifecycle smoke FAILED: rollback restored {restored}, "
-              f"expected the first promoted champion "
-              f"{promotes[0]['details']['version']}")
-        return 1
-    registry_rollbacks = [
-        e for e in disk["registry_events"] if e["action"] == "rollback"
-    ]
-    if not registry_rollbacks:
-        print("lifecycle smoke FAILED: registry manifest records no "
-              "rollback event")
-        return 1
-    print(f"lifecycle smoke ok: {counts.get('retrain', 0)} retrains, "
-          f"{counts['promote']} promotions (1 forced good, 1 forced "
-          f"saboteur), watchdog rolled back to {restored} at week "
-          f"{rollbacks[-1]['week']}, decision chain of "
-          f"{len(disk['decisions'])} records verified")
-    return 0
 
 
 def _lifecycle_print_status(root) -> int:
@@ -812,8 +542,6 @@ def _lifecycle_print_status(root) -> int:
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    if args.smoke:
-        return _lifecycle_smoke(args)
     if args.action == "status":
         return _lifecycle_print_status(Path(args.root))
 
@@ -834,38 +562,16 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _triage_eval_week(args: argparse.Namespace, result) -> int:
-    """The evaluation week: --week, or the late week with the most
-    shared-fault-affected lines (latest week when there are none)."""
-    from repro.netsim.simulator import SATURDAY_OFFSET
-
-    last = args.weeks - 1
-    if args.week is not None:
-        if not 0 <= args.week <= last:
-            raise SystemExit(f"--week must be in [0, {last}]")
-        return args.week
-    if result.group_faults is None:
-        return last
-    candidates = range(max(0, args.weeks - 6), args.weeks)
-    counts = {
-        week: int(
-            result.group_faults.affected_lines(week * 7 + SATURDAY_OFFSET).sum()
-        )
-        for week in candidates
-    }
-    return max(counts, key=lambda week: (counts[week], week))
-
-
 def _cmd_triage(args: argparse.Namespace) -> int:
     """``repro triage``: cluster, classify, suppress, compare precision."""
-    from repro.fleet import evaluate_plan, find_clusters, plan_dispatches
+    from repro.fleet import (
+        evaluate_plan,
+        find_clusters,
+        plan_dispatches,
+        triage_eval_week,
+    )
     from repro.netsim.simulator import SATURDAY_OFFSET
 
-    if args.smoke:
-        # Fixed small scale so CI asserts against one known plant.
-        args.lines, args.weeks, args.rounds = 2500, 20, 40
-        args.scenario = args.scenario or "correlated_faults"
-        args.capacity = None
     if not args.scenario:
         args.scenario = "correlated_faults"
 
@@ -873,7 +579,13 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     predictor = _trained_predictor(args, result, rounds=args.rounds)
     capacity = predictor.config.capacity
     topology = result.population.topology
-    week = _triage_eval_week(args, result)
+    last = args.weeks - 1
+    if args.week is None:
+        week = triage_eval_week(result)
+    elif 0 <= args.week <= last:
+        week = args.week
+    else:
+        raise SystemExit(f"--week must be in [0, {last}]")
     day = week * 7 + SATURDAY_OFFSET
 
     scores = predictor.score_week(result, week)
@@ -904,7 +616,6 @@ def _cmd_triage(args: argparse.Namespace) -> int:
           f"suppressed {scored['suppressed']} per-line dispatches, "
           f"refilled {scored['backfilled']} slots")
 
-    recall = None
     if result.group_faults is not None:
         affected = result.group_faults.affected_lines(day)
         pool = np.zeros(triage.n_lines, dtype=bool)
@@ -919,112 +630,6 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     print(f"  precision@N={capacity}: "
           f"baseline {scored['baseline_precision']:.3f} -> "
           f"triage {scored['triage_precision']:.3f}")
-
-    if args.smoke:
-        problems = []
-        if len(upstream) < 1:
-            problems.append("no upstream clusters found")
-        if recall is None or recall < 0.9:
-            rendered = "n/a" if recall is None else f"{recall:.0%}"
-            problems.append(f"upstream recall {rendered} below 90%")
-        if scored["triage_precision"] <= scored["baseline_precision"]:
-            problems.append(
-                "suppression did not improve precision-at-capacity"
-            )
-        if problems:
-            for problem in problems:
-                print(f"triage smoke FAILED: {problem}")
-            return 1
-        print(f"triage smoke ok: {len(upstream)} upstream cluster(s), "
-              f"recall {recall:.0%}, precision "
-              f"{scored['baseline_precision']:.3f} -> "
-              f"{scored['triage_precision']:.3f} at N={capacity}")
-    return 0
-
-
-def _explain_smoke_checks(service, week: int, report: dict, line_ids) -> int:
-    """Assertions behind ``repro explain --smoke`` (used by the CI job)."""
-    from repro.explain import (
-        assemble_model_row,
-        attribute_ensemble,
-        technician_steps,
-    )
-    from repro.netsim.components import DISPOSITIONS
-
-    problems: list[str] = []
-
-    rendered = report["rendered"]
-    for header in ("=== diagnostic summary ===",
-                   "=== technician next steps ==="):
-        if header not in rendered:
-            problems.append(f"rendered report is missing {header!r}")
-    if not report["attributions"]:
-        problems.append("report carries no feature attributions")
-    if not report["next_steps"]:
-        problems.append("report carries no technician steps")
-    if not report["attribution_exact"]:
-        problems.append("attribution fold does not reproduce the margin")
-    if report["disposition"] is None:
-        problems.append("no disposition despite a bundled locator")
-    if not 0.0 <= report["p_ticket"] <= 1.0:
-        problems.append(f"p_ticket {report['p_ticket']} outside [0, 1]")
-
-    # Every catalog disposition (plus "no trouble found") must render.
-    try:
-        for code in [-1, *range(len(DISPOSITIONS))]:
-            if not technician_steps(code):
-                problems.append(f"disposition {code} rendered no steps")
-                break
-    except Exception as exc:  # a KeyError here means a broken template
-        problems.append(f"disposition templates failed to render: {exc}")
-
-    # Bit-identical parity on a sample of dispatched lines: the scalar
-    # attribution fold must reproduce the served margin exactly, and its
-    # calibrated value the served score.
-    engine = service.engine
-    predictor = engine.bundle.predictor
-    compiled = predictor.model.compiled()
-    scored = engine.score_week(week)
-    base = engine.base_features(week)
-    for line_id in line_ids:
-        line_id = int(line_id)
-        row = assemble_model_row(base.matrix[line_id], predictor.recipes)
-        attribution = attribute_ensemble(compiled, row)
-        if attribution.reconstructed() != attribution.margin:
-            problems.append(
-                f"line {line_id}: attribution fold diverges from its margin")
-            break
-        calibrated = float(predictor.model.calibrator.transform(
-            np.array([attribution.margin]))[0])
-        if calibrated != float(scored.scores[line_id]):
-            problems.append(
-                f"line {line_id}: calibrated attribution margin "
-                f"{calibrated} != served score {float(scored.scores[line_id])}"
-            )
-            break
-
-    # The shared score cache must survive an engine reload and serve the
-    # repeat read without another shard scan.
-    service.reload()
-    if not service.engine.is_cached(week):
-        problems.append("score cache did not survive the reload")
-    before = service.cache.stats()["hits"]
-    status, _ = service.dispatch_request(
-        "GET", f"/score?week={week}&line={int(line_ids[0])}")
-    if status != 200:
-        problems.append(f"post-reload /score returned {status}")
-    elif service.cache.stats()["hits"] <= before:
-        problems.append("post-reload /score read was not a cache hit")
-
-    if problems:
-        for problem in problems:
-            print(f"explain smoke FAILED: {problem}")
-        return 1
-    stats = service.cache.stats()
-    print(f"explain smoke ok: line {report['line']} week {week} "
-          f"({report['n_contributors']} contributors, "
-          f"disposition {report['disposition']['code']}, "
-          f"cache hit rate {stats['hit_rate']:.0%})")
     return 0
 
 
@@ -1040,12 +645,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         ScoringService,
         snapshot_result,
     )
-
-    if args.smoke:
-        # Fixed small scale so CI checks one known plant.
-        args.lines, args.weeks, args.rounds = 2500, 20, 40
-        args.locator_rounds = min(args.locator_rounds, 8)
-        args.capacity = None
 
     result = _simulate(args)
     predictor = _trained_predictor(args, result, rounds=args.rounds)
@@ -1082,173 +681,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             print(f"explain FAILED: /explain returned {status}: {report}")
             return 1
         print(report["rendered"])
-        if args.smoke:
-            return _explain_smoke_checks(
-                service, week, report, dispatch["line_ids"][:10])
-    return 0
-
-
-def _scale_toy_bundle(encoder):
-    """A tiny deterministic stump ensemble over the encoded columns.
-
-    The scale smoke's scoring-parity check needs *a* model, not a good
-    one; hand-building 16 stumps keeps the smoke seconds-long where a
-    real fit would dominate it.
-    """
-    from repro.core.predictor import (
-        PredictorConfig,
-        TicketPredictor,
-        _DerivedRecipes,
-    )
-    from repro.ml.boostexter import BStump, BStumpConfig, WeakLearner
-    from repro.ml.calibration import PlattCalibrator
-    from repro.ml.stumps import Stump
-    from repro.serve import ModelBundle
-
-    rng = np.random.default_rng(7)
-    base = sorted(
-        int(i)
-        for i in rng.choice(encoder.base_feature_count(), size=8,
-                            replace=False)
-    )
-    recipes = _DerivedRecipes(
-        base_indices=base, quad_indices=base[:2],
-        product_pairs=[(base[0], base[1])],
-    )
-    model = BStump(BStumpConfig(n_rounds=16))
-    model.n_features_ = recipes.n_columns
-    model.learners = [
-        WeakLearner(
-            stump=Stump(
-                feature=int(rng.integers(recipes.n_columns)),
-                threshold=float(rng.normal(loc=10.0, scale=4.0)),
-                s_lo=float(rng.normal(scale=0.1)),
-                s_hi=float(rng.normal(scale=0.1)),
-                s_miss=float(rng.normal(scale=0.05)),
-                categorical=False,
-                z=1.0,
-            ),
-            round_index=r,
-            z=1.0,
-        )
-        for r in range(16)
-    ]
-    model.train_z_ = [1.0] * 16
-    calibrator = PlattCalibrator()
-    calibrator.a = -1.0
-    calibrator.b = 0.0
-    calibrator.fitted_ = True
-    model.calibrator = calibrator
-    predictor = TicketPredictor(PredictorConfig(capacity=500),
-                                encoder=encoder)
-    predictor.model = model
-    predictor.recipes = recipes
-    return ModelBundle(predictor=predictor, meta={"smoke": True})
-
-
-def _scale_smoke(args: argparse.Namespace) -> int:
-    """Self-test of the streaming invariants at a fixed three-block scale.
-
-    Everything the paper-scale cycle relies on, asserted end to end:
-    chunked generation is bit-identical to the monolithic run, chunk
-    appends produce byte-identical shards to whole-week appends, the
-    out-of-core encode equals the dense one, and sharded multi-worker
-    scoring equals single-worker.  Used by the CI scale-smoke job.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro import PopulationConfig, SimulationConfig
-    from repro.features.encoding import EncoderConfig, LineFeatureEncoder
-    from repro.netsim import STREAM_BLOCK_LINES, stream_weeks
-    from repro.netsim.groupfaults import GroupFaultConfig
-    from repro.serve import LineWeekStore, ScoringEngine, StoredWorld
-
-    n_lines = 2 * STREAM_BLOCK_LINES + 700  # straddles two block edges
-    n_weeks = 3
-    config = SimulationConfig(
-        n_weeks=n_weeks,
-        population=PopulationConfig(n_lines=n_lines, seed=11),
-        fault_rate_scale=2.0,
-        group_faults=GroupFaultConfig(
-            n_dslam_events=2, n_binder_events=4, event_window=(0.0, 0.7),
-            seed=23,
-        ),
-        seed=args.seed,
-    )
-    failures: list[str] = []
-
-    def collect(chunk):
-        feats = [[] for _ in range(n_weeks)]
-        lasts = [[] for _ in range(n_weeks)]
-        for blk in stream_weeks(config, chunk_lines=chunk):
-            feats[blk.week].append(blk.features)
-            lasts[blk.week].append(blk.last_ticket_day)
-        return ([np.concatenate(f) for f in feats],
-                [np.concatenate(t) for t in lasts])
-
-    mono_f, mono_t = collect(None)
-    chunk_f, chunk_t = collect(STREAM_BLOCK_LINES)
-    if not all(
-        np.array_equal(chunk_f[w], mono_f[w], equal_nan=True)
-        and np.array_equal(chunk_t[w], mono_t[w])
-        for w in range(n_weeks)
-    ):
-        failures.append("chunked generation diverged from the monolithic run")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        whole = LineWeekStore.create(
-            Path(tmp) / "whole", n_lines, config.population)
-        for w in range(n_weeks):
-            whole.append_week(w, w * 7 + 5, mono_f[w], mono_t[w])
-        chunked = LineWeekStore.create(
-            Path(tmp) / "chunked", n_lines, config.population)
-        chunked.append_week_chunks(
-            stream_weeks(config, chunk_lines=STREAM_BLOCK_LINES))
-        chunked.verify()
-        for w in range(n_weeks):
-            for prefix in ("week", "tickets"):
-                name = f"{prefix}_{w:05d}.npy"
-                if (whole.root / name).read_bytes() != (
-                        chunked.root / name).read_bytes():
-                    failures.append(
-                        f"chunk-appended {name} differs from the "
-                        f"whole-week append")
-
-        encoder = LineFeatureEncoder(EncoderConfig())
-        dense = StoredWorld(chunked, out_of_core=False)
-        ooc = StoredWorld(chunked, out_of_core=True)
-        target = chunked.latest_week
-        reference = dense.encode_week(target, encoder)
-        streamed = ooc.encode_week(target, encoder, chunk_lines=5_000)
-        if not np.array_equal(streamed.matrix, reference.matrix,
-                              equal_nan=True):
-            failures.append("out-of-core chunked encode diverged from dense")
-
-        bundle = _scale_toy_bundle(encoder)
-        bundle.predictor.model.compiled()
-        multi = ScoringEngine(
-            bundle, ooc, shard_size=4_096, workers=4).score_week(target)
-        single = ScoringEngine(
-            bundle, StoredWorld(chunked, out_of_core=True),
-            shard_size=4_096, workers=1).score_week(target)
-        if not np.array_equal(multi.scores, single.scores):
-            failures.append("multi-worker scores diverged from single-worker")
-
-    if failures:
-        for failure in failures:
-            print(f"scale smoke FAILED: {failure}")
-        return 1
-    print(f"smoke ok: {n_lines} lines x {n_weeks} weeks streamed in blocks "
-          f"of {STREAM_BLOCK_LINES}; chunk appends byte-identical, "
-          f"out-of-core encode equal to dense, {multi.n_shards}-shard "
-          f"4-worker scoring bit-identical to single-worker")
     return 0
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    if args.smoke:
-        return _scale_smoke(args)
     import contextlib
     import tempfile
     import time

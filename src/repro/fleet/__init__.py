@@ -12,7 +12,7 @@ slots on one upstream cause.  This package adds the cross-line layer:
 * :mod:`repro.fleet.suppression` collapses an upstream cluster's per-line
   dispatches into one group dispatch and backfills the freed top-N
   capacity from the ranked list, reporting precision-at-capacity with and
-  without the policy.
+  without the policy on the week :func:`triage_eval_week` picks.
 """
 
 from repro.fleet.aggregation import (
@@ -21,7 +21,12 @@ from repro.fleet.aggregation import (
     TriageResult,
     find_clusters,
 )
-from repro.fleet.suppression import TriagePlan, evaluate_plan, plan_dispatches
+from repro.fleet.suppression import (
+    TriagePlan,
+    evaluate_plan,
+    plan_dispatches,
+    triage_eval_week,
+)
 
 __all__ = [
     "TriageConfig",
@@ -31,4 +36,5 @@ __all__ = [
     "TriagePlan",
     "plan_dispatches",
     "evaluate_plan",
+    "triage_eval_week",
 ]

@@ -19,7 +19,7 @@ slot counts as a hit only when the line has its *own* active fault (a
 visit to an upstream-degraded premise closes "no trouble found"); a
 group slot counts when the shared element really has an active group
 fault.  This is the precision-at-capacity comparison BENCH_triage
-reports.
+reports, on the week :func:`triage_eval_week` picks.
 """
 
 from __future__ import annotations
@@ -29,8 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fleet.aggregation import FaultCluster, TriageResult
+from repro.netsim.simulator import SATURDAY_OFFSET
 
-__all__ = ["TriagePlan", "plan_dispatches", "evaluate_plan"]
+__all__ = [
+    "TriagePlan",
+    "plan_dispatches",
+    "evaluate_plan",
+    "triage_eval_week",
+]
 
 
 @dataclass
@@ -167,3 +173,21 @@ def evaluate_plan(
         "suppressed": int(plan.suppressed_line_ids.size),
         "backfilled": int(plan.backfilled_line_ids.size),
     }
+
+
+def triage_eval_week(result) -> int:
+    """The week a triage evaluation runs on for a simulated world.
+
+    Of the last six weeks, the one whose Saturday has the most lines
+    degraded by an active shared-plant fault; ties go to the later week.
+    A world without a group-fault process gets its last week.
+    """
+    n_weeks = result.config.n_weeks
+    faults = result.group_faults
+    if faults is None:
+        return n_weeks - 1
+    counts = {
+        week: int(faults.affected_lines(week * 7 + SATURDAY_OFFSET).sum())
+        for week in range(max(0, n_weeks - 6), n_weeks)
+    }
+    return max(counts, key=lambda week: (counts[week], week))

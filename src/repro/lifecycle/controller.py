@@ -101,11 +101,9 @@ class LifecycleController:
         self.champion_since: int | None = None
         self._reports_since_adoption: list[WeeklyReport] = []
 
-        #: Override hooks for operators and the smoke harness: a custom
-        #: challenger factory (``callable(week) -> TicketPredictor``) and
-        #: a one-shot gate override ("promote" / "hold", consumed on use).
+        #: Override hook: a custom challenger factory
+        #: (``callable(week) -> TicketPredictor``).
         self.challenger_factory: Callable[[int], Any] | None = None
-        self.force_next_decision: str | None = None
 
         metrics = get_registry()
         self._retrains = metrics.counter(
@@ -271,16 +269,8 @@ class LifecycleController:
         self._ci_low_gauge.set(shadow.delta_ci_low)
 
         verdict = self.gate.decide(shadow)
-        if self.force_next_decision is not None:
-            forced = self.force_next_decision
-            self.force_next_decision = None
-            verdict_promote = forced == "promote"
-            reason, detail = "forced", f"operator override: {forced}"
-        else:
-            verdict_promote = verdict.promote
-            reason, detail = verdict.reason, verdict.detail
-
-        if verdict_promote:
+        reason, detail = verdict.reason, verdict.detail
+        if verdict.promote:
             self._promote(week, version, challenger, shadow, reason, detail)
         else:
             self._holds.inc()

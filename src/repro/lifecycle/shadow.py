@@ -214,7 +214,7 @@ class GateDecision:
 
     Attributes:
         promote: activate the challenger.
-        reason: ``non_inferior`` | ``inferior`` | ``forced``.
+        reason: ``non_inferior`` | ``inferior``.
         detail: human-readable explanation citing the interval.
     """
 

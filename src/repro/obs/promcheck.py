@@ -1,9 +1,9 @@
 """A dependency-free checker for the Prometheus text exposition format.
 
-The CI ``obs-smoke`` job scrapes ``/metrics?format=prometheus`` and must
-validate the output without installing a Prometheus client.  This module
-implements the line-format rules the exposition format (version 0.0.4)
-actually guarantees:
+The tests scrape ``/metrics?format=prometheus`` and CI checks the stage
+metrics' exposition; both must validate the output without installing a
+Prometheus client.  This module implements the line-format rules the
+exposition format (version 0.0.4) actually guarantees:
 
 * every line is blank, a well-formed ``# HELP``/``# TYPE`` comment, or a
   sample ``name{labels} value [timestamp]``;

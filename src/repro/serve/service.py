@@ -31,8 +31,8 @@ Endpoints (JSON unless noted):
 weeks are cached per model version, so the common steady state -- many
 reads of one Saturday's scores -- costs one sharded scoring run.
 :class:`ScoringService` keeps all routing logic in plain methods
-returning ``(status, payload)`` pairs, so tests and the in-process smoke
-check can drive it without sockets.
+returning ``(status, payload)`` pairs, so tests and ``repro explain``
+can drive it without sockets.
 
 All service telemetry lives on the :mod:`repro.obs` registry
 (``repro_http_requests_total``, ``repro_http_request_seconds``, the

@@ -38,12 +38,21 @@ class TestParser:
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9999", "--shard-size", "512", "--smoke"]
+            ["serve", "--port", "9999", "--shard-size", "512"]
         )
         assert args.command == "serve"
         assert args.port == 9999
         assert args.shard_size == 512
-        assert args.smoke
+
+    @pytest.mark.parametrize(
+        "command",
+        [["serve"], ["lifecycle", "run"], ["triage"], ["explain"], ["scale"]],
+        ids=["serve", "lifecycle", "triage", "explain", "scale"],
+    )
+    def test_smoke_flag_is_gone(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--smoke"])
+        assert exit_info.value.code == 2
 
     def test_obs_flags(self):
         args = build_parser().parse_args(
@@ -123,13 +132,22 @@ class TestCommands:
         assert "stored 14 weeks" in out
         assert "published v0001" in out
 
-    def test_serve_smoke_runs(self, capsys):
-        code = main([
-            "serve", "--smoke", "--lines", "800", "--weeks", "14",
-            "--fault-scale", "4",
-        ])
-        assert code == 0
-        assert "smoke ok" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["triage", "--lines", "600", "--weeks", "14", "--rounds", "8"],
+             "precision@N="),
+            (["explain", "--lines", "600", "--weeks", "14", "--fault-scale",
+              "4", "--rounds", "8", "--locator-rounds", "3"],
+             "=== technician next steps ==="),
+            (["scale", "--lines", "3000", "--weeks", "3"],
+             "streamed 3000 lines x 3 weeks"),
+        ],
+        ids=["triage", "explain", "scale"],
+    )
+    def test_operator_command_runs(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert expected in capsys.readouterr().out
 
     def test_obs_dashboard_reads_a_seeded_history(self, capsys, tmp_path):
         from repro.obs.history import HistoryStore

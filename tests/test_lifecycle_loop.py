@@ -6,8 +6,7 @@ One module-scoped run drives the full drama the subsystem exists for:
 2. live calibration drift trips the scheduler (the cadence clock is off,
    so the retrain is *drift*-triggered);
 3. the challenger is shadow-scored next to the champion and promoted
-   through the real gate (the margin is opened wide so the gate path --
-   not a forced override -- runs);
+   through the real gate (the margin is opened wide so it passes);
 4. the next challenger is sabotaged (every stump score negated, so it
    ranks lines exactly backwards) and sails through the wide-open gate;
 5. the watchdog sees its live precision collapse and rolls the registry
@@ -20,10 +19,11 @@ obs metrics registry.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.cli import _inverted_challenger
 from repro.core.pipeline import NevermindPipeline, PipelineConfig
 from repro.core.predictor import PredictorConfig, TicketPredictor
 from repro.lifecycle import (
@@ -45,6 +45,29 @@ from repro.serve import (
     StoredWorld,
     score_bundles,
 )
+
+
+def _inverted_challenger(pipeline, week: int):
+    """Train a real challenger, then negate every stump score.
+
+    The result ranks lines exactly backwards -- the worst live regression
+    the loop can hand the watchdog -- while remaining a perfectly
+    ordinary, serialisable, fitted predictor to the registry and the
+    shadow scorer.
+    """
+    challenger = pipeline.train_challenger(week)
+    model = challenger.model
+    model.learners = [
+        replace(learner, stump=replace(
+            learner.stump,
+            s_lo=-learner.stump.s_lo,
+            s_hi=-learner.stump.s_hi,
+            s_miss=-learner.stump.s_miss,
+        ))
+        for learner in model.learners
+    ]
+    model._compiled = None
+    return challenger
 
 
 def _metric_total(snapshot: dict, name: str) -> float:

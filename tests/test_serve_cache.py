@@ -122,6 +122,7 @@ class TestExplainRoute:
         assert payload["disposition"] is not None
         assert payload["ranking"] and payload["next_steps"]
         assert payload["p_ticket"] == dispatch["scores"][0]
+        assert 0.0 <= payload["p_ticket"] <= 1.0
         rendered = payload["rendered"]
         assert "=== diagnostic summary ===" in rendered
         assert "=== technician next steps ===" in rendered
@@ -196,6 +197,11 @@ class TestCacheBehaviour:
         assert service.model_version == version
         assert service.cache.peek("scores", week, version)
         assert service.engine.is_cached(week)
+        before = service.cache.stats()["hits"]
+        status, _ = service.dispatch_request(
+            "GET", f"/score?line=0&week={week}")
+        assert status == 200
+        assert service.cache.stats()["hits"] > before
 
     def test_cached_dispatch_and_locate_bit_identical(
         self, service, small_store

@@ -97,14 +97,17 @@ class TestDeterminism:
         self, small_predictor, small_store, monkeypatch
     ):
         week = small_store.latest_week
-        world = StoredWorld(small_store)
         bundle = ModelBundle(predictor=small_predictor)
-        results = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("REPRO_WORKERS", workers)
-            engine = ScoringEngine(bundle, world, shard_size=199)
-            results.append(engine.score_week(week).scores)
-        assert np.array_equal(results[0], results[1])
+        for out_of_core in (False, True):
+            world = StoredWorld(small_store, out_of_core=out_of_core)
+            results = []
+            for workers in ("1", "4"):
+                monkeypatch.setenv("REPRO_WORKERS", workers)
+                engine = ScoringEngine(bundle, world, shard_size=199)
+                results.append(engine.score_week(week).scores)
+            assert np.array_equal(results[0], results[1]), (
+                f"out_of_core={out_of_core}"
+            )
 
     def test_errors_on_unfitted_bundle(self, small_store, small_predictor):
         from repro import PredictorConfig, TicketPredictor

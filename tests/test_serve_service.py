@@ -171,6 +171,9 @@ class TestHttpServer:
             with urllib.request.urlopen(base + "/health", timeout=30) as r:
                 assert r.status == 200
                 assert r.headers["Cache-Control"] == "no-store"
+                assert r.headers["Content-Type"] == (
+                    "application/json; charset=utf-8"
+                )
                 slo_health = json.load(r)
             assert slo_health["status"] == "ok"
             prom = base + "/metrics?format=prometheus"
