@@ -27,6 +27,12 @@ cube up front.  This harness drives the *streaming* cycle end to end --
   shard's read, Table-3 encode and ensemble fold are the
   ``serve.read`` / ``serve.encode`` / ``serve.ensemble`` stages.
 * **dispatch** -- cutting the top-N list from the scored week.
+* **explain** / **payloads** -- the per-line reads on the out-of-core
+  world: ``engine.explain`` on the top dispatched line (its attribution
+  must reproduce the served score exactly) and
+  ``engine.attribution_payloads`` over the whole dispatch list, the
+  ``/dispatch?explain=1`` enrichment.  Both encode only their own lines,
+  and they run before the RSS guard reads the peak.
 * **parity** -- the invariants that make the streaming numbers *honest*,
   re-proven at a small scale on every run: chunked generation is
   bit-identical to the monolithic (single-chunk) run, and chunk-wise
@@ -40,7 +46,8 @@ cube up front.  This harness drives the *streaming* cycle end to end --
 
 Every phase is timed by a :func:`repro.obs.profile.stage` handle
 (``scale.generate_append``, ``scale.encode``, ``scale.score``,
-``scale.dispatch``), so the headline seconds are the same numbers the
+``scale.dispatch``, ``scale.explain``, ``scale.payloads``), so the
+headline seconds are the same numbers the
 report's ``resources.stages`` table carries, next to the scoring
 engine's own ``serve.score_week`` / ``serve.prepare`` /
 ``fabric.serve.shard`` / ``serve.read`` / ``serve.encode`` /
@@ -166,6 +173,18 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             dispatch = engine.dispatch(target)
         dispatch_seconds = cut.seconds
 
+        top_line = int(dispatch.line_ids[0])
+        with stage("scale.explain") as explain:
+            report = engine.explain(target, top_line)
+        served_score = bundle.predictor.model.calibrator.transform(
+            np.array([report.margin])
+        )[0]
+        with stage("scale.payloads") as payloads:
+            n_payloads = len(engine.attribution_payloads(
+                target, dispatch.line_ids
+            ))
+        assert n_payloads == len(dispatch)
+
         line_weeks = n_lines * n_weeks
         return {
             "n_lines": n_lines,
@@ -191,6 +210,12 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             ),
             "dispatch_seconds": dispatch_seconds,
             "dispatch_size": len(dispatch),
+            "explain_seconds": explain.seconds,
+            "explain_exact": bool(
+                report.attribution_exact
+                and served_score == scored.scores[top_line]
+            ),
+            "payload_seconds": payloads.seconds,
             "cycle_seconds": gen_seconds + score_seconds + dispatch_seconds,
         }
 
@@ -348,6 +373,10 @@ def main() -> None:
           f"scores identical: {scale['workers_match_single']}")
     print(f"dispatch: top-{scale['dispatch_size']} in "
           f"{scale['dispatch_seconds'] * 1e3:.1f} ms")
+    print(f"explain:  top line in {scale['explain_seconds'] * 1e3:.1f} ms "
+          f"(exact: {scale['explain_exact']}); payloads for all "
+          f"{scale['dispatch_size']} dispatched lines in "
+          f"{scale['payload_seconds'] * 1e3:.1f} ms")
     print(f"parity:   generation {parity['generation_chunked_equals_monolithic']}, "
           f"store bytes {parity['store_chunked_equals_whole_week']}")
     print(f"rss:      peak {guards['peak_rss_mb']:.0f} MB vs budget "
@@ -370,6 +399,8 @@ def main() -> None:
         failures.append("chunked store shards diverged from whole-week")
     if not scale["workers_match_single"]:
         failures.append("multi-worker scores diverged from single worker")
+    if not scale["explain_exact"]:
+        failures.append("/explain does not reproduce the served score")
     if not guards["rss_within_budget"]:
         failures.append("peak RSS exceeded the chunk-bounded budget")
     if guards["speedup_enforced"] and not guards["speedup_ok"]:

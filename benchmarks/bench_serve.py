@@ -247,21 +247,21 @@ def bench_serve(n_lines: int, n_weeks: int, n_rounds: int, shard_size: int,
         dispatch_seconds = time.perf_counter() - dispatch_start
 
         # Parity: unsharded in-memory pass over the same assembled matrix.
-        base = engine.base_features(target)
+        base = world.encode_week(target, bundle.predictor.encoder)
         reference = bundle.predictor.score_features(base)
         parity = bool(np.array_equal(cold.scores, reference))
 
         # Locate throughput: N technician lookups one at a time vs one
         # batched multi-head pass over the same lines.  The first call
-        # pays the multi-head compile and base-feature encode off the
-        # clock; rankings must agree exactly.
+        # pays the multi-head compile off the clock; each timed call
+        # encodes only its own lines.  Rankings must agree exactly.
         bundle.locator = _synthetic_locator(
-            rng, base.matrix.shape[1], n_rounds
+            rng, bundle.predictor.encoder.base_feature_count(), n_rounds
         )
         locate_ids = [
             int(i) for i in rng.integers(0, n_lines, size=min(200, n_lines))
         ]
-        engine.locate(target, locate_ids[0])  # warm: compile + encode
+        engine.locate(target, locate_ids[0])  # warm: multi-head compile
         single_start = time.perf_counter()
         single_rankings = [
             engine.locate(target, line_id) for line_id in locate_ids
@@ -445,7 +445,6 @@ def bench_cache(n_lines: int, n_weeks: int, n_rounds: int, shard_size: int,
         for _ in range(3):
             service.cache.invalidate(reason="bench-reset")
             engine._score_cache.clear()
-            engine._base_cache = None
             t0 = time.perf_counter()
             status, _ = service.dispatch_request(
                 "GET", f"/score?line={int(rng.integers(n_lines))}"
@@ -504,14 +503,14 @@ def bench_concurrent(n_lines: int, n_weeks: int, n_rounds: int,
                                   shard_size, workers)
         engine = service.engine
         target = store.latest_week
-        base = engine.base_features(target)
         engine.bundle.locator = _synthetic_locator(
-            rng, base.matrix.shape[1], n_rounds
+            rng, engine.bundle.predictor.encoder.base_feature_count(),
+            n_rounds,
         )
 
-        # Warm every shared structure (scores, features, triage, the
-        # multi-head locator compile) so the threads measure steady-state
-        # request cost, not a racing first shard scan.
+        # Warm every shared structure (scores, triage, the multi-head
+        # locator compile) so the threads measure steady-state request
+        # cost, not a racing first shard scan.
         for path in (f"/dispatch?week={target}",
                      f"/explain?line=0&week={target}"):
             status, _ = service.dispatch_request("GET", path)

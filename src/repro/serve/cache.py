@@ -10,15 +10,17 @@ the active version had not actually changed.
 
 :class:`ScoreCache` is owned by the *service* and survives engine
 reloads.  Entries are immutable week-level artefacts keyed by
-``(kind, week, model_version)`` -- scored weeks, encoded base feature
-sets, triage results -- and a per-line read indexes into the cached week
-vector, so the effective key of a score lookup is
-``(line, week, model_version)``.  Invalidation is event-driven: the
-registry notifies its listeners on ``activate``/``rollback`` and the
-service invalidates on ``reload``, each time keeping only entries of the
-version that is (or is becoming) active; entries are version-pinned and
-immutable, so keeping the surviving version's entries warm is always
-correct.
+``(kind, week, model_version)`` -- scored weeks and triage results --
+and a per-line read indexes into the cached week vector, so the
+effective key of a score lookup is ``(line, week, model_version)``.
+Encoded features are not cached: ``/locate`` and ``/explain`` encode
+only the lines they name, so no whole-week feature matrix is ever held.
+
+Invalidation is event-driven: the registry notifies its listeners on
+``activate``/``rollback`` and the service invalidates on ``reload``,
+each time keeping only entries of the version that is (or is becoming)
+active; entries are version-pinned and immutable, so keeping the
+surviving version's entries warm is always correct.
 
 Eviction is LRU over a bounded entry count; hit/miss/invalidation
 counters land on the obs registry (``repro_serve_cache_*``).
@@ -34,11 +36,11 @@ from repro.obs.metrics import get_registry
 
 __all__ = ["ScoreCache", "DEFAULT_CACHE_ENTRIES"]
 
-#: Week-level entries kept (scores/features/triage each count as one);
+#: Week-level entries kept (scores/triage each count as one);
 #: a year of weekly campaigns for two versions fits comfortably.
 DEFAULT_CACHE_ENTRIES = 256
 
-_KINDS = ("scores", "features", "triage")
+_KINDS = ("scores", "triage")
 
 
 class ScoreCache:
@@ -111,16 +113,6 @@ class ScoreCache:
         """Whether an entry exists, without touching LRU order or counters."""
         with self._lock:
             return self._key(kind, week, version) in self._entries
-
-    # ----- typed convenience ----------------------------------------------
-
-    def score(self, line: int, week: int, version: str | None) -> float | None:
-        """One line's cached calibrated score -- the (line, week, version)
-        read path -- or None on a cache miss."""
-        entry = self.get("scores", week, version)
-        if entry is None:
-            return None
-        return float(entry.scores[line])
 
     # ----- invalidation ---------------------------------------------------
 

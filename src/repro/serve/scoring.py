@@ -26,6 +26,10 @@ columnar scorer folds feature groups in the same order as the batch
 scorer.  The scores -- and therefore the dispatch list -- are therefore
 bit-identical to ``TicketPredictor.score_week`` on the live simulation,
 at any ``REPRO_WORKERS`` count and any shard size.
+
+The per-line reads (``locate``, ``explain``, ``attribution_payloads``)
+run the same read+encode over just the lines they name, so none builds
+or caches a whole-week feature matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.explain.report import ExplanationReport, build_report
-from repro.features.encoding import FeatureSet
 from repro.obs.log import RateLimitedLogger, get_logger
 from repro.obs.profile import stage
 from repro.obs.tracing import span
@@ -86,17 +89,54 @@ class WeekScores:
         return len(self.scores) / total if total > 0 else 0.0
 
 
-def _read_and_encode(world, encoder, week, day, population, last_day, shard):
-    """One shard's ``serve.read`` then ``serve.encode`` stage."""
+def _read_and_encode(world, encoder, week, day, population, last_day, rows):
+    """One ``serve.read`` then ``serve.encode`` stage over ``rows``: a
+    scoring shard's slice or a sorted array of unique line ids."""
     with stage("serve.read", week=week):
-        measurements = world.shard_measurements(shard)
+        measurements = world.shard_measurements(rows)
     with stage("serve.encode", week=week):
         return encoder.encode(
             measurements,
             week,
-            _population_row_view(population, shard),
-            _StoredTicketView(last_day[shard], day),
+            _population_row_view(population, rows),
+            _StoredTicketView(last_day[rows], day),
         )
+
+
+def _score_shards(world, encoder, week, shard_size, workers, run, models,
+                  label):
+    """A scoring run's ``serve.prepare`` stage and shard fan-out.
+
+    Each shard is read and encoded once, then every ``(compiled,
+    recipes)`` model folds it under ``serve.ensemble``.  Returns the
+    week's day, the prepare seconds, the shard count and the
+    ``(n_models, n_lines)`` margins.
+    """
+    with stage("serve.prepare", week=week) as prepare:
+        population = world.population()
+        if not world.out_of_core_active():
+            world.measurements()  # build the dense cube once, outside the fan-out
+        day = world.store.day_of(week)
+        last_day = np.asarray(world.store.last_ticket_day(week))
+    shards = split_shards(world.n_lines, shard_size)
+    run.set_tag("shards", len(shards))
+
+    def score_shard(shard: slice) -> np.ndarray:
+        base = _read_and_encode(world, encoder, week, day, population,
+                                last_day, shard)
+        n_rows = base.matrix.shape[0]
+        _SHARD_LOG.debug(label, week=week, rows=n_rows)
+        with stage("serve.ensemble", week=week):
+            return np.stack([
+                compiled.decision_function_columns(
+                    recipes.columns(base.matrix), n_rows
+                )
+                for compiled, recipes in models
+            ])
+
+    per_shard = parallel_map(score_shard, shards, workers, task_label=label)
+    margins = np.concatenate(per_shard, axis=1)
+    return day, prepare.seconds, len(shards), margins
 
 
 def score_bundles(
@@ -128,52 +168,22 @@ def score_bundles(
             "bundles use different encoder configurations; the shared-"
             "encode shadow path needs identical Table-3 encoders"
         )
-    models = {}
+    models = []
     for name in names:
         predictor = bundles[name].predictor
         if predictor.model is None or predictor.model.calibrator is None:
             raise RuntimeError(f"bundle {name!r} is not fitted/calibrated")
-        models[name] = (predictor.model.compiled(), predictor.recipes)
+        models.append((predictor.model.compiled(), predictor.recipes))
 
     with span("serve.score_bundles", week=week, models=len(names)) as run_span:
-        population = world.population()
-        if not world.out_of_core_active():
-            world.measurements()  # build the dense cube once, outside the fan-out
-        day = world.store.day_of(week)
-        last_day = np.asarray(world.store.last_ticket_day(week))
-        encoder = bundles[names[0]].predictor.encoder
-        shards = split_shards(world.n_lines, shard_size)
-        run_span.set_tag("shards", len(shards))
-
-        def encode_and_score_all(shard: slice) -> list[np.ndarray]:
-            base = _read_and_encode(world, encoder, week, day, population,
-                                    last_day, shard)
-            n_rows = base.matrix.shape[0]
-            _SHARD_LOG.debug(
-                "serve.shadow_shard", week=week, rows=n_rows,
-                models=len(names),
-            )
-            with stage("serve.ensemble", week=week):
-                return [
-                    compiled.decision_function_columns(
-                        recipes.columns(base.matrix), n_rows
-                    )
-                    for compiled, recipes in (models[n] for n in names)
-                ]
-
-        per_shard = parallel_map(
-            encode_and_score_all, shards, workers, task_label="serve.shadow_shard"
+        *_, margins = _score_shards(
+            world, bundles[names[0]].predictor.encoder, week, shard_size,
+            workers, run_span, models, "serve.shadow_shard",
         )
-        out: dict[str, np.ndarray] = {}
-        for i, name in enumerate(names):
-            margin = (
-                np.concatenate([shard[i] for shard in per_shard])
-                if per_shard
-                else np.empty(0)
-            )
-            calibrator = bundles[name].predictor.model.calibrator
-            out[name] = calibrator.transform(margin)
-    return out
+        return {
+            name: bundles[name].predictor.model.calibrator.transform(margin)
+            for name, margin in zip(names, margins)
+        }
 
 
 class ScoringEngine:
@@ -196,31 +206,7 @@ class ScoringEngine:
         self.workers = workers
         self.model_version = model_version
         self.cache = cache
-        self._base_cache: tuple[int, FeatureSet] | None = None
         self._score_cache: dict[int, WeekScores] = {}
-
-    # ----- feature access -------------------------------------------------
-
-    def base_features(self, week: int) -> FeatureSet:
-        """Encoded base features of a stored week.
-
-        The last week stays on the engine; the shared
-        :class:`~repro.serve.cache.ScoreCache` (when attached) keeps
-        every week's encoding across engine reloads, so repeat
-        ``/locate`` and ``/explain`` reads never re-encode.
-        """
-        if self._base_cache is not None and self._base_cache[0] == week:
-            return self._base_cache[1]
-        if self.cache is not None:
-            base = self.cache.get("features", week, self.model_version)
-            if base is not None:
-                self._base_cache = (week, base)
-                return base
-        base = self.world.encode_week(week, self.bundle.predictor.encoder)
-        self._base_cache = (week, base)
-        if self.cache is not None:
-            self.cache.put("features", week, self.model_version, base)
-        return base
 
     # ----- scoring --------------------------------------------------------
 
@@ -254,39 +240,12 @@ class ScoringEngine:
             raise RuntimeError("bundle predictor is not fitted")
 
         with stage("serve.score_week", week=week) as run:
-            with stage("serve.prepare", week=week) as prepare:
-                population = self.world.population()
-                if not self.world.out_of_core_active():
-                    # Build the dense cube once, outside the shard
-                    # fan-out; out-of-core worlds instead read per-shard
-                    # rows below.
-                    self.world.measurements()
-                day = self.world.store.day_of(week)
-                last_day = np.asarray(self.world.store.last_ticket_day(week))
-
-            compiled = model.compiled()
-            recipes = predictor.recipes
-            encoder = predictor.encoder
-            shards = split_shards(self.world.n_lines, self.shard_size)
-            run.set_tag("shards", len(shards))
             run.set_tag("lines", self.world.n_lines)
-
-            def encode_and_score(shard: slice) -> np.ndarray:
-                base = _read_and_encode(self.world, encoder, week, day,
-                                        population, last_day, shard)
-                columns = recipes.columns(base.matrix)
-                _SHARD_LOG.debug(
-                    "serve.shard", week=week, rows=base.matrix.shape[0],
-                )
-                with stage("serve.ensemble", week=week):
-                    return compiled.decision_function_columns(
-                        columns, base.matrix.shape[0]
-                    )
-
-            margins = parallel_map(
-                encode_and_score, shards, self.workers, task_label="serve.shard"
+            day, prepare_seconds, n_shards, [margin] = _score_shards(
+                self.world, predictor.encoder, week, self.shard_size,
+                self.workers, run, [(model.compiled(), predictor.recipes)],
+                "serve.shard",
             )
-            margin = np.concatenate(margins) if margins else np.empty(0)
             if model.calibrator is None:
                 raise RuntimeError("bundle model has no calibrator")
             with span("serve.calibrate", week=week):
@@ -296,9 +255,9 @@ class ScoringEngine:
             week=week,
             day=day,
             scores=scores,
-            n_shards=len(shards),
-            prepare_seconds=prepare.seconds,
-            score_seconds=run.seconds - prepare.seconds,
+            n_shards=n_shards,
+            prepare_seconds=prepare_seconds,
+            score_seconds=run.seconds - prepare_seconds,
         )
         self._score_cache[week] = result
         if self.cache is not None:
@@ -322,6 +281,29 @@ class ScoringEngine:
             model_version=self.model_version,
         )
 
+    # ----- per-line reads -------------------------------------------------
+
+    def _line_ids(self, line_ids) -> np.ndarray:
+        """``line_ids`` as an int array; ``IndexError`` past the plant."""
+        ids = np.asarray(line_ids, dtype=np.int64).reshape(-1)
+        bad = ids[(ids < 0) | (ids >= self.world.n_lines)]
+        if bad.size:
+            raise IndexError(f"line {int(bad[0])} out of range")
+        return ids
+
+    def _base_rows(self, week: int, ids: np.ndarray) -> np.ndarray:
+        """Base-feature rows of ``ids`` at a stored week, in request order,
+        each line encoded once; row-wise encoding makes them equal the
+        whole-week encoding's rows bit for bit."""
+        unique, inverse = np.unique(ids, return_inverse=True)
+        store = self.world.store
+        base = _read_and_encode(
+            self.world, self.bundle.predictor.encoder, week,
+            store.day_of(week), self.world.population(),
+            np.asarray(store.last_ticket_day(week)), unique,
+        )
+        return base.matrix[inverse]
+
     # ----- trouble location ----------------------------------------------
 
     def locate(self, week: int, line_id: int, top_k: int = 10) -> list[dict]:
@@ -343,19 +325,18 @@ class ScoringEngine:
         pass (the 52 disposition heads and 4 location heads each read
         the gathered feature columns once), instead of N single-row
         ``predict_proba`` calls.  Per-line rankings are identical to
-        :meth:`locate`.
+        :meth:`locate` and come back in request order, duplicates
+        included.
         """
-        locator = self.bundle.locator
-        if locator is None:
+        if self.bundle.locator is None:
             raise RuntimeError("bundle has no trouble locator")
-        ids = [int(line_id) for line_id in line_ids]
-        if not ids:
+        ids = self._line_ids(line_ids)
+        if not ids.size:
             raise ValueError("no line ids supplied")
-        for line_id in ids:
-            if not 0 <= line_id < self.world.n_lines:
-                raise IndexError(f"line {line_id} out of range")
-        base = self.base_features(week)
-        probs = locator.predict_proba(base.matrix[np.asarray(ids, dtype=np.intp)])
+        return self._rankings(self._base_rows(week, ids), top_k)
+
+    def _rankings(self, base_rows: np.ndarray, top_k: int) -> list[list[dict]]:
+        probs = self.bundle.locator.predict_proba(base_rows)
         rankings: list[list[dict]] = []
         for row in probs:
             order = np.argsort(-row, kind="stable")[:top_k]
@@ -383,17 +364,16 @@ class ScoringEngine:
         (the attribution fold reproduces the compiled margin
         bit-identically), attaches plant context and -- when the bundle
         carries a locator -- the predicted disposition with its
-        templated technician steps.  Reads go through the week caches,
-        so explaining an already-scored week costs no shard scan.
+        templated technician steps.  The line is encoded once and its
+        row feeds both the attribution and the locator ranking; the
+        served score comes from the week caches.
         """
-        line_id = int(line_id)
-        if not 0 <= line_id < self.world.n_lines:
-            raise IndexError(f"line {line_id} out of range")
+        [line_id] = self._line_ids(line_id).tolist()
         scored = self.score_week(week)
-        base = self.base_features(week)
+        base_rows = self._base_rows(week, np.array([line_id]))
         ranking = None
         if self.bundle.locator is not None:
-            ranking = self.locate(week, line_id, top_k=3)
+            ranking = self._rankings(base_rows, 3)[0]
         topology = self.world.population().topology
         return build_report(
             line=line_id,
@@ -401,7 +381,7 @@ class ScoringEngine:
             day=scored.day,
             model_version=self.model_version,
             predictor=self.bundle.predictor,
-            base_row=base.matrix[line_id],
+            base_row=base_rows[0],
             p_ticket=float(scored.scores[line_id]),
             topology=topology,
             ranking=ranking,
@@ -414,8 +394,8 @@ class ScoringEngine:
     ) -> list[dict]:
         """Compact attribution payloads for a batch of lines (one per id).
 
-        The dispatch-list enrichment path (``/dispatch?explain=1``): the
-        week's base encoding is read once and each line's margin is
+        The dispatch-list enrichment path (``/dispatch?explain=1``): only
+        the named lines are encoded, once each, and each line's margin is
         decomposed exactly, keeping only the ``top_k`` votes per line.
         """
         from repro.explain.attribution import (
@@ -426,13 +406,15 @@ class ScoringEngine:
         predictor = self.bundle.predictor
         if predictor.model is None:
             raise RuntimeError("bundle predictor is not fitted")
+        ids = self._line_ids(line_ids)
+        if not ids.size:
+            return []
         scored = self.score_week(week)
-        base = self.base_features(week)
+        base_rows = self._base_rows(week, ids)
         compiled = predictor.model.compiled()
         payloads: list[dict] = []
-        for line_id in line_ids:
-            line_id = int(line_id)
-            row = assemble_model_row(base.matrix[line_id], predictor.recipes)
+        for line_id, base_row in zip(ids.tolist(), base_rows):
+            row = assemble_model_row(base_row, predictor.recipes)
             attribution = attribute_ensemble(
                 compiled, row, names=predictor.feature_names
             )

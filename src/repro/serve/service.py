@@ -30,6 +30,8 @@ Endpoints (JSON unless noted):
 ``ThreadingHTTPServer`` (stdlib only, per the no-new-deps rule); scored
 weeks are cached per model version, so the common steady state -- many
 reads of one Saturday's scores -- costs one sharded scoring run.
+``/locate``, ``/explain`` and ``/dispatch?explain=1`` encode only the
+lines they name, through the scoring shards' read+encode path.
 :class:`ScoringService` keeps all routing logic in plain methods
 returning ``(status, payload)`` pairs, so tests and ``repro explain``
 can drive it without sockets.

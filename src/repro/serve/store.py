@@ -34,14 +34,15 @@ commit point, so a crash between data and index can truncate unpublished
 files but never leave the index pointing at torn bytes.  Chunked and
 whole-week appends produce byte-identical ``.npy`` files and checksums.
 
-On the read side, :meth:`LineWeekStore.read_rows` serves contiguous row
-ranges straight from disk offsets (no mmap, so touched pages never
-accumulate in RSS), and :class:`StoredWorld` switches to an out-of-core
-mode -- automatically past :data:`DENSE_LINE_WEEK_BUDGET` line-weeks --
-where scoring shards and chunked encodes read only their own rows
-instead of assembling the full ``(n_weeks, n_lines, 25)`` cube; either
-way each stored week's rows are read in place into their contiguous
-block of a week-major cube.
+On the read side, :meth:`LineWeekStore.read_rows_into` serves a
+contiguous row range, or a sorted set of row ids run by run, straight
+from disk offsets (no mmap, so touched pages never accumulate in RSS),
+and :class:`StoredWorld` switches to an out-of-core mode --
+automatically past :data:`DENSE_LINE_WEEK_BUDGET` line-weeks -- where
+scoring shards, chunked encodes and per-line reads read only their own
+rows instead of assembling the full ``(n_weeks, n_lines, 25)`` cube;
+either way each stored week's rows are read in place into their
+contiguous block of a week-major cube.
 """
 
 from __future__ import annotations
@@ -465,9 +466,10 @@ class LineWeekStore:
             )
         return layout
 
-    def _read_rows_into(self, name: str, start: int, out: np.ndarray) -> None:
-        stop = start + out.shape[0]
-        shape, dtype, offset = self._row_layout(name, start, stop)
+    def _read_rows_into(self, name: str, rows, out: np.ndarray) -> None:
+        runs = _row_runs(rows, out.shape[0])
+        first, (last, _, count) = runs[0][0], runs[-1]
+        shape, dtype, offset = self._row_layout(name, first, last + count)
         if (
             out.dtype != dtype
             or out.shape[1:] != tuple(shape[1:])
@@ -483,12 +485,13 @@ class LineWeekStore:
             return
         row_bytes = out.nbytes // out.shape[0]
         with open(self.root / name, "rb") as fh:
-            fh.seek(offset + start * row_bytes)
-            # A buffered readinto keeps reading until ``out`` is full or
-            # the file ends, so a short count means a truncated shard.
-            got = fh.readinto(memoryview(out).cast("B"))
-        if got != out.nbytes:
-            raise ValueError(f"shard {name} is truncated")
+            for start, at, count in runs:
+                block = out[at:at + count]
+                fh.seek(offset + start * row_bytes)
+                # A buffered readinto keeps reading until ``block`` is full
+                # or the file ends, so a short count means a truncated shard.
+                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                    raise ValueError(f"shard {name} is truncated")
 
     def _read_rows(self, name: str, start: int, stop: int) -> np.ndarray:
         shape, dtype, _ = self._row_layout(name, start, stop)
@@ -496,18 +499,19 @@ class LineWeekStore:
         self._read_rows_into(name, start, out)
         return out
 
-    def read_rows_into(self, week: int, start: int, out: np.ndarray) -> None:
-        """Read rows ``[start, start + len(out))`` of a week into ``out``.
+    def read_rows_into(self, week: int, rows, out: np.ndarray) -> None:
+        """Read rows ``[rows, rows + len(out))`` of a week into ``out``,
+        or, given a sorted array of unique row ids, those rows.
 
-        A direct positioned read of exactly that byte range into the
-        caller's buffer -- no mmap, so out-of-core scoring never
-        accumulates touched pages in resident memory, and no
-        intermediate copy.  ``out`` must be a writeable C-contiguous
-        ``(rows, 25)`` float32 array (e.g. one week's block of a
-        week-major cube); raises ``ValueError`` for a range outside the
-        shard or a truncated shard file.
+        Each contiguous run is one direct positioned read of exactly its
+        byte range into the caller's buffer (the shard opened once) --
+        no mmap, so out-of-core scoring never accumulates touched pages
+        in resident memory, and no intermediate copy.  ``out`` must be a
+        writeable C-contiguous ``(rows, 25)`` float32 array (e.g. one
+        week's block of a week-major cube); raises ``ValueError`` for
+        rows outside the shard or a truncated shard file.
         """
-        self._read_rows_into(self._entry(week).measurements, start, out)
+        self._read_rows_into(self._entry(week).measurements, rows, out)
 
     def read_rows(self, week: int, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)`` of a week's measurement matrix.
@@ -532,6 +536,18 @@ class LineWeekStore:
         return PopulationConfig(**self._population_config)
 
 
+def _row_runs(rows, n_rows: int) -> list[tuple[int, int, int]]:
+    """``(first row, output row, length)`` of each contiguous run of
+    ``rows``: a start row or ``n_rows`` sorted unique ids."""
+    if np.ndim(rows) == 0:
+        return [(int(rows), 0, n_rows)]
+    ids = np.asarray(rows, dtype=np.int64)
+    if ids.shape != (n_rows,) or n_rows == 0 or np.any(np.diff(ids) <= 0):
+        raise ValueError(f"row ids must be {n_rows} sorted unique ids")
+    at = np.flatnonzero(np.diff(ids, prepend=ids[0] - 2) != 1).tolist()
+    return [(int(ids[a]), a, b - a) for a, b in zip(at, at[1:] + [n_rows])]
+
+
 class _StoredTicketView:
     """The one ticket-log query the encoder makes, served from a shard."""
 
@@ -553,28 +569,29 @@ class _StoredTicketView:
         return np.asarray(self._last_day)
 
 
-def _measurement_row_view(full: MeasurementStore, shard: slice) -> MeasurementStore:
-    """A zero-copy row view of a dense measurement store.
+def _measurement_row_view(full: MeasurementStore, rows) -> MeasurementStore:
+    """A row view of a dense measurement store (zero-copy for a slice).
 
     Every MeasurementStore method reduces along the week/feature axes
     per line, so the view behaves exactly like the full store restricted
     to these rows.
     """
     return MeasurementStore.from_week_major(
-        full.cube[:, shard], full.saturday_day, full._filled
+        full.cube[:, rows], full.saturday_day, full._filled
     )
 
 
-def _population_row_view(full: Population, shard: slice) -> Population:
-    """A zero-copy row view of the population's per-line arrays."""
+def _population_row_view(full: Population, rows) -> Population:
+    """A row view of the population's per-line arrays (zero-copy for a
+    slice)."""
     view = object.__new__(Population)
     view.config = full.config
     view.topology = full.topology  # not per-line; unused by the encoder
-    view.loop_kft = full.loop_kft[shard]
-    view.profile_idx = full.profile_idx[shard]
-    view.ambient_noise_db = full.ambient_noise_db[shard]
-    view.static_bridge_tap = full.static_bridge_tap[shard]
-    view.static_crosstalk = full.static_crosstalk[shard]
+    view.loop_kft = full.loop_kft[rows]
+    view.profile_idx = full.profile_idx[rows]
+    view.ambient_noise_db = full.ambient_noise_db[rows]
+    view.static_bridge_tap = full.static_bridge_tap[rows]
+    view.static_crosstalk = full.static_crosstalk[rows]
     return view
 
 
@@ -643,41 +660,45 @@ class StoredWorld:
             self._measured_weeks = weeks
         return self._measurements
 
-    def shard_measurements(self, shard: slice) -> MeasurementStore:
-        """A measurement view covering only the rows of ``shard``.
+    def shard_measurements(self, rows) -> MeasurementStore:
+        """A measurement view covering only ``rows``: a contiguous slice
+        (a scoring shard) or a sorted array of unique line ids.
 
-        Dense mode returns a zero-copy view of the cached cube;
-        out-of-core mode reads exactly the shard's rows of every stored
-        week from disk (positioned reads, no mmap), so concurrent scoring
-        shards never materialise more than their own slice.
+        Dense mode returns a row view of the cached cube (zero-copy for
+        a slice); out-of-core mode reads exactly those rows of every
+        stored week from disk (positioned reads, no mmap), so a reader
+        never materialises more than its own rows.
         """
         if not self.out_of_core_active():
-            return _measurement_row_view(self.measurements(), shard)
-        start, stop, step = shard.indices(self.store.n_lines)
+            return _measurement_row_view(self.measurements(), rows)
+        if not isinstance(rows, slice):
+            return self._read_measurements(rows, len(rows))
+        start, stop, step = rows.indices(self.store.n_lines)
         if step != 1:
             raise ValueError("shards must be contiguous row ranges")
         if stop <= start:
             raise ValueError(f"empty shard [{start}, {stop})")
-        return self._read_measurements(start, stop)
+        return self._read_measurements(start, stop - start)
 
-    def _read_measurements(self, start: int, stop: int) -> MeasurementStore:
-        """Rows ``[start, stop)`` of every stored week, read in place.
+    def _read_measurements(self, rows, n_rows: int) -> MeasurementStore:
+        """``n_rows`` rows (from a start row, or sorted unique ids) of
+        every stored week, read in place.
 
         Each stored week's rows land straight in its contiguous block of
-        a week-major cube (one positioned ``readinto`` per week); only
-        the weeks the store does not hold are NaN-filled.
+        a week-major cube; only the weeks the store does not hold are
+        NaN-filled.
         """
         stored = self.store.weeks
         if not stored:
             raise ValueError("the store holds no weeks yet")
         n_weeks = max(stored) + 1
-        cube = np.empty((n_weeks, stop - start, N_FEATURES), dtype=np.float32)
+        cube = np.empty((n_weeks, n_rows, N_FEATURES), dtype=np.float32)
         saturday_day = np.full(n_weeks, -1, dtype=int)
         filled = np.zeros(n_weeks, dtype=bool)
         filled[stored] = True
         for week in range(n_weeks):
             if filled[week]:
-                self.store.read_rows_into(week, start, cube[week])
+                self.store.read_rows_into(week, rows, cube[week])
                 saturday_day[week] = self.store.day_of(week)
             else:
                 cube[week] = np.nan
@@ -719,21 +740,13 @@ class StoredWorld:
     ) -> FeatureSet:
         """Table-3 base features for every line at a stored week.
 
-        Dense worlds encode in one pass over the cached cube.  Out-of-
-        core worlds (or an explicit ``chunk_lines``) encode row chunks
-        independently into a preallocated output -- every encoder
-        operation is row-wise, so the chunked matrix is bit-identical to
-        the one-pass encode while never loading the full week matrix
-        (and never holding two copies of the encoded one).
+        Assembles the :meth:`iter_encode_week` row chunks into one
+        preallocated output -- every encoder operation is row-wise, so
+        the chunked matrix is bit-identical to a one-pass encode while
+        an out-of-core world never loads the full week matrix (and
+        never holds two copies of the encoded one).  Serving never
+        builds this matrix: its per-line reads encode only their rows.
         """
-        if chunk_lines is None and not self.out_of_core_active():
-            day = self.store.day_of(week)
-            ticket_view = _StoredTicketView(
-                self.store.last_ticket_day(week), day
-            )
-            return encoder.encode(
-                self.measurements(), week, self.population(), ticket_view
-            )
         matrix: np.ndarray | None = None
         first: FeatureSet | None = None
         for shard, piece in self.iter_encode_week(week, encoder, chunk_lines):

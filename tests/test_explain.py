@@ -199,7 +199,7 @@ class TestReport:
         self, explain_engine, small_store, small_predictor
     ):
         week = small_store.latest_week
-        base = explain_engine.base_features(week)
+        base = explain_engine.world.encode_week(week, small_predictor.encoder)
         compiled = small_predictor.model.compiled()
         sample = np.linspace(0, small_store.n_lines - 1, 30).astype(int)
         rows = np.stack([
@@ -220,7 +220,9 @@ class TestReport:
     def test_row_and_column_assembly_follow_the_recipe(
         self, explain_engine, small_store, small_predictor
     ):
-        base = explain_engine.base_features(small_store.latest_week)
+        base = explain_engine.world.encode_week(
+            small_store.latest_week, small_predictor.encoder
+        )
         recipes = small_predictor.recipes
         assert recipes.quad_indices and recipes.product_pairs
         m = base.matrix
@@ -305,7 +307,9 @@ class TestReport:
     def test_build_report_validates_top_k(
         self, explain_engine, small_store, small_predictor, small_result
     ):
-        base = explain_engine.base_features(small_store.latest_week)
+        base = explain_engine.world.encode_week(
+            small_store.latest_week, small_predictor.encoder
+        )
         with pytest.raises(ValueError):
             build_report(
                 line=0,

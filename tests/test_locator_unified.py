@@ -537,13 +537,13 @@ class TestServeLocate:
         )
 
     def test_locate_byte_identical_to_golden(
-        self, engine, small_store, small_locator
+        self, engine, small_store, small_locator, small_predictor
     ):
         """The served ranking equals the pre-change per-code-loop path."""
         from repro.tickets.dispatch import Dispatcher
 
         week = small_store.latest_week
-        base = engine.base_features(week)
+        base = engine.world.encode_week(week, small_predictor.encoder)
         for line_id in (0, 3, 17):
             probs = _reference_combined_proba(
                 small_locator, base.matrix[line_id][None, :]

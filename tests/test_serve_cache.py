@@ -10,7 +10,6 @@ of cached answers against a fresh uncached engine.
 from __future__ import annotations
 
 import json
-import types
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ class TestScoreCacheUnit:
         cache.put("scores", 3, "v1", "entry-v1")
         assert cache.get("scores", 3, "v1") == "entry-v1"
         assert cache.get("scores", 3, "v2") is None
-        assert cache.get("features", 3, "v1") is None
+        assert cache.get("triage", 3, "v1") is None
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["hit_rate"] == pytest.approx(1 / 3)
@@ -77,7 +76,7 @@ class TestScoreCacheUnit:
     def test_invalidate_keeps_surviving_version(self):
         cache = ScoreCache()
         cache.put("scores", 0, "v1", "a")
-        cache.put("features", 0, "v1", "b")
+        cache.put("triage", 0, "v1", "b")
         cache.put("scores", 0, "v2", "c")
         dropped = cache.invalidate(reason="test", keep_version="v2")
         assert dropped == 2
@@ -95,13 +94,6 @@ class TestScoreCacheUnit:
             cache.put("scores", 0, "v", None)
         with pytest.raises(ValueError):
             ScoreCache(max_entries=0)
-
-    def test_score_convenience_read(self):
-        cache = ScoreCache()
-        assert cache.score(3, 0, "v") is None
-        cache.put("scores", 0, "v",
-                  types.SimpleNamespace(scores=np.arange(5.0)))
-        assert cache.score(3, 0, "v") == 3.0
 
 
 class TestExplainRoute:

@@ -72,7 +72,7 @@ class TestParity:
         )
         week = small_store.latest_week
         ranking = engine.locate(week, line_id=3, top_k=5)
-        base = engine.base_features(week)
+        base = engine.world.encode_week(week, small_predictor.encoder)
         probs = locator.predict_proba(base.matrix[3][None, :])[0]
         order = np.argsort(-probs, kind="stable")[:5]
         assert [r["disposition"] for r in ranking] == [int(c) for c in order]
@@ -123,3 +123,111 @@ class TestDeterminism:
         )
         with pytest.raises(RuntimeError, match="locator"):
             plain.locate(small_store.latest_week, 0)
+
+
+class TestRowPath:
+    """``locate``, ``explain`` and the dispatch payloads encode only their
+    lines; each answer equals the same computation on rows of the
+    whole-week encoding, on a dense and an out-of-core world."""
+
+    ID_SETS = (
+        [1717, 4, 980],      # unsorted
+        [5, 3, 5],           # duplicates, answered in request order
+        [0, 2499],           # the first and the last line
+        [40, 41, 42, 1300, 1301],  # two contiguous runs
+    )
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["dense", "ooc"])
+    def setup(self, request, small_store, small_predictor, small_locator):
+        world = StoredWorld(small_store, out_of_core=request.param)
+        engine = ScoringEngine(
+            ModelBundle(predictor=small_predictor, locator=small_locator),
+            world, shard_size=700, model_version="vrow",
+        )
+        week = small_store.latest_week
+        base = world.encode_week(week, small_predictor.encoder)
+        return engine, week, base.matrix
+
+    @staticmethod
+    def _rankings(locator, rows, top_k):
+        from repro.tickets.dispatch import Dispatcher
+
+        out = []
+        for probs in locator.predict_proba(rows):
+            order = np.argsort(-probs, kind="stable")[:top_k]
+            out.append([
+                {"rank": r + 1, "disposition": int(c),
+                 "name": Dispatcher.disposition_name(int(c)),
+                 "posterior": float(probs[c])}
+                for r, c in enumerate(order)
+            ])
+        return out
+
+    def test_locate_equals_whole_week_rows(self, setup, small_locator):
+        engine, week, matrix = setup
+        assert engine.world.n_lines == 2500
+        for ids in self.ID_SETS:
+            expected = self._rankings(small_locator, matrix[ids], 6)
+            assert engine.locate_batch(week, ids, top_k=6) == expected
+            for line, ranking in zip(ids, expected):
+                assert engine.locate(week, line, top_k=6) == ranking
+
+    def test_explain_equals_whole_week_rows(
+        self, setup, small_predictor, small_locator
+    ):
+        from repro.explain.report import build_report
+
+        engine, week, matrix = setup
+        scored = engine.score_week(week)
+        for line in sorted({i for ids in self.ID_SETS for i in ids}):
+            report = engine.explain(week, line, top_k=4)
+            expected = build_report(
+                line=line, week=week, day=scored.day,
+                model_version="vrow", predictor=small_predictor,
+                base_row=matrix[line], p_ticket=float(scored.scores[line]),
+                topology=engine.world.population().topology,
+                ranking=self._rankings(small_locator, matrix[[line]], 3)[0],
+                top_k=4,
+            )
+            assert report.margin == expected.margin
+            assert report.attributions == expected.attributions
+            assert report.ranking == expected.ranking
+            assert report.to_dict() == expected.to_dict()
+
+    def test_payloads_equal_whole_week_rows(self, setup, small_predictor):
+        from repro.explain.attribution import (
+            assemble_model_row,
+            attribute_ensemble,
+        )
+
+        engine, week, matrix = setup
+        compiled = small_predictor.model.compiled()
+        scores = engine.score_week(week).scores
+        for ids in self.ID_SETS:
+            payloads = engine.attribution_payloads(week, ids, top_k=3)
+            assert [p["line"] for p in payloads] == ids
+            for line, payload in zip(ids, payloads):
+                attribution = attribute_ensemble(
+                    compiled,
+                    assemble_model_row(matrix[line], small_predictor.recipes),
+                    names=small_predictor.feature_names,
+                )
+                assert payload == {
+                    "line": line,
+                    "p_ticket": float(scores[line]),
+                    "margin": attribution.margin,
+                    "contributions": [
+                        c.to_dict() for c in attribution.top(3)
+                    ],
+                }
+        assert engine.attribution_payloads(week, []) == []
+
+    @pytest.mark.parametrize("line", [-1, 2500])
+    def test_out_of_range_lines_raise(self, setup, line):
+        engine, week, _ = setup
+        with pytest.raises(IndexError):
+            engine.locate_batch(week, [3, line])
+        with pytest.raises(IndexError):
+            engine.explain(week, line)
+        with pytest.raises(IndexError):
+            engine.attribution_payloads(week, [3, line])

@@ -66,7 +66,7 @@ class TestAppendDiscipline:
             empty_store.append_week(3, 27, features, tickets)
 
     def test_shape_validation(self, empty_store):
-        with pytest.raises(ValueError, match="features"):
+        with pytest.raises(ValueError, match="features must be"):
             empty_store.append_week(
                 0, 6, np.zeros((9, N_FEATURES), dtype=np.float32),
                 np.full(10, -1),
@@ -218,3 +218,31 @@ class TestOutOfCoreReads:
         ooc.shard_measurements(slice(0, 500))  # rows before the cut still read
         with pytest.raises(ValueError, match="truncated"):
             ooc.shard_measurements(slice(500, self.N_LINES))
+        with pytest.raises(ValueError, match="truncated"):
+            ooc.shard_measurements(np.array([3, 999]))  # last run past the cut
+
+    def test_id_rows_equal_the_dense_rows(self, store):
+        # Runs of one and of several ids, the first and the last line,
+        # and a run across a 384-row shard boundary.
+        ids = np.array([0, 1, 2, 17, 380, 381, 382, 383, 384, 700, 999])
+        dense = StoredWorld(store, out_of_core=False)
+        ooc = StoredWorld(store, out_of_core=True)
+        d = dense.shard_measurements(ids)
+        o = ooc.shard_measurements(ids)
+        assert o.data.tobytes() == d.data.tobytes()
+        assert np.isnan(o.data[:, 2, :]).all()
+        for week in self.STORED:
+            assert o.week_matrix(week).tobytes() == (
+                store.week_matrix(week)[ids].tobytes()
+            )
+        out = np.empty((ids.size, N_FEATURES), dtype=np.float32)
+        store.read_rows_into(4, ids, out)
+        assert out.tobytes() == store.week_matrix(4)[ids].tobytes()
+
+    @pytest.mark.parametrize("ids", [
+        [5, 3], [3, 3], [-1, 4], [4, 1_000], [],
+    ])
+    def test_id_rows_must_be_sorted_unique_and_stored(self, store, ids):
+        out = np.empty((len(ids), N_FEATURES), dtype=np.float32)
+        with pytest.raises(ValueError):
+            store.read_rows_into(1, np.array(ids, dtype=np.int64), out)

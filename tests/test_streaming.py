@@ -20,7 +20,7 @@ from repro.netsim import (
 )
 from repro.netsim.groupfaults import GroupFaultConfig
 from repro.netsim.population import PopulationConfig
-from repro.serve.store import LineWeekStore, StoredWorld
+from repro.serve.store import LineWeekStore, StoredWorld, _StoredTicketView
 
 N_LINES = 3 * STREAM_BLOCK_LINES - 1000  # deliberately not block-aligned
 N_WEEKS = 4
@@ -177,6 +177,17 @@ class TestChunkedStore:
         assert reopened.weeks == []
 
 
+def _one_pass_encode(world, week, encoder):
+    """The oracle: one ``encoder.encode`` over the whole dense cube."""
+    store = world.store
+    ticket_view = _StoredTicketView(
+        store.last_ticket_day(week), store.day_of(week)
+    )
+    return encoder.encode(
+        world.measurements(), week, world.population(), ticket_view
+    )
+
+
 class TestOutOfCoreWorld:
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory, monolithic):
@@ -191,18 +202,21 @@ class TestOutOfCoreWorld:
         encoder = LineFeatureEncoder(EncoderConfig())
         dense = StoredWorld(store, out_of_core=False)
         ooc = StoredWorld(store, out_of_core=True)
-        ref = dense.encode_week(N_WEEKS - 1, encoder)
-        for chunk_lines in (5_000, 9_999, None):
-            got = ooc.encode_week(N_WEEKS - 1, encoder, chunk_lines=chunk_lines)
-            assert np.array_equal(got.matrix, ref.matrix, equal_nan=True)
-            assert got.names == ref.names
-            assert got.groups == ref.groups
+        ref = _one_pass_encode(dense, N_WEEKS - 1, encoder)
+        for world in (dense, ooc):
+            for chunk_lines in (5_000, 9_999, None):
+                got = world.encode_week(
+                    N_WEEKS - 1, encoder, chunk_lines=chunk_lines
+                )
+                assert np.array_equal(got.matrix, ref.matrix, equal_nan=True)
+                assert got.names == ref.names
+                assert got.groups == ref.groups
 
     def test_iter_encode_week_streams_the_same_matrix(self, store):
         encoder = LineFeatureEncoder(EncoderConfig())
         dense = StoredWorld(store, out_of_core=False)
         ooc = StoredWorld(store, out_of_core=True)
-        ref = dense.encode_week(N_WEEKS - 1, encoder)
+        ref = _one_pass_encode(dense, N_WEEKS - 1, encoder)
         rows = 0
         for shard, piece in ooc.iter_encode_week(
             N_WEEKS - 1, encoder, chunk_lines=6_000
