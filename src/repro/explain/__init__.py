@@ -9,11 +9,13 @@ diagnostic-summary -> next-steps shape the paper hands to technicians.
 """
 
 from repro.explain.attribution import (
+    BatchAttribution,
     FeatureContribution,
     MarginAttribution,
     assemble_model_row,
     attribute_ensemble,
     attribute_head,
+    attribute_rows,
 )
 from repro.explain.report import ExplanationReport, build_report
 from repro.explain.templates import (
@@ -23,11 +25,13 @@ from repro.explain.templates import (
 )
 
 __all__ = [
+    "BatchAttribution",
     "FeatureContribution",
     "MarginAttribution",
     "assemble_model_row",
     "attribute_ensemble",
     "attribute_head",
+    "attribute_rows",
     "ExplanationReport",
     "build_report",
     "disposition_headline",

@@ -9,7 +9,11 @@ same left-fold order reproduces ``decision_function`` bit-identically
 (every addition is the same IEEE-754 double addition the scorer performs).
 No sampling, no surrogate model, no approximation tolerance.
 
-Two entry points:
+One batch kernel, :func:`attribute_rows`, decomposes many rows at once:
+one slot pass and one table ``take`` per group give a (rows x groups)
+vote matrix, the margins fold column by column, and
+:meth:`BatchAttribution.top` keeps each row's largest votes.  The
+one-row entry points are calls of the same kernel:
 
 * :func:`attribute_ensemble` -- one :class:`CompiledEnsemble` (the ticket
   predictor's margin);
@@ -33,14 +37,14 @@ import numpy as np
 from repro.ml.ensemble_scoring import (
     CompiledEnsemble,
     MultiHeadEnsemble,
-    _FeatureGroup,
-    _MergedGroup,
     _slots,
 )
 
 __all__ = [
+    "BatchAttribution",
     "FeatureContribution",
     "MarginAttribution",
+    "attribute_rows",
     "attribute_ensemble",
     "attribute_head",
     "assemble_model_row",
@@ -167,10 +171,155 @@ def _name_of(names, feature: int) -> str | None:
     return names[feature]
 
 
-def _slot(group: _FeatureGroup | _MergedGroup, row: np.ndarray) -> int:
-    """The row's slot in the group's table -- the scorer's own rule."""
-    value = row[group.feature : group.feature + 1]
-    return int(_slots(group.keys, group.categorical, value)[0])
+@dataclass(frozen=True)
+class BatchAttribution:
+    """Many rows' margins decomposed into exact per-group votes.
+
+    Column ``j`` of ``votes``, ``slots`` and ``values`` belongs to
+    ``groups[j]``, in the scorer's fold order, and ``margins`` is the
+    column-by-column left-fold of ``votes``: every row gets the same
+    double additions, in the same order, as the compiled scorer.
+    :class:`FeatureContribution` objects are built on demand, only for
+    the votes a caller keeps.
+
+    Attributes:
+        groups: the voting groups (``feature``, ``categorical``,
+            ``keys``), in fold order.
+        values: (rows, groups) raw value each group read.
+        slots: (rows, groups) each value's slot in its group's table.
+        votes: (rows, groups) the exact doubles the scorer adds.
+        margins: (rows,) the folded margins.
+        names: optional per-column feature names.
+    """
+
+    groups: tuple
+    values: np.ndarray
+    slots: np.ndarray
+    votes: np.ndarray
+    margins: np.ndarray
+    names: list[str] | None = None
+
+    def reconstructed(self, row: int) -> float:
+        """Python left-fold of one row's votes; equals ``margins[row]``."""
+        total = 0.0
+        for vote in self.votes[row].tolist():
+            total += vote
+        return total
+
+    def attribution(self, row: int) -> MarginAttribution:
+        """One row's every vote, in fold order, as a
+        :class:`MarginAttribution`."""
+        return MarginAttribution(
+            margin=float(self.margins[row]),
+            contributions=tuple(
+                self._contribution(row, j, 0) for j in range(len(self.groups))
+            ),
+        )
+
+    def top(self, k: int) -> list[list[FeatureContribution]]:
+        """Each row's ``k`` largest-magnitude votes, ranks filled in.
+
+        One stable argsort of ``-|vote|`` per row: ties keep fold order,
+        the rule of :meth:`MarginAttribution.ranked`.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        order = np.argsort(-np.abs(self.votes), axis=1, kind="stable")[:, :k]
+        return [
+            [
+                self._contribution(row, j, rank + 1)
+                for rank, j in enumerate(kept)
+            ]
+            for row, kept in enumerate(order.tolist())
+        ]
+
+    def _contribution(
+        self, row: int, j: int, rank: int
+    ) -> FeatureContribution:
+        group = self.groups[j]
+        size = group.keys.size
+        value = float(self.values[row, j])
+        slot = int(self.slots[row, j])
+        missing = slot == size + 1
+        if missing:
+            crossed, threshold = 0, float("nan")
+        elif group.categorical:
+            crossed = int(slot < size)
+            threshold = value if crossed else float("nan")
+        else:
+            crossed = slot
+            threshold = float(group.keys[slot - 1]) if slot else float("nan")
+        return FeatureContribution(
+            feature=group.feature,
+            name=_name_of(self.names, group.feature),
+            categorical=group.categorical,
+            value=value,
+            missing=missing,
+            contribution=float(self.votes[row, j]),
+            thresholds_crossed=crossed,
+            n_thresholds=int(size),
+            threshold=threshold,
+            rank=rank,
+        )
+
+
+def _attribute(groups, tables, X: np.ndarray, names) -> BatchAttribution:
+    """The batch kernel: one slot pass and one ``take`` per group."""
+    n = X.shape[0]
+    shape = (n, len(groups))
+    values = np.empty(shape)
+    slots = np.empty(shape, dtype=np.intp)
+    votes = np.empty(shape)
+    margins = np.zeros(n)
+    for j, (group, table) in enumerate(zip(groups, tables)):
+        col = np.ascontiguousarray(X[:, group.feature])
+        slot = _slots(group.keys, group.categorical, col)
+        vote = table.take(slot)
+        margins += vote
+        values[:, j] = col
+        slots[:, j] = slot
+        votes[:, j] = vote
+    return BatchAttribution(
+        groups=tuple(groups), values=values, slots=slots, votes=votes,
+        margins=margins, names=names,
+    )
+
+
+def _row(row: np.ndarray, n_features: int) -> np.ndarray:
+    row = np.asarray(row, dtype=float)
+    if row.shape != (n_features,):
+        raise ValueError(
+            f"row must have shape ({n_features},), got {row.shape}"
+        )
+    return row[None, :]
+
+
+def attribute_rows(
+    compiled: CompiledEnsemble,
+    X: np.ndarray,
+    names: list[str] | None = None,
+) -> BatchAttribution:
+    """Decompose every row's margin into exact per-feature votes.
+
+    Args:
+        compiled: the compiled ensemble that scored the rows.
+        X: the (rows, n_features) model-input rows it scored.
+        names: optional per-column names (e.g.
+            ``TicketPredictor.feature_names``) copied onto the votes.
+
+    Returns:
+        A :class:`BatchAttribution` whose ``margins`` equal
+        ``compiled.decision_function(X)`` bit-identically.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != compiled.n_features:
+        raise ValueError(
+            f"rows must be 2-D with {compiled.n_features} columns, "
+            f"got {X.shape}"
+        )
+    return _attribute(
+        compiled.groups, [g.table for g in compiled.groups], X, names
+    )
 
 
 def attribute_ensemble(
@@ -178,62 +327,14 @@ def attribute_ensemble(
     row: np.ndarray,
     names: list[str] | None = None,
 ) -> MarginAttribution:
-    """Decompose one row's margin into exact per-feature votes.
-
-    Args:
-        compiled: the compiled ensemble that scored the row.
-        row: the (n_features,) model-input row it scored.
-        names: optional per-column names (e.g.
-            ``TicketPredictor.feature_names``) copied onto the votes.
+    """Decompose one row's margin: the one-row call of :func:`attribute_rows`.
 
     Returns:
         A :class:`MarginAttribution` whose vote fold reproduces
         ``compiled.decision_function(row[None])[0]`` bit-identically.
     """
-    row = np.asarray(row, dtype=float)
-    if row.shape != (compiled.n_features,):
-        raise ValueError(
-            f"row must have shape ({compiled.n_features},), got {row.shape}"
-        )
-    margin = 0.0
-    contributions: list[FeatureContribution] = []
-    for group in compiled.groups:
-        slot = _slot(group, row)
-        vote = float(group.table[slot])
-        margin += vote
-        contributions.append(_contribution(group, row, slot, vote, names))
-    return MarginAttribution(margin=margin, contributions=tuple(contributions))
-
-
-def _contribution(
-    group: _FeatureGroup | _MergedGroup,
-    row: np.ndarray,
-    slot: int,
-    vote: float,
-    names,
-) -> FeatureContribution:
-    size = group.keys.size
-    value = float(row[group.feature])
-    missing = slot == size + 1
-    if missing:
-        crossed, threshold = 0, float("nan")
-    elif group.categorical:
-        crossed = int(slot < size)
-        threshold = value if crossed else float("nan")
-    else:
-        crossed = slot
-        threshold = float(group.keys[slot - 1]) if slot else float("nan")
-    return FeatureContribution(
-        feature=group.feature,
-        name=_name_of(names, group.feature),
-        categorical=group.categorical,
-        value=value,
-        missing=missing,
-        contribution=vote,
-        thresholds_crossed=crossed,
-        n_thresholds=int(size),
-        threshold=threshold,
-    )
+    X = _row(row, compiled.n_features)
+    return attribute_rows(compiled, X, names).attribution(0)
 
 
 def attribute_head(
@@ -249,7 +350,9 @@ def attribute_head(
     ensemble -- and a head's groups appear in the same ascending
     ``(feature, kind)`` order as in its solo compilation, so the vote
     fold equals both ``decision_matrix(row[None])[0, head]`` and the solo
-    head's ``decision_function`` bit-identically.
+    head's ``decision_function`` bit-identically.  The votes come from
+    the same batch kernel as :func:`attribute_rows`, over the merged
+    groups the head takes part in and its row of their tables.
 
     Args:
         multi: the stacked ensemble.
@@ -257,26 +360,18 @@ def attribute_head(
         head: the output column to attribute (must have a head).
         names: optional per-column feature names.
     """
-    row = np.asarray(row, dtype=float)
-    if row.shape != (multi.n_features,):
-        raise ValueError(
-            f"row must have shape ({multi.n_features},), got {row.shape}"
-        )
+    X = _row(row, multi.n_features)
     matches = np.flatnonzero(multi.head_columns == head)
     if not matches.size:
         raise KeyError(f"no head at output column {head}")
     pos = int(matches[0])
-    margin = 0.0
-    contributions: list[FeatureContribution] = []
+    groups, tables = [], []
     for group in multi.groups:
         members = np.flatnonzero(group.head_positions == pos)
-        if not members.size:
-            continue
-        slot = _slot(group, row)
-        vote = float(group.tables[int(members[0])][slot])
-        margin += vote
-        contributions.append(_contribution(group, row, slot, vote, names))
-    return MarginAttribution(margin=margin, contributions=tuple(contributions))
+        if members.size:
+            groups.append(group)
+            tables.append(group.tables[int(members[0])])
+    return _attribute(groups, tables, X, names).attribution(0)
 
 
 def assemble_model_row(base_row: np.ndarray, recipes) -> np.ndarray:

@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.explain.attribution import (
-    MarginAttribution,
-    assemble_model_row,
-    attribute_ensemble,
-)
+from repro.explain.attribution import assemble_model_row, attribute_rows
 from repro.explain.templates import (
     disposition_headline,
     no_locator_steps,
@@ -223,8 +219,8 @@ def build_report(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     row = assemble_model_row(base_row, predictor.recipes)
-    attribution: MarginAttribution = attribute_ensemble(
-        predictor.model.compiled(), row, names=predictor.feature_names
+    attribution = attribute_rows(
+        predictor.model.compiled(), row[None, :], names=predictor.feature_names
     )
     disposition, next_steps = _disposition_context(ranking)
     return ExplanationReport(
@@ -233,12 +229,12 @@ def build_report(
         day=int(day),
         model_version=model_version,
         p_ticket=float(p_ticket),
-        margin=attribution.margin,
-        attribution_exact=attribution.reconstructed() == attribution.margin,
-        n_contributors=len(attribution.contributions),
-        attributions=[
-            c.to_dict() for c in attribution.top(min(top_k, max(1, len(attribution.contributions))))
-        ],
+        margin=float(attribution.margins[0]),
+        attribution_exact=(
+            attribution.reconstructed(0) == attribution.margins[0]
+        ),
+        n_contributors=len(attribution.groups),
+        attributions=[c.to_dict() for c in attribution.top(top_k)[0]],
         plant=_plant_context(int(line), topology, triage),
         disposition=disposition,
         ranking=list(ranking or []),

@@ -64,6 +64,13 @@ __all__ = [
 SEARCHSORTED_MIN_KEYS = 64
 SLOT_ROWS_PER_KEY = 256
 
+#: Rows per tile of :meth:`MultiHeadEnsemble.decision_matrix`'s
+#: head-major fold: the (heads, tile) accumulator stays cache-resident
+#: across every merged group's gather-add, and one row and 20,000 rows
+#: run the same loop.  Measured on the serving locator shape; see
+#: DESIGN.md, "Compiled ensemble scoring".
+MULTIHEAD_TILE_ROWS = 1024
+
 
 def _slots(keys: np.ndarray, categorical: bool, col: np.ndarray) -> np.ndarray:
     """Each value's slot in a group's ``len(keys) + 2`` table.
@@ -80,11 +87,11 @@ def _slots(keys: np.ndarray, categorical: bool, col: np.ndarray) -> np.ndarray:
     missing = np.isnan(col)
     if size >= SEARCHSORTED_MIN_KEYS or col.size < size * SLOT_ROWS_PER_KEY:
         if categorical:
-            idx = np.searchsorted(keys, col)
+            idx = keys.searchsorted(col)
             np.minimum(idx, size - 1, out=idx)
             slot = np.where(keys[idx] == col, idx, size)
         else:
-            slot = np.searchsorted(keys, col, side="right")
+            slot = keys.searchsorted(col, side="right")
         # NaN sorts past every key, so it sits in slot ``size`` (the top
         # bucket, or no match) and steps up into the missing slot.
         slot += missing
@@ -378,16 +385,16 @@ class MultiHeadEnsemble:
     each head separately -- 52 ``decision_function`` calls for the
     trouble locator, each re-reading its feature columns -- this scorer
     visits every *merged* (feature, kind) column once: one
-    :func:`_slots` pass per column, then one table ``take`` per
-    participating head.  Heads usually share their most
-    informative features, so the per-column bucketing cost is paid once
-    instead of per head.
+    :func:`_slots` pass per column, then one gather-add of the
+    participating heads' tables into a head-major accumulator.  Heads
+    usually share their most informative features, so the per-column
+    bucketing cost is paid once instead of per head.
 
     Exactness: each head's expanded tables hold the same slot-total
-    doubles as its own :class:`CompiledEnsemble`, and a head's groups
-    are accumulated in the same ascending (feature, kind) order, so
-    every margin column is *bit-identical* to that head's
-    ``decision_function``.
+    doubles as its own :class:`CompiledEnsemble`, a head occurs at most
+    once per merged group, and a head's groups are accumulated in the
+    same ascending (feature, kind) order, so every margin column is
+    *bit-identical* to that head's ``decision_function``.
     """
 
     n_features: int
@@ -399,6 +406,10 @@ class MultiHeadEnsemble:
         self, X: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """The stacked (n, n_heads) margin matrix.
+
+        Rows are folded in tiles of :data:`MULTIHEAD_TILE_ROWS`, each
+        into a (heads, tile) accumulator, so a single ``/locate`` row and
+        a 20,000-row batch run the same loop.
 
         Args:
             X: (n, n_features) rows to score.
@@ -423,13 +434,18 @@ class MultiHeadEnsemble:
             )
         if not self.head_columns.size:
             return out
-        acc = np.zeros((n, self.head_columns.size))
-        for group in self.groups:
-            col = np.ascontiguousarray(X[:, group.feature])
-            slot = _slots(group.keys, group.categorical, col)
-            for pos, table in zip(group.head_positions, group.tables):
-                acc[:, pos] += table.take(slot)
-        out[:, self.head_columns] = acc
+        acc = np.empty((self.head_columns.size, min(n, MULTIHEAD_TILE_ROWS)))
+        for start in range(0, n, MULTIHEAD_TILE_ROWS):
+            tile = X[start:start + MULTIHEAD_TILE_ROWS]
+            block = acc[:, :tile.shape[0]]
+            block.fill(0.0)
+            for group in self.groups:
+                col = np.ascontiguousarray(tile[:, group.feature])
+                slot = _slots(group.keys, group.categorical, col)
+                # Each head occurs at most once per merged group, so this
+                # is one addition per (head, row), as in the solo fold.
+                block[group.head_positions] += group.tables.take(slot, axis=1)
+            out[start:start + tile.shape[0], self.head_columns] = block.T
         return out
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.explain.attribution import attribute_rows
 from repro.explain.report import ExplanationReport, build_report
 from repro.obs.log import RateLimitedLogger, get_logger
 from repro.obs.profile import stage
@@ -91,7 +92,8 @@ class WeekScores:
 
 def _read_and_encode(world, encoder, week, day, population, last_day, rows):
     """One ``serve.read`` then ``serve.encode`` stage over ``rows``: a
-    scoring shard's slice or a sorted array of unique line ids."""
+    scoring shard's slice or a sorted array of unique line ids.
+    ``last_day`` holds the last-ticket days of just those rows."""
     with stage("serve.read", week=week):
         measurements = world.shard_measurements(rows)
     with stage("serve.encode", week=week):
@@ -99,7 +101,7 @@ def _read_and_encode(world, encoder, week, day, population, last_day, rows):
             measurements,
             week,
             _population_row_view(population, rows),
-            _StoredTicketView(last_day[rows], day),
+            _StoredTicketView(last_day, day),
         )
 
 
@@ -123,7 +125,7 @@ def _score_shards(world, encoder, week, shard_size, workers, run, models,
 
     def score_shard(shard: slice) -> np.ndarray:
         base = _read_and_encode(world, encoder, week, day, population,
-                                last_day, shard)
+                                last_day[shard], shard)
         n_rows = base.matrix.shape[0]
         _SHARD_LOG.debug(label, week=week, rows=n_rows)
         with stage("serve.ensemble", week=week):
@@ -300,7 +302,7 @@ class ScoringEngine:
         base = _read_and_encode(
             self.world, self.bundle.predictor.encoder, week,
             store.day_of(week), self.world.population(),
-            np.asarray(store.last_ticket_day(week)), unique,
+            store.read_ticket_rows(week, unique), unique,
         )
         return base.matrix[inverse]
 
@@ -330,6 +332,8 @@ class ScoringEngine:
         """
         if self.bundle.locator is None:
             raise RuntimeError("bundle has no trouble locator")
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         ids = self._line_ids(line_ids)
         if not ids.size:
             raise ValueError("no line ids supplied")
@@ -395,14 +399,10 @@ class ScoringEngine:
         """Compact attribution payloads for a batch of lines (one per id).
 
         The dispatch-list enrichment path (``/dispatch?explain=1``): only
-        the named lines are encoded, once each, and each line's margin is
-        decomposed exactly, keeping only the ``top_k`` votes per line.
+        the named lines are encoded, once each, and one batch attribution
+        pass decomposes every line's margin exactly, keeping only the
+        ``top_k`` votes per line.
         """
-        from repro.explain.attribution import (
-            assemble_model_row,
-            attribute_ensemble,
-        )
-
         predictor = self.bundle.predictor
         if predictor.model is None:
             raise RuntimeError("bundle predictor is not fitted")
@@ -410,20 +410,19 @@ class ScoringEngine:
         if not ids.size:
             return []
         scored = self.score_week(week)
-        base_rows = self._base_rows(week, ids)
-        compiled = predictor.model.compiled()
-        payloads: list[dict] = []
-        for line_id, base_row in zip(ids.tolist(), base_rows):
-            row = assemble_model_row(base_row, predictor.recipes)
-            attribution = attribute_ensemble(
-                compiled, row, names=predictor.feature_names
-            )
-            payloads.append({
+        rows = predictor.recipes.columns(self._base_rows(week, ids)).rows()
+        attribution = attribute_rows(
+            predictor.model.compiled(), rows, names=predictor.feature_names
+        )
+        return [
+            {
                 "line": line_id,
                 "p_ticket": float(scored.scores[line_id]),
-                "margin": attribution.margin,
-                "contributions": [
-                    c.to_dict() for c in attribution.top(top_k)
-                ],
-            })
-        return payloads
+                "margin": margin,
+                "contributions": [c.to_dict() for c in kept],
+            }
+            for line_id, margin, kept in zip(
+                ids.tolist(), attribution.margins.tolist(),
+                attribution.top(top_k),
+            )
+        ]

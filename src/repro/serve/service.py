@@ -418,6 +418,8 @@ class ScoringService:
     def handle_locate(self, query) -> tuple[int, dict]:
         week = self._resolve_week(query)
         top = _int_param(query, "top") if "top" in query else 10
+        if top < 1:
+            raise _ServiceError(400, "top must be >= 1")
         engine = self._require_engine()
         if engine.bundle.locator is None:
             raise _ServiceError(

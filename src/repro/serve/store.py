@@ -521,9 +521,28 @@ class LineWeekStore:
         """
         return self._read_rows(self._entry(week).measurements, start, stop)
 
-    def read_ticket_rows(self, week: int, start: int, stop: int) -> np.ndarray:
-        """Rows ``[start, stop)`` of a week's last-ticket-day vector."""
-        return self._read_rows(self._entry(week).tickets, start, stop)
+    def read_ticket_rows(
+        self, week: int, rows, stop: int | None = None
+    ) -> np.ndarray:
+        """Rows ``[rows, stop)`` of a week's last-ticket-day vector, or,
+        given a sorted array of unique line ids and no ``stop``, those
+        lines' entries (``last_ticket_day(week)[rows]``).
+
+        Positioned reads through the shard's cached layout, as in
+        :meth:`read_rows_into` and with its ``ValueError`` rules, so a
+        per-line read never re-parses the ``.npy`` header.
+        """
+        name = self._entry(week).tickets
+        if np.ndim(rows) == 0:
+            if stop is None:
+                raise ValueError("a start row needs a stop row")
+            return self._read_rows(name, rows, stop)
+        if stop is not None:
+            raise ValueError("stop applies to a start row, not to row ids")
+        shape, dtype, _ = self._shard_layout(name)
+        out = np.empty((len(rows),) + tuple(shape[1:]), dtype=dtype)
+        self._read_rows_into(name, rows, out)
+        return out
 
     def verify(self) -> None:
         """Re-hash every shard against the manifest; raises on mismatch."""

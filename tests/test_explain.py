@@ -9,6 +9,7 @@ from repro.explain import (
     assemble_model_row,
     attribute_ensemble,
     attribute_head,
+    attribute_rows,
     build_report,
     disposition_headline,
     no_locator_steps,
@@ -151,6 +152,154 @@ class TestAttributionParity:
         assert len(attribution.top(3)) == min(3, len(ranked))
         with pytest.raises(ValueError):
             attribution.top(0)
+
+
+def _reference_votes(groups, tables, row):
+    """Scalar left-fold reference: each group's slot by its definition,
+    its vote, and the running margin, one row at a time."""
+    margin, votes = 0.0, []
+    for group, table in zip(groups, tables):
+        value = float(row[group.feature])
+        size = group.keys.size
+        if np.isnan(value):
+            slot = size + 1
+        elif group.categorical:
+            hits = np.flatnonzero(group.keys == value)
+            slot = int(hits[0]) if hits.size else size
+        else:
+            slot = int(np.count_nonzero(group.keys <= value))
+        vote = float(table[slot])
+        margin += vote
+        votes.append((group, value, slot, vote))
+    return margin, votes
+
+
+def _reference_top(votes, k):
+    """``ranked()``'s rule: |vote| descending, ties in fold order."""
+    order = sorted(range(len(votes)), key=lambda j: -abs(votes[j][3]))
+    top = []
+    for rank, j in enumerate(order[:k]):
+        group, value, slot, vote = votes[j]
+        size = group.keys.size
+        missing = slot == size + 1
+        if missing:
+            crossed, threshold = 0, None
+        elif group.categorical:
+            crossed = int(slot < size)
+            threshold = value if crossed else None
+        else:
+            crossed = slot
+            threshold = float(group.keys[slot - 1]) if slot else None
+        top.append((rank + 1, group.feature, group.categorical,
+                    None if missing else value, missing, vote, crossed,
+                    size, threshold))
+    return top
+
+
+def _as_tuples(contributions):
+    keys = ("rank", "feature", "categorical", "value", "missing",
+            "contribution", "thresholds_crossed", "n_thresholds",
+            "threshold")
+    return [tuple(c.to_dict()[key] for key in keys) for c in contributions]
+
+
+class TestBatchAttribution:
+    """The batch kernel against the scalar left-fold, row by row."""
+
+    def _model(self, rng, rounds=30):
+        X, y, categorical = _training_matrix(rng)
+        compiled = (
+            BStump(BStumpConfig(n_rounds=rounds))
+            .fit(X, y, categorical=categorical)
+            .compiled()
+        )
+        rows = np.vstack([X[:60], np.full(X.shape[1], np.nan)])
+        return compiled, rows
+
+    def test_votes_margins_and_top_match_the_scalar_fold(self, rng):
+        compiled, rows = self._model(rng)
+        batch = attribute_rows(compiled, rows)
+        tables = [g.table for g in compiled.groups]
+        n_groups = len(compiled.groups)
+        assert batch.votes.shape == (len(rows), n_groups)
+        assert np.array_equal(
+            batch.margins.view(np.uint64),
+            compiled.decision_function(rows).view(np.uint64),
+        )
+        tops = {k: batch.top(k) for k in (1, 3, n_groups)}
+        for i, row in enumerate(rows):
+            margin, votes = _reference_votes(compiled.groups, tables, row)
+            assert batch.margins[i] == margin
+            assert batch.reconstructed(i) == margin
+            assert batch.votes[i].tolist() == [v[3] for v in votes]
+            for k, top in tops.items():
+                assert _as_tuples(top[i]) == _reference_top(votes, k)
+            attribution = batch.attribution(i)
+            assert attribution.margin == margin
+            assert _as_tuples(attribution.ranked()) == _reference_top(
+                votes, n_groups
+            )
+
+    def test_equal_magnitude_votes_rank_in_fold_order(self):
+        def stump(feature, s_lo, s_hi):
+            return Stump(feature=feature, threshold=0.0, s_lo=s_lo, s_hi=s_hi,
+                         s_miss=0.0, categorical=False, z=1.0)
+
+        compiled = compile_stumps(
+            [stump(0, -0.5, 0.5), stump(1, 0.5, -0.5), stump(2, 0.25, 0.5),
+             stump(3, -0.5, 0.25), stump(4, 0.5, -0.25)],
+            5,
+        )
+        # Votes 0.5, -0.5, 0.5, -0.5, 0.5: every |vote| ties.
+        rows = np.array([[1.0, 1.0, 1.0, -1.0, -1.0],
+                         [-1.0, -1.0, -1.0, 1.0, 1.0]])
+        batch = attribute_rows(compiled, rows)
+        assert [abs(v) for v in batch.votes[0].tolist()] == [0.5] * 5
+        assert [c.feature for c in batch.top(5)[0]] == [0, 1, 2, 3, 4]
+        assert [c.feature for c in batch.top(2)[0]] == [0, 1]
+        # Votes -0.5, 0.5, 0.25, 0.25, -0.25: ties inside each magnitude.
+        assert [c.feature for c in batch.top(5)[1]] == [0, 1, 2, 3, 4]
+        assert [c.feature for c in attribute_ensemble(
+            compiled, rows[0]).ranked()] == [0, 1, 2, 3, 4]
+
+    def test_k_past_the_group_count_keeps_every_vote(self, rng):
+        compiled, rows = self._model(rng, rounds=10)
+        n_groups = len(compiled.groups)
+        for top in attribute_rows(compiled, rows[:5]).top(n_groups + 7):
+            assert [c.rank for c in top] == list(range(1, n_groups + 1))
+        with pytest.raises(ValueError):
+            attribute_rows(compiled, rows).top(0)
+        with pytest.raises(ValueError):
+            attribute_rows(compiled, rows[:, :4])
+
+    def test_attribute_head_runs_the_same_kernel(self, rng):
+        X, y, categorical = _training_matrix(rng)
+        heads = {
+            head: BStump(BStumpConfig(n_rounds=12))
+            .fit(X, np.roll(y, 11 * head), categorical=categorical)
+            .compiled()
+            for head in (0, 2)
+        }
+        multi = compile_multihead(heads, n_heads=3, n_features=X.shape[1])
+        for head, compiled in heads.items():
+            pos = int(np.flatnonzero(multi.head_columns == head)[0])
+            groups, tables = [], []
+            for group in multi.groups:
+                members = np.flatnonzero(group.head_positions == pos)
+                if members.size:
+                    groups.append(group)
+                    tables.append(group.tables[int(members[0])])
+            solo = compiled.decision_function(X[:30])
+            for i in range(30):
+                margin, votes = _reference_votes(groups, tables, X[i])
+                attribution = attribute_head(multi, X[i], head)
+                assert attribution.margin == margin == solo[i]
+                assert [c.contribution for c in attribution.contributions] == [
+                    v[3] for v in votes
+                ]
+                assert _as_tuples(attribution.top(4)) == _reference_top(
+                    votes, 4
+                )
 
 
 class TestTemplates:

@@ -27,7 +27,11 @@ from repro.data.joins import LocatorDataset
 from repro.features.encoding import FeatureSet
 from repro.ml.binning import NARROW_RUN_MIN_SAVED_CELLS, BinnedDataset
 from repro.ml.boostexter import BStump, BStumpConfig
-from repro.ml.ensemble_scoring import compile_multihead, compile_stumps
+from repro.ml.ensemble_scoring import (
+    MULTIHEAD_TILE_ROWS,
+    compile_multihead,
+    compile_stumps,
+)
 from repro.ml.serialize import (
     _CHECKSUM_FIELD,
     combined_locator_from_dict,
@@ -292,6 +296,29 @@ class TestMultiHeadEnsemble:
         for col in range(5):
             if col not in heads:
                 assert np.all(out[:, col] == 7.5)
+
+    @pytest.mark.parametrize("n_rows", [
+        0, 1, MULTIHEAD_TILE_ROWS - 1, MULTIHEAD_TILE_ROWS,
+        MULTIHEAD_TILE_ROWS + 1, 2 * MULTIHEAD_TILE_ROWS + 3,
+    ])
+    def test_tile_boundaries_bit_identical(self, rng, n_rows):
+        heads = _random_heads(rng, n_features=6, n_heads=7)
+        stacked = compile_multihead(heads, n_heads=7, n_features=6)
+        X = rng.normal(size=(n_rows, 6))
+        X[:, 2] = rng.integers(0, 5, size=n_rows).astype(float)
+        X[rng.random((n_rows, 6)) < 0.2] = np.nan
+        prior = np.arange(7, dtype=float) + 0.25
+        out = np.tile(prior, (n_rows, 1))
+        assert stacked.decision_matrix(X, out=out) is out
+        fresh = stacked.decision_matrix(X)
+        for col in range(7):
+            if col in heads:
+                solo = heads[col].decision_function(X).view(np.uint64)
+                assert np.array_equal(out[:, col].view(np.uint64), solo)
+                assert np.array_equal(fresh[:, col].view(np.uint64), solo)
+            else:
+                assert np.all(out[:, col] == prior[col])
+                assert np.all(fresh[:, col] == 0.0)
 
     def test_validation(self, rng):
         heads = _random_heads(rng)

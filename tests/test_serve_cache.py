@@ -132,6 +132,8 @@ class TestExplainRoute:
             "/explain?line=999999": 404,        # out of range
             "/explain?line=0&top=0": 400,       # top floor
             "/explain?line=0&week=9999": 404,   # unknown week
+            "/locate?line=0&top=0": 400,        # top floor
+            "/locate?lines=0,1&top=-1": 400,    # top floor, batched
         }
         for path, expected in cases.items():
             status, payload = service.dispatch_request("GET", path)

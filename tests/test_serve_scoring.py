@@ -222,6 +222,14 @@ class TestRowPath:
                 }
         assert engine.attribution_payloads(week, []) == []
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_locate_needs_a_positive_top(self, setup, top_k):
+        engine, week, _ = setup
+        with pytest.raises(ValueError, match="top_k"):
+            engine.locate(week, 3, top_k=top_k)
+        with pytest.raises(ValueError, match="top_k"):
+            engine.locate_batch(week, [3, 4], top_k=top_k)
+
     @pytest.mark.parametrize("line", [-1, 2500])
     def test_out_of_range_lines_raise(self, setup, line):
         engine, week, _ = setup

@@ -239,10 +239,28 @@ class TestOutOfCoreReads:
         store.read_rows_into(4, ids, out)
         assert out.tobytes() == store.week_matrix(4)[ids].tobytes()
 
+    def test_ticket_id_rows_equal_the_stored_vector(self, store):
+        ids = np.array([0, 1, 2, 17, 380, 381, 382, 383, 384, 700, 999])
+        for week in self.STORED:
+            got = store.read_ticket_rows(week, ids)
+            expected = np.asarray(store.last_ticket_day(week))[ids]
+            assert got.dtype == expected.dtype
+            assert got.tolist() == expected.tolist()
+            assert store.read_ticket_rows(week, 380, 385).tolist() == (
+                expected[4:9].tolist()
+            )
+        with pytest.raises(ValueError):
+            store.read_ticket_rows(1, 380)
+        with pytest.raises(ValueError):
+            store.read_ticket_rows(1, ids, 999)
+
     @pytest.mark.parametrize("ids", [
         [5, 3], [3, 3], [-1, 4], [4, 1_000], [],
     ])
     def test_id_rows_must_be_sorted_unique_and_stored(self, store, ids):
         out = np.empty((len(ids), N_FEATURES), dtype=np.float32)
+        ids = np.array(ids, dtype=np.int64)
         with pytest.raises(ValueError):
-            store.read_rows_into(1, np.array(ids, dtype=np.int64), out)
+            store.read_rows_into(1, ids, out)
+        with pytest.raises(ValueError):
+            store.read_ticket_rows(1, ids)
