@@ -445,8 +445,8 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
 
     Wraps the compiled-ensemble scoring of one synthetic week exactly the
     way the serving path wraps it -- one :func:`stage` block, which
-    feeds the (disabled) span, the per-call stage metrics and the
-    resource table -- and measures the wrap cost *in situ*: every call is timestamped just
+    feeds the (disabled) span and the per-call stage metrics -- and
+    measures the wrap cost *in situ*: every call is timestamped just
     outside and just inside the instrumentation, and the overhead is the
     paired difference of the two windows on the same call.
 

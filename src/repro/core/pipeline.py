@@ -407,7 +407,7 @@ class NevermindPipeline:
             }
             for key, timed in stage_costs.items():
                 values[f"wall_seconds.{key}"] = timed.seconds
-                values[f"cpu_seconds.{key}"] = timed.profile.cpu_seconds
+                values[f"cpu_seconds.{key}"] = timed.cpu_seconds
             self.history.append("pipeline_week", values, week=week)
         LOG.info(kv(
             "pipeline.week",

@@ -21,8 +21,10 @@ The *flight recorder* layer persists telemetry across runs:
 * :mod:`repro.obs.profile` -- ``with stage("serve.score_week") as st:``,
   the one way a block is timed: one clock reading per block feeds its
   span, an exact per-call ``repro_stage_wall_seconds{stage=...}``
-  observation plus CPU/RSS metrics, the per-stage resource table, and
-  ``st.seconds``; ``REPRO_PROFILE=mem`` adds allocation sites;
+  observation plus CPU/RSS series -- the one ledger that
+  ``profile_snapshot()`` reads back per stage -- and the handle's
+  ``st.seconds`` / ``st.cpu_seconds``; ``REPRO_PROFILE=mem`` adds
+  allocation sites;
 * :mod:`repro.obs.slo` -- declared serve objectives with multi-window
   burn-rate alerting feeding the history store and ``GET /health``;
 * :mod:`repro.obs.health` -- EWMA trending over history series, the
@@ -56,7 +58,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     PROFILE_ENV_VAR,
-    StageProfile,
     profile_snapshot,
     reset_profiles,
     resource_section,
@@ -94,7 +95,6 @@ __all__ = [
     "get_logger",
     "kv",
     "PROFILE_ENV_VAR",
-    "StageProfile",
     "profile_snapshot",
     "reset_profiles",
     "resource_section",

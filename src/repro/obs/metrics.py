@@ -10,8 +10,8 @@ Design constraints, in order:
   the parallel fabric from pool workers; one process-wide lock guards
   every mutation of every registry (observations are a dict lookup plus
   a float add, so the critical section is nanoseconds and never formats
-  anything).  :func:`repro.obs.profile.stage` updates its accumulation
-  table and its four stage series under that same lock, taken once;
+  anything).  :func:`repro.obs.profile.stage` updates its four stage
+  series under that same lock, taken once;
 * **cheap when idle** -- a metric that is never observed costs one dict
   entry; reading (:meth:`MetricsRegistry.snapshot`) copies plain data
   under the lock so formatting happens outside it;

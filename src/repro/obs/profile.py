@@ -1,4 +1,4 @@
-"""``stage()``: the one way a block is timed -- span, metrics, profile.
+"""``stage()``: the one way a block is timed -- span, metrics, handle.
 
 ``with stage("pipeline.score", week=w) as st:`` takes one
 ``perf_counter`` pair and one ``getrusage`` pair around the block and
@@ -7,15 +7,18 @@ feeds every sink from those same readings:
 * the span tracer -- a span named ``name`` with the given tags, only
   while tracing is on (:mod:`repro.obs.tracing`); an exception marks it
   ``error`` and still records the block;
-* the metrics registry, one exact observation per call --
-  ``repro_stage_wall_seconds{stage=...}`` (histogram),
-  ``repro_stage_cpu_seconds_total{stage=...}`` (counter),
-  ``repro_stage_rss_delta_kb`` / ``repro_stage_peak_rss_kb`` (gauges);
-* a process-local accumulation table (:func:`profile_snapshot`) that
-  the benchmarks fold into their JSON reports via
-  :func:`resource_section`;
+* the global metrics registry, one exact observation per call and the
+  only ledger of stage costs --
+  ``repro_stage_wall_seconds{stage=...}`` (histogram: calls and wall
+  seconds), ``repro_stage_cpu_seconds_total{stage=...}`` (counter),
+  ``repro_stage_rss_delta_kb`` (gauge: the summed RSS growth) and
+  ``repro_stage_peak_rss_kb`` (gauge: the largest peak RSS seen at an
+  exit).  :func:`profile_snapshot` reads these four series back as
+  per-stage totals, which the benchmarks fold into their JSON reports
+  via :func:`resource_section`;
 * the handle itself: ``st.seconds`` (the wall time every sink saw),
-  ``st.profile`` (a :class:`StageProfile`) and ``st.set_tag``.
+  ``st.cpu_seconds``, ``st.peak_rss_kb``, ``st.allocators`` and
+  ``st.set_tag``.
 
 CPU seconds are process-wide (``resource.getrusage``), so thread-pool
 fan-out shows up as cpu > wall.  At the default level RSS figures are
@@ -31,7 +34,6 @@ from __future__ import annotations
 import os
 import resource
 import sys
-from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.obs.metrics import _LOCK, _label_key, get_registry
@@ -39,7 +41,6 @@ from repro.obs.tracing import get_tracer, tracing_enabled
 
 __all__ = [
     "PROFILE_ENV_VAR",
-    "StageProfile",
     "stage",
     "profile_snapshot",
     "reset_profiles",
@@ -70,7 +71,7 @@ def mem_profiling_enabled() -> bool:
 # The profiling level is sampled once and cached: an environment read on
 # every profiled block is measurable on the hot path.  Changing
 # ``REPRO_PROFILE`` mid-process takes effect after
-# :func:`reset_profiles` (which tests and benchmark sections call).
+# :func:`reset_profiles` (which tests call at their boundaries).
 _MEM_MODE: bool | None = None
 
 
@@ -141,61 +142,63 @@ def cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-# ----- the profile record --------------------------------------------------
+# ----- the ledger: the registry's four stage series -----------------------
 
-@dataclass(slots=True)
-class StageProfile:
-    """What one profiled block cost."""
+#: Wall (histogram), CPU (counter), summed RSS delta and max peak (gauges).
+_STAGE_SERIES = (
+    "repro_stage_wall_seconds",
+    "repro_stage_cpu_seconds_total",
+    "repro_stage_rss_delta_kb",
+    "repro_stage_peak_rss_kb",
+)
 
-    stage: str
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    rss_before_kb: float = 0.0
-    rss_after_kb: float = 0.0
-    rss_delta_kb: float = 0.0
-    peak_rss_kb: float = 0.0
-    calls: int = 1
-    allocators: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out = {
-            "stage": self.stage,
-            "calls": self.calls,
-            "wall_seconds": self.wall_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "rss_delta_kb": self.rss_delta_kb,
-            "peak_rss_kb": self.peak_rss_kb,
-        }
-        if self.allocators:
-            out["allocators"] = self.allocators
-        return out
-
-
-# Process-local accumulation, keyed by stage name.  Fabric workers
-# profile concurrently, so it is guarded by the metrics lock: a stage's
-# exit updates its row and its registry series in one acquisition.
-# :func:`reset_profiles` bumps the generation, which detaches the rows
-# stage sinks resolved before it.
-_TABLE: dict[str, StageProfile] = {}
-_TABLE_GENERATION = 0
+# The last allocation sites per stage name -- a list, which no registry
+# series can hold.  Written only under ``REPRO_PROFILE=mem``.
+_ALLOCATORS: dict[str, list[dict]] = {}
 # Bound once for the stage exit, which takes the lock on every block.
 _acquire, _release = _LOCK.acquire, _LOCK.release
 
 
 def profile_snapshot() -> dict[str, dict]:
-    """Accumulated per-stage totals since the last :func:`reset_profiles`."""
+    """Per-stage totals since the last :func:`reset_profiles`, read from
+    the global registry's stage series."""
+    metrics = get_registry()._metrics
     with _LOCK:
-        return {
-            name: p.to_dict() for name, p in sorted(_TABLE.items()) if p.calls
-        }
+        if any(name not in metrics for name in _STAGE_SERIES):
+            return {}
+        wall, cpu, rss_delta, rss_peak = (
+            metrics[name] for name in _STAGE_SERIES
+        )
+        out = {}
+        for key, timed in sorted(wall._series.items()):
+            if not timed.count:
+                continue
+            name = dict(key)["stage"]
+            out[name] = {
+                "stage": name,
+                "calls": timed.count,
+                "wall_seconds": timed.sum,
+                "cpu_seconds": cpu._values[key].value,
+                "rss_delta_kb": rss_delta._values[key].value,
+                "peak_rss_kb": rss_peak._values[key].value,
+            }
+            if name in _ALLOCATORS:
+                out[name]["allocators"] = _ALLOCATORS[name]
+        return out
 
 
 def reset_profiles() -> None:
-    """Clear the accumulation table (tests, benchmark section boundaries)."""
-    global _MEM_MODE, _TABLE_GENERATION
+    """Clear the global registry's stage series and allocation sites
+    (a section boundary); every other metric keeps its value."""
+    global _MEM_MODE
+    registry = get_registry()
     with _LOCK:
-        _TABLE.clear()
-        _TABLE_GENERATION += 1
+        for name in _STAGE_SERIES:
+            metric = registry._metrics.get(name)
+            if metric is not None:
+                metric._clear()
+        registry.generation += 1  # detaches the cells sinks resolved
+        _ALLOCATORS.clear()
     _MEM_MODE = None  # re-read REPRO_PROFILE on the next timed block
 
 
@@ -214,40 +217,30 @@ def resource_section() -> dict:
 
 def _stage_metrics(registry) -> tuple:
     """The four stage metrics of ``registry`` (get-or-create)."""
+    wall, cpu, rss_delta, rss_peak = _STAGE_SERIES
     return (
         registry.histogram(
-            "repro_stage_wall_seconds",
-            "Wall time per timed stage",
-            buckets=_STAGE_BUCKETS,
+            wall, "Wall time per timed stage", buckets=_STAGE_BUCKETS,
         ),
-        registry.counter(
-            "repro_stage_cpu_seconds_total",
-            "CPU (user+system) seconds per timed stage",
+        registry.counter(cpu, "CPU (user+system) seconds per timed stage"),
+        registry.gauge(
+            rss_delta, "RSS change summed over the runs of each timed stage",
         ),
         registry.gauge(
-            "repro_stage_rss_delta_kb",
-            "RSS change across the last run of each timed stage",
-        ),
-        registry.gauge(
-            "repro_stage_peak_rss_kb",
-            "Process peak RSS at the end of each timed stage",
+            rss_peak, "Largest process peak RSS at an exit of each timed stage",
         ),
     )
 
 
 class _StageSink:
-    """Everything one stage name's exit updates, resolved once.
+    """One stage name's four registry series cells, resolved once.
 
-    The name's profile-table row and its four registry series cells, so
-    an exit updates them with no label validation and no lookups.  A
-    sink is current until its registry is reset or
-    :func:`reset_profiles` clears the table (a generation moves on).
+    An exit updates them with no label validation and no lookups.  A
+    sink is current until its registry is reset or :func:`reset_profiles`
+    clears the stage series (either moves the registry generation on).
     """
 
-    __slots__ = (
-        "registry", "generation", "table_generation", "row",
-        "wall", "cpu", "rss_delta", "rss_peak",
-    )
+    __slots__ = ("registry", "generation", "wall", "cpu", "rss_delta", "rss_peak")
 
     def __init__(self, registry, name: str):
         key = _label_key({"stage": name})
@@ -255,11 +248,6 @@ class _StageSink:
         with _LOCK:
             self.registry = registry
             self.generation = registry.generation
-            self.table_generation = _TABLE_GENERATION
-            row = _TABLE.get(name)
-            if row is None:
-                row = _TABLE[name] = StageProfile(stage=name, calls=0)
-            self.row = row
             self.wall, self.cpu, self.rss_delta, self.rss_peak = (
                 metric._cell(key) for metric in metrics
             )
@@ -281,13 +269,12 @@ class stage:
     Args:
         name: the stage name -- the span name, the ``stage`` label of
             the registry metrics, and the :func:`profile_snapshot` key.
-        registry: metrics registry to emit to (default: the global one).
         **tags: span tags (recorded only while tracing is on).
 
-    On exit ``st.seconds`` is the block's wall time -- the same float the
-    span, the histogram and the table received -- and ``st.profile``
-    materialises the full :class:`StageProfile` on first access, so hot
-    loops that never inspect it skip the construction.  CPU time is
+    On exit the handle holds the block's own readings, each None until
+    then: ``st.seconds`` (the wall time -- the same float the span and
+    the histogram received), ``st.cpu_seconds``, ``st.peak_rss_kb`` and
+    ``st.allocators`` (empty unless ``REPRO_PROFILE=mem``).  CPU time is
     process-wide (getrusage), so concurrent blocks each see the shared
     total -- fine for the pipeline's serialized stages and the fabric's
     one-fan-out-at-a-time usage, and documented rather than papered over.
@@ -299,42 +286,17 @@ class stage:
     """
 
     __slots__ = (
-        "name", "_registry", "_tags", "_span", "_tracer", "_mem",
-        "_owns_tracemalloc", "_allocators", "_cpu_before", "_rss_before",
-        "_wall_before", "_wall", "_cpu", "_rss_after", "_peak", "_profile",
+        "name", "_tags", "_span", "_tracer", "_mem", "_owns_tracemalloc",
+        "_cpu_before", "_rss_before", "_wall_before",
+        "seconds", "cpu_seconds", "peak_rss_kb", "allocators",
     )
 
-    def __init__(self, name: str, registry=None, **tags):
+    def __init__(self, name: str, **tags):
         self.name = name
-        self._registry = registry
         self._tags = tags
         self._span = None
-        self._allocators: list[dict] = _NO_ALLOCATORS
-        self._wall: float | None = None
-        self._profile: StageProfile | None = None
-
-    @property
-    def seconds(self) -> float | None:
-        """Wall time of the block (None until the block exits)."""
-        return self._wall
-
-    @property
-    def profile(self) -> StageProfile | None:
-        """The measured block cost (None until the block exits)."""
-        if self._wall is None:
-            return None
-        if self._profile is None:
-            self._profile = StageProfile(
-                stage=self.name,
-                wall_seconds=self._wall,
-                cpu_seconds=self._cpu,
-                rss_before_kb=self._rss_before,
-                rss_after_kb=self._rss_after,
-                rss_delta_kb=self._rss_after - self._rss_before,
-                peak_rss_kb=self._peak,
-                allocators=list(self._allocators),
-            )
-        return self._profile
+        self.seconds = self.cpu_seconds = self.peak_rss_kb = None
+        self.allocators: list[dict] | None = None
 
     def set_tag(self, key: str, value) -> None:
         """Tag the block's span (a no-op while tracing is off)."""
@@ -346,7 +308,7 @@ class stage:
         if mem:
             self._owns_tracemalloc = _start_tracemalloc()
         # Default level: one getrusage syscall -- RSS-before is the
-        # high-water mark, so rss_delta measures peak *growth*.  Mem
+        # high-water mark, so the RSS delta measures peak *growth*.  Mem
         # mode pays the /proc read for a true current-RSS delta.
         usage = _getrusage(_RUSAGE_SELF)
         self._cpu_before = usage.ru_utime + usage.ru_stime
@@ -361,60 +323,49 @@ class stage:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = perf_counter()
-        wall = self._wall = end - self._wall_before
+        wall = self.seconds = end - self._wall_before
         if self._span is not None:
             self._tracer.end_span(self._span, end, exc)
         usage = _getrusage(_RUSAGE_SELF)
-        cpu = self._cpu = usage.ru_utime + usage.ru_stime - self._cpu_before
-        peak = self._peak = usage.ru_maxrss / _MAXRSS_PER_KB
+        cpu = self.cpu_seconds = (
+            usage.ru_utime + usage.ru_stime - self._cpu_before
+        )
+        peak = self.peak_rss_kb = usage.ru_maxrss / _MAXRSS_PER_KB
         if self._mem:
-            rss_after = current_rss_kb()
-            if self._owns_tracemalloc:
-                self._allocators = _stop_tracemalloc()
+            delta = current_rss_kb() - self._rss_before
+            allocators = self.allocators = (
+                _stop_tracemalloc() if self._owns_tracemalloc else []
+            )
+            if allocators:
+                _ALLOCATORS[self.name] = allocators
         else:
-            rss_after = peak
-        self._rss_after = rss_after
-        delta = rss_after - self._rss_before
-        registry = self._registry
-        if registry is None:
-            registry = get_registry()
+            delta = peak - self._rss_before
+            self.allocators = []
+        registry = get_registry()
         sink = _SINKS.get(self.name)
         if (
             sink is None
             or sink.registry is not registry
             or sink.generation != registry.generation
-            or sink.table_generation != _TABLE_GENERATION
         ):
             sink = _resolve_sink(registry, self.name)
-        row = sink.row
         # acquire/release rather than ``with``: the context-manager
-        # protocol costs more than the dozen float updates it guards.
+        # protocol costs more than the few float updates it guards.
         _acquire()
         try:
-            row.calls += 1
-            row.wall_seconds += wall
-            row.cpu_seconds += cpu
-            row.rss_after_kb = rss_after
-            row.rss_delta_kb += delta
-            if peak > row.peak_rss_kb:
-                row.peak_rss_kb = peak
-            if self._allocators:
-                row.allocators = self._allocators
             sink.wall.observe(wall)
             if cpu > 0.0:
                 sink.cpu.value += cpu
-            sink.rss_delta.value = delta
-            sink.rss_peak.value = peak
+            sink.rss_delta.value += delta
+            rss_peak = sink.rss_peak
+            if peak > rss_peak.value:
+                rss_peak.value = peak
         finally:
             _release()
         return False
 
 
 # ----- REPRO_PROFILE=mem -----------------------------------------------------
-
-#: Shared by every block that captured no allocation sites; never mutated.
-_NO_ALLOCATORS: list[dict] = []
-
 
 def _start_tracemalloc() -> bool:
     """Start tracemalloc for one block; False if someone else owns it."""

@@ -24,7 +24,9 @@ The worker count comes from the ``REPRO_WORKERS`` environment variable
 Observability: every task reports into the :mod:`repro.obs` registry --
 ``repro_parallel_queue_depth`` (gauge of submitted-but-unfinished
 tasks), ``repro_parallel_task_seconds`` (histogram, labelled by the
-caller's ``task_label``), and ``repro_parallel_worker_busy_seconds_total``
+caller's ``task_label``; its ``_count`` is the completed-task count),
+``repro_parallel_task_errors_total`` (tasks that raised), and
+``repro_parallel_worker_busy_seconds_total``
 (per-worker counter; pool threads carry a stable ``repro-worker_N``
 name, so utilization is busy-seconds per worker over wall time).  Each
 fan-out as a whole runs under one ``stage("fabric.<task_label>")``.
@@ -137,9 +139,6 @@ def parallel_map(
         "repro_parallel_queue_depth",
         "Tasks submitted to the parallel fabric but not yet finished",
     )
-    tasks_total = registry.counter(
-        "repro_parallel_tasks_total", "Tasks completed by the parallel fabric"
-    )
     task_errors = registry.counter(
         "repro_parallel_task_errors_total", "Tasks that raised"
     )
@@ -176,7 +175,6 @@ def parallel_map(
             finished.append(None)
         elapsed = perf_counter() - start
         task_seconds.observe(elapsed, task=task_label)
-        tasks_total.inc(task=task_label)
         worker_busy.inc(elapsed, worker=threading.current_thread().name)
         return result
 

@@ -16,7 +16,7 @@ from repro.obs.health import (
 )
 from repro.obs.history import HistoryStore
 from repro.obs.log import RateLimitedLogger
-from repro.obs.metrics import MetricsRegistry, exposition
+from repro.obs.metrics import MetricsRegistry, exposition, set_registry
 from repro.obs.profile import (
     profile_snapshot,
     reset_profiles,
@@ -35,7 +35,13 @@ def _clean_profiles():
 
 @pytest.fixture()
 def registry():
-    return MetricsRegistry()
+    """A fresh registry installed as the global one for the test."""
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_registry(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +49,26 @@ def registry():
 # ---------------------------------------------------------------------------
 
 class TestStageProfile:
-    def test_block_cost_lands_in_profile_and_table(self, registry):
-        with stage("unit.alpha", registry=registry) as sp:
-            assert sp.profile is None  # nothing to read mid-block
+    def test_block_cost_lands_in_handle_and_snapshot(self, registry):
+        with stage("unit.alpha") as sp:
+            # nothing to read mid-block
+            assert sp.seconds is None and sp.cpu_seconds is None
+            assert sp.peak_rss_kb is None and sp.allocators is None
             sum(range(10_000))
-        p = sp.profile
-        assert p is not None and p.stage == "unit.alpha"
-        assert p.wall_seconds > 0
-        assert p.peak_rss_kb > 0
+        assert sp.name == "unit.alpha"
+        assert sp.seconds > 0
+        assert sp.cpu_seconds >= 0
+        assert sp.peak_rss_kb > 0
         snapshot = profile_snapshot()
         assert snapshot["unit.alpha"]["calls"] == 1
         assert snapshot["unit.alpha"]["wall_seconds"] == pytest.approx(
-            p.wall_seconds
+            sp.seconds
         )
 
     def test_first_call_flushes_registry_metrics(self, registry):
         # promcheck and the dashboard must see stage metrics after a
         # single timed block -- every call emits.
-        with stage("unit.first", registry=registry):
+        with stage("unit.first"):
             pass
         snapshot = registry.snapshot()
         [sample] = snapshot["repro_stage_wall_seconds"]["samples"]
@@ -72,13 +80,13 @@ class TestStageProfile:
 
     def test_exceptions_propagate_and_still_record(self, registry):
         with pytest.raises(RuntimeError, match="boom"):
-            with stage("unit.failing", registry=registry):
+            with stage("unit.failing"):
                 raise RuntimeError("boom")
         assert profile_snapshot()["unit.failing"]["calls"] == 1
 
     def test_calls_accumulate_across_blocks(self, registry):
         for _ in range(3):
-            with stage("unit.repeat", registry=registry):
+            with stage("unit.repeat"):
                 pass
         entry = profile_snapshot()["unit.repeat"]
         assert entry["calls"] == 3
@@ -87,29 +95,28 @@ class TestStageProfile:
     def test_mem_mode_captures_allocators(self, registry, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "mem")
         reset_profiles()  # the cached level re-reads the environment
-        with stage("unit.mem", registry=registry) as sp:
+        with stage("unit.mem") as sp:
             hoard = [bytearray(64_000) for _ in range(40)]
         assert len(hoard) == 40
-        p = sp.profile
-        assert p.allocators, "REPRO_PROFILE=mem must attribute allocations"
-        top = p.allocators[0]
+        assert sp.allocators, "REPRO_PROFILE=mem must attribute allocations"
+        top = sp.allocators[0]
         assert ":" in top["site"] and top["size_kb"] > 0
         assert profile_snapshot()["unit.mem"]["allocators"]
 
     def test_default_level_ignores_stale_env_until_reset(
         self, registry, monkeypatch
     ):
-        with stage("unit.warm", registry=registry):
+        with stage("unit.warm"):
             pass  # primes the cached level as "off"
         monkeypatch.setenv("REPRO_PROFILE", "mem")
-        with stage("unit.warm", registry=registry) as sp:
+        with stage("unit.warm") as sp:
             pass
-        assert not sp.profile.allocators  # env change not yet visible
+        assert not sp.allocators  # env change not yet visible
         reset_profiles()
-        with stage("unit.warm", registry=registry) as sp:
+        with stage("unit.warm") as sp:
             data = [bytearray(64_000) for _ in range(40)]
         assert len(data) == 40
-        assert sp.profile.allocators
+        assert sp.allocators
 
 
 # ---------------------------------------------------------------------------
