@@ -12,9 +12,12 @@ cube up front.  This harness drives the *streaming* cycle end to end --
 -- and writes the numbers to ``BENCH_scale.json``:
 
 * **generate_append** -- :func:`repro.netsim.stream_weeks` feeding
-  :meth:`LineWeekStore.append_week_chunks`, timed together because the
-  generator is lazy: lines/sec and line-weeks/sec over the whole
-  horizon.  Peak memory is one chunk's week matrices, never the cube.
+  :meth:`LineWeekStore.append_week_chunks`: lines/sec and
+  line-weeks/sec over the whole horizon.  Peak memory is one chunk's
+  week matrices, never the cube.  The generator is lazy, so each block
+  pull is timed under a nested ``scale.generate`` stage:
+  ``generate_seconds`` is the simulation harness, and ``append_seconds``
+  (generate_append minus generate) is the system's store append.
 * **encode** (diagnostic) -- streaming
   :meth:`StoredWorld.iter_encode_week` of the latest week through the
   Table-3 encoder with the store forced out-of-core: chunks are encoded
@@ -45,14 +48,16 @@ cube up front.  This harness drives the *streaming* cycle end to end --
   ``cpu_count`` so a single-core result is legible, not fabricated.
 
 Every phase is timed by a :func:`repro.obs.profile.stage` handle
-(``scale.generate_append``, ``scale.encode``, ``scale.score``,
+(``scale.generate_append``, ``scale.generate``, ``scale.encode``,
+``scale.score``,
 ``scale.dispatch``, ``scale.explain``, ``scale.payloads``), so the
 headline seconds are the same numbers the
 report's ``resources.stages`` table carries, next to the scoring
 engine's own ``serve.score_week`` / ``serve.prepare`` /
 ``fabric.serve.shard`` / ``serve.read`` / ``serve.encode`` /
 ``serve.ensemble`` stages.  ``cycle_seconds`` is generate_append +
-score + dispatch.
+score + dispatch; ``system_cycle_seconds`` is append + score + dispatch,
+the cycle without the simulator that stands in for the plant.
 
 Run from the repo root::
 
@@ -115,11 +120,25 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             Path(tmp) / "store", n_lines=n_lines, population=config.population
         )
 
+        generate_seconds = 0.0
+
+        def timed_blocks():
+            # Each block pull is the simulator's work alone; the rest of
+            # generate_append is the store's.
+            nonlocal generate_seconds
+            blocks = stream_weeks(config, chunk_lines=chunk_lines)
+            while True:
+                with stage("scale.generate") as generate:
+                    blk = next(blocks, None)
+                generate_seconds += generate.seconds
+                if blk is None:
+                    return
+                yield blk
+
         with stage("scale.generate_append") as generate_append:
-            appended = store.append_week_chunks(
-                stream_weeks(config, chunk_lines=chunk_lines)
-            )
+            appended = store.append_week_chunks(timed_blocks())
         gen_seconds = generate_append.seconds
+        append_seconds = gen_seconds - generate_seconds
         assert appended == list(range(n_weeks)), appended
         store.verify()
 
@@ -197,6 +216,8 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             "workers": worker_count(workers),
             "out_of_core": world.out_of_core_active(),
             "generate_append_seconds": gen_seconds,
+            "generate_seconds": generate_seconds,
+            "append_seconds": append_seconds,
             "generate_lines_per_sec": n_lines / gen_seconds,
             "generate_line_weeks_per_sec": line_weeks / gen_seconds,
             "encode_seconds": encode_seconds,
@@ -217,6 +238,9 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             ),
             "payload_seconds": payloads.seconds,
             "cycle_seconds": gen_seconds + score_seconds + dispatch_seconds,
+            "system_cycle_seconds": (
+                append_seconds + score_seconds + dispatch_seconds
+            ),
         }
 
 
@@ -360,9 +384,14 @@ def main() -> None:
           f"{scale['cycle_seconds']:.1f}s "
           f"(chunk {scale['chunk_lines']}, {scale['workers']} workers, "
           f"out-of-core={scale['out_of_core']})")
+    print(f"system:   append + score + dispatch in "
+          f"{scale['system_cycle_seconds']:.1f}s (the harness's "
+          f"generation excluded)")
     print(f"generate: {scale['generate_lines_per_sec']:.0f} lines/s "
           f"({scale['generate_line_weeks_per_sec']:.0f} line-weeks/s, "
-          f"{scale['generate_append_seconds']:.1f}s incl. store append)")
+          f"{scale['generate_append_seconds']:.1f}s incl. store append: "
+          f"{scale['generate_seconds']:.1f}s generate + "
+          f"{scale['append_seconds']:.1f}s append)")
     print(f"encode:   {scale['encode_lines_per_sec']:.0f} lines/s "
           f"({scale['encode_seconds']:.2f}s, chunked; diagnostic, not in "
           f"the cycle: scoring encodes per shard)")

@@ -19,7 +19,12 @@ the same architecture (Fig. 1 of the paper):
 * :mod:`repro.netsim.faults` -- vectorised fault state and dynamics.
 * :mod:`repro.netsim.simulator` -- the week-by-week simulation loop that
   emits line measurements, customer tickets, outages, dispatches and
-  per-customer traffic.
+  per-customer traffic.  Its :class:`~repro.netsim.simulator.PlantBlock`
+  holds the one weekly step; :class:`DslSimulator` runs it over the
+  whole plant.
+* :mod:`repro.netsim.streaming` -- the same step over fixed line blocks
+  with per-block random substreams, streamed chunk by chunk for
+  paper-scale plants.
 """
 
 from repro.netsim.components import (

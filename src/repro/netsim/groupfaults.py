@@ -242,32 +242,21 @@ class GroupFaultModel:
         return self.schedule.config
 
     def line_strength(self, day: int) -> np.ndarray:
-        """Per-line shared-degradation strength in [0, 1] on ``day``.
+        """Per-line shared-degradation strength in [0, 1] on ``day``."""
+        return self.line_strength_range(day, 0, self.n_lines)
+
+    def line_strength_range(self, day: int, start: int, stop: int) -> np.ndarray:
+        """Shared-degradation strength in [0, 1] of lines ``[start, stop)``.
 
         A line's strength ramps linearly from its lagged onset to full
         over ``ramp_days``; overlapping events combine by maximum.
-        """
-        strength = np.zeros(self.n_lines)
-        ramp_days = max(1, self.config.ramp_days)
-        for event in self.schedule.active_on(day):
-            onset = event.start_day + event.onset_lags
-            felt = onset <= day
-            if not np.any(felt):
-                continue
-            ramp = np.clip((day - onset[felt] + 1) / ramp_days, 0.0, 1.0)
-            lines = event.line_ids[felt]
-            strength[lines] = np.maximum(strength[lines], ramp)
-        return strength
 
-    def line_strength_range(self, day: int, start: int, stop: int) -> np.ndarray:
-        """``line_strength(day)[start:stop]`` without the O(n_lines) array.
-
-        The streaming engine simulates fixed line blocks; this restricts
-        every event to the members falling inside ``[start, stop)`` (the
-        member ids of a DSLAM or binder group are stored sorted, so a
-        ``searchsorted`` window finds them), which keeps the per-block cost
-        proportional to the block, not the plant.  Events whose membership
-        straddles a block boundary contribute to every block they touch.
+        Each event is restricted to its members inside ``[start, stop)``
+        (the member ids of a DSLAM or binder group are stored sorted, so a
+        ``searchsorted`` window finds them), which keeps the cost of a
+        line block proportional to the block, not the plant.  Events whose
+        membership straddles a block boundary contribute to every block
+        they touch.
         """
         strength = np.zeros(stop - start)
         ramp_days = max(1, self.config.ramp_days)

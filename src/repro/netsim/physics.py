@@ -23,7 +23,7 @@ distance), not its absolute calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class LoopConditions:
     @property
     def n_lines(self) -> int:
         return len(self.loop_kft)
+
+    def rows(self, start: int, stop: int) -> "LoopConditions":
+        """Lines ``[start, stop)``, as views of these arrays."""
+        return LoopConditions(
+            **{f.name: getattr(self, f.name)[start:stop] for f in fields(self)}
+        )
 
 
 @dataclass(frozen=True)

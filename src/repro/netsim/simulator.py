@@ -18,6 +18,14 @@
 Time convention: day 0 is a Monday; week ``w`` covers days
 ``[7w, 7w+7)`` and the line test runs on day ``7w + 5`` (Saturday).
 
+The weekly step is written once.  :func:`build_plant_models` builds the
+cross-line models (population, physics, line tester, fault catalog,
+group faults, outage schedule); a :class:`PlantBlock` steps lines
+``[start, stop)`` of that plant through faults, customer reports,
+dispatches and the Saturday test.  :class:`DslSimulator` is the
+whole-plant block on one random stream, and the streaming engine in
+:mod:`repro.netsim.streaming` runs one block per fixed line range.
+
 The simulator exposes a step API so the NEVERMIND operational pipeline can
 interleave proactive fixes between weeks
 (:meth:`DslSimulator.apply_proactive_fixes`).
@@ -33,12 +41,13 @@ from repro.measurement.linetest import LineTestConfig, LineTester
 from repro.measurement.records import MeasurementStore
 from repro.netsim.faults import FaultEffects, FaultModel, FaultState
 from repro.netsim.groupfaults import (
+    LEVEL_BINDER,
     LEVEL_DSLAM,
     GroupFaultConfig,
     GroupFaultModel,
     GroupFaultSchedule,
 )
-from repro.netsim.physics import LinePhysics
+from repro.netsim.physics import LinePhysics, LoopConditions
 from repro.netsim.population import Population, PopulationConfig, build_population
 from repro.tickets.customers import CustomerBehavior, CustomerConfig, build_customers
 from repro.tickets.dispatch import (
@@ -56,7 +65,8 @@ from repro.tickets.ticketing import (
 )
 from repro.traffic.usage import TrafficConfig, TrafficModel
 
-__all__ = ["SimulationConfig", "FaultEvent", "SimulationResult", "DslSimulator",
+__all__ = ["SimulationConfig", "FaultEvent", "SimulationResult", "PlantModels",
+           "build_plant_models", "PlantBlock", "DslSimulator",
            "SATURDAY_OFFSET", "combine_shared_effects"]
 
 #: Day-of-week offset of the line test within each week (Saturday).
@@ -78,9 +88,8 @@ def combine_shared_effects(
     directions.  Correlated group faults sit in the same shared path
     (line card or binder sheath), so they couple identically.
 
-    Shared by :class:`DslSimulator` and the streaming engine in
-    :mod:`repro.netsim.streaming` so both paths apply the exact same
-    coupling; pure array math, no RNG.
+    Applied by :meth:`PlantBlock.step_week`, the weekly step both
+    engines run; pure array math, no RNG.
     """
     has_group = group_strength is not None and np.any(group_strength)
     if not np.any(line_precursor) and not has_group:
@@ -202,70 +211,113 @@ class SimulationResult:
         return active
 
 
-class DslSimulator:
-    """Runs the plant forward one week at a time."""
+@dataclass(frozen=True)
+class PlantModels:
+    """The cross-line models every line block of one plant shares.
 
-    def __init__(self, config: SimulationConfig | None = None):
-        self.config = config or SimulationConfig()
-        cfg = self.config
-        self.rng = np.random.default_rng(cfg.seed)
-        self.population = build_population(cfg.population)
-        n = self.population.n_lines
-        self.customers = build_customers(n, cfg.n_weeks, cfg.customers)
-        self.conditions = self.population.conditions()
-        if cfg.physics_model == "reach":
-            self.physics = LinePhysics()
-        elif cfg.physics_model == "dmt":
-            from repro.netsim.dmt import DmtLinePhysics
+    Built once per run by :func:`build_plant_models`, from their own
+    config seeds, so every block of every engine sees the same population,
+    line tester (and its physics), fault catalog, group-fault events and
+    outage schedule.
+    """
 
-            self.physics = DmtLinePhysics()
-        else:
-            raise ValueError(
-                f"physics_model must be 'reach' or 'dmt', got "
-                f"{cfg.physics_model!r}"
-            )
-        self.tester = LineTester(physics=self.physics, config=cfg.linetest)
-        self.fault_model = FaultModel(
-            rate_scale=cfg.fault_rate_scale, directional=cfg.directional_faults
+    population: Population
+    conditions: LoopConditions
+    tester: LineTester
+    fault_model: FaultModel
+    group_faults: GroupFaultModel | None
+    outages: OutageSchedule
+
+
+def build_plant_models(cfg: SimulationConfig) -> PlantModels:
+    """Build the :class:`PlantModels` both simulation engines run on."""
+    population = build_population(cfg.population)
+    if cfg.physics_model == "reach":
+        physics = LinePhysics()
+    elif cfg.physics_model == "dmt":
+        from repro.netsim.dmt import DmtLinePhysics
+
+        physics = DmtLinePhysics()
+    else:
+        raise ValueError(
+            f"physics_model must be 'reach' or 'dmt', got "
+            f"{cfg.physics_model!r}"
         )
+    topology = population.topology
+    group_faults = None
+    if cfg.group_faults is not None:
+        schedule = GroupFaultSchedule.generate(
+            topology, cfg.n_weeks, cfg.group_faults
+        )
+        group_faults = GroupFaultModel(
+            schedule=schedule, n_lines=population.n_lines
+        )
+    if group_faults is not None and cfg.group_faults.escalate_to_outage:
+        # One consistent sample: the tickets-side outages are the
+        # escalations of the netsim DSLAM group events.
+        outages = OutageSchedule.from_group_faults(
+            group_faults.schedule.events,
+            topology.n_dslams,
+            cfg.n_weeks,
+            cfg.outages,
+            outage_days=cfg.group_faults.outage_days,
+        )
+    else:
+        outages = OutageSchedule.generate(
+            topology.n_dslams, cfg.n_weeks, cfg.outages
+        )
+    return PlantModels(
+        population=population,
+        conditions=population.conditions(),
+        tester=LineTester(physics=physics, config=cfg.linetest),
+        fault_model=FaultModel(
+            rate_scale=cfg.fault_rate_scale, directional=cfg.directional_faults
+        ),
+        group_faults=group_faults,
+        outages=outages,
+    )
+
+
+class PlantBlock:
+    """Lines ``[start, stop)`` of the plant, stepped one week at a time.
+
+    The block owns its lines' fault state, customers, ticket log,
+    dispatcher, random stream and ground-truth fault-event ledger, and
+    :meth:`step_week` is the one implementation of the weekly plant step
+    (faults, customer reports, dispatches, the Saturday line test).
+    :class:`DslSimulator` is the whole plant as one block; the streaming
+    engine runs one block per fixed line range.  Line ids in the block's
+    state, tickets, dispatch records and fault events are relative to
+    ``start``.
+    """
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        models: PlantModels,
+        start: int,
+        stop: int,
+        rng: np.random.Generator,
+        customers: CustomerBehavior,
+    ):
+        n = stop - start
+        self.config = config
+        self.start = start
+        self.stop = stop
+        self.rng = rng
+        self.customers = customers
+        self.tester = models.tester
+        self.fault_model = models.fault_model
+        self.group_faults = models.group_faults
+        self.outages = models.outages
+        self.conditions = models.conditions.rows(start, stop)
+        self._dslam_idx = models.population.dslam_idx[start:stop]
         self.state = FaultState.healthy(n)
-        self.measurements = MeasurementStore(n_lines=n, n_weeks=cfg.n_weeks)
         self.ticket_log = TicketLog()
-        self.dispatcher = Dispatcher(cfg.atds)
-        if cfg.group_faults is not None:
-            schedule = GroupFaultSchedule.generate(
-                self.population.topology, cfg.n_weeks, cfg.group_faults
-            )
-            self.group_faults = GroupFaultModel(schedule=schedule, n_lines=n)
-        else:
-            self.group_faults = None
-        if self.group_faults is not None and cfg.group_faults.escalate_to_outage:
-            # One consistent sample: the tickets-side outages are the
-            # escalations of the netsim DSLAM group events.
-            self.outages = OutageSchedule.from_group_faults(
-                self.group_faults.schedule.events,
-                self.population.topology.n_dslams,
-                cfg.n_weeks,
-                cfg.outages,
-                outage_days=cfg.group_faults.outage_days,
-            )
-        else:
-            self.outages = OutageSchedule.generate(
-                self.population.topology.n_dslams, cfg.n_weeks, cfg.outages
-            )
+        self.dispatcher = Dispatcher(config.atds)
         self.fault_events: list[FaultEvent] = []
         self._event_of_line = np.full(n, -1, dtype=int)
         self.week = 0
-
-        sampled_bras = list(range(min(cfg.traffic.sample_bras,
-                                      self.population.topology.n_brases)))
-        sampled_lines = np.flatnonzero(
-            np.isin(self.population.bras_idx, sampled_bras)
-        )
-        self.traffic_model = TrafficModel(
-            line_ids=sampled_lines, n_days=cfg.n_weeks * 7, config=cfg.traffic
-        )
-        self._traffic_slots = sampled_lines
 
     # ----- fault-event bookkeeping -----------------------------------------
 
@@ -290,12 +342,15 @@ class DslSimulator:
 
     # ----- one week ---------------------------------------------------------
 
-    def step(self) -> int:
-        """Simulate the next week; returns the week index just completed."""
+    def step_week(self) -> tuple[np.ndarray, FaultEffects]:
+        """Simulate the block's next week.
+
+        Returns the Saturday line-test features of the block's lines and
+        the week's combined fault effects.
+        """
         if self.week >= self.config.n_weeks:
             raise RuntimeError("simulation horizon exhausted")
         w = self.week
-        cfg = self.config
         rng = self.rng
         week_start = w * 7
         saturday = week_start + SATURDAY_OFFSET
@@ -309,26 +364,32 @@ class DslSimulator:
         self._open_fault_events(struck)
 
         # 3. Shared-infrastructure (pre-outage) degradation this week.
-        precursor = self.outages.precursor_strength(w)
-        line_precursor = precursor[self.population.dslam_idx]
+        line_precursor = self.outages.precursor_strength(w)[self._dslam_idx]
         group_strength = None
         shared_strength = line_precursor
         if self.group_faults is not None:
-            group_strength = self.group_faults.line_strength(saturday)
+            group_strength = self.group_faults.line_strength_range(
+                saturday, self.start, self.stop
+            )
             shared_strength = np.maximum(line_precursor, group_strength)
 
         # 4. Customer reporting.
         clear_after_saturday: list[tuple[int, int]] = []
-        self._generate_edge_tickets(w, saturday, line_precursor, clear_after_saturday)
+        self._generate_edge_tickets(w, saturday, clear_after_saturday)
         self._generate_precursor_calls(w, shared_strength)
         self._generate_billing_tickets(w)
 
         # 5. Saturday line-test campaign.
-        effects = self._combined_effects(line_precursor, group_strength)
-        dslam_down = self.outages.dslams_down_on(saturday)[self.population.dslam_idx]
+        effects = combine_shared_effects(
+            self.fault_model.effects(self.state),
+            line_precursor,
+            group_strength,
+            self.config.outages,
+            self.group_faults.config if self.group_faults is not None else None,
+        )
+        dslam_down = self.outages.dslams_down_on(saturday)[self._dslam_idx]
         usage = self.customers.usage_intensity * self.customers.present(w)
         features = self.tester.run(self.conditions, effects, usage, dslam_down, rng)
-        self.measurements.add_week(w, saturday, features)
 
         # 6. Dispatches that landed after the test clear now.
         for line, day in clear_after_saturday:
@@ -336,120 +397,10 @@ class DslSimulator:
                 self._close_fault_events(np.array([line]), day, "dispatch")
                 self.state.clear(np.array([line]))
 
-        # 7. Traffic export for the sampled BRAS population.
-        self._record_traffic(w, effects)
-
         self.week += 1
-        return w
+        return features, effects
 
-    def run(self, n_weeks: int | None = None) -> SimulationResult:
-        """Run (the remainder of) the horizon and return the result bundle."""
-        target = self.config.n_weeks if n_weeks is None else min(
-            self.config.n_weeks, self.week + n_weeks
-        )
-        while self.week < target:
-            self.step()
-        return self.result()
-
-    def result(self) -> SimulationResult:
-        """Snapshot the current outputs (valid at any point of the run)."""
-        return SimulationResult(
-            config=self.config,
-            population=self.population,
-            customers=self.customers,
-            measurements=self.measurements,
-            ticket_log=self.ticket_log,
-            outages=self.outages,
-            dispatcher=self.dispatcher,
-            traffic=self.traffic_model.finish(),
-            fault_events=self.fault_events,
-            group_faults=self.group_faults,
-        )
-
-    # ----- proactive interface (used by the NEVERMIND pipeline) -------------
-
-    def apply_proactive_fixes(self, line_ids: np.ndarray, day: int) -> list[DispatchRecord]:
-        """Dispatch technicians to predicted lines ahead of any complaint.
-
-        Healthy lines close as "no trouble found"; faulty lines are fixed
-        with the usual dispatch success rate.  Returns the dispatch
-        records (whose ``true_disposition`` tells the caller whether the
-        prediction found a real problem).
-        """
-        records = []
-        for line in np.atleast_1d(np.asarray(line_ids, dtype=int)):
-            disposition = int(self.state.disposition[line])
-            ticket = self.ticket_log.open_ticket(
-                line_id=int(line),
-                day=day,
-                category=TicketCategory.CUSTOMER_EDGE,
-                source=TicketSource.NEVERMIND,
-                fault_disposition=disposition,
-                fault_onset_day=int(self.state.onset_day[line]),
-            )
-            record = self.dispatcher.resolve(
-                ticket.ticket_id, int(line), day, disposition, self.rng
-            )
-            ticket.resolved_day = record.day
-            ticket.recorded_disposition = record.recorded_disposition
-            if disposition >= 0 and record.fixed:
-                self._close_fault_events(np.array([line]), record.day, "proactive")
-                self.state.clear(np.array([line]))
-            records.append(record)
-        return records
-
-    def apply_group_fixes(
-        self, groups: list[tuple[str, int]], day: int
-    ) -> list[GroupDispatchRecord]:
-        """Send one consolidated crew per upstream plant cluster.
-
-        ``groups`` is a list of ``(level, group_id)`` pairs -- level
-        ``"dslam"`` or ``"binder"`` -- typically the upstream clusters the
-        fleet triage layer found.  If the shared plant really has an
-        active group fault, the crew clears it (with the usual failed-fix
-        risk); otherwise the visit closes as found-nothing.  A cleared
-        DSLAM event's scheduled escalation outage still occurs (the card
-        swap needs its maintenance window either way).
-        """
-        topo = self.population.topology
-        records: list[GroupDispatchRecord] = []
-        for level, group_id in groups:
-            level = str(level)
-            group_id = int(group_id)
-            line_ids = (
-                topo.lines_of_dslam(group_id)
-                if level == LEVEL_DSLAM
-                else topo.lines_of_binder(group_id)
-            )
-            event = (
-                self.group_faults.find_active(level, group_id, day)
-                if self.group_faults is not None
-                else None
-            )
-            record = self.dispatcher.resolve_group(
-                level, group_id, int(line_ids.size), day,
-                found_fault=event is not None, rng=self.rng,
-            )
-            if event is not None and record.fixed:
-                self.group_faults.clear_event(event, record.day)
-            records.append(record)
-        return records
-
-    # ----- internals ---------------------------------------------------------
-
-    def _combined_effects(
-        self,
-        line_precursor: np.ndarray,
-        group_strength: np.ndarray | None = None,
-    ) -> FaultEffects:
-        """Line-fault effects plus the shared-infrastructure degradations."""
-        return combine_shared_effects(
-            self.fault_model.effects(self.state),
-            line_precursor,
-            group_strength,
-            self.config.outages,
-            self.group_faults.config if self.group_faults is not None else None,
-        )
+    # ----- customer reporting ------------------------------------------------
 
     def _sample_report_days(self, week_start: int, count: int) -> np.ndarray:
         offsets = self.rng.choice(7, size=count, p=DAY_OF_WEEK_WEIGHTS)
@@ -459,7 +410,6 @@ class DslSimulator:
         self,
         week: int,
         saturday: int,
-        line_precursor: np.ndarray,
         clear_after_saturday: list[tuple[int, int]],
     ) -> None:
         """Customers notice and report their line faults."""
@@ -492,14 +442,13 @@ class DslSimulator:
         days = np.maximum(days, self.state.onset_day[reporters])
         days = np.minimum(days, week_start + 6)
 
-        dslam_of = self.population.dslam_idx
         for line, day in zip(reporters, days):
             line = int(line)
             day = int(day)
             disposition = int(self.state.disposition[line])
             if disposition < 0:
                 continue  # cleared earlier in this loop (failed-fix retries)
-            dslam = int(dslam_of[line])
+            dslam = int(self._dslam_idx[line])
             if self.outages.dslams_down_on(day)[dslam]:
                 # Known outage in the area: the IVR answers, no ticket.
                 self.ticket_log.record_ivr(line, day, dslam, disposition)
@@ -542,9 +491,8 @@ class DslSimulator:
         if callers.size == 0:
             return
         days = self._sample_report_days(week_start, callers.size)
-        dslam_of = self.population.dslam_idx
         for line, day in zip(callers, days):
-            dslam = int(dslam_of[int(line)])
+            dslam = int(self._dslam_idx[int(line)])
             if self.outages.dslams_down_on(int(day))[dslam]:
                 self.ticket_log.record_ivr(int(line), int(day), dslam, -1)
             else:
@@ -557,10 +505,9 @@ class DslSimulator:
                 )
 
     def _generate_billing_tickets(self, week: int) -> None:
-        cfg = self.config
         rng = self.rng
-        n = self.population.n_lines
-        count = rng.binomial(n, cfg.billing_ticket_rate)
+        n = self.stop - self.start
+        count = rng.binomial(n, self.config.billing_ticket_rate)
         if count == 0:
             return
         lines = rng.choice(n, size=count, replace=False)
@@ -572,6 +519,166 @@ class DslSimulator:
                 category=TicketCategory.BILLING,
                 source=TicketSource.CUSTOMER,
             )
+
+
+class DslSimulator(PlantBlock):
+    """The whole plant as one block, plus the campaign store and traffic.
+
+    One :class:`PlantBlock` over lines ``[0, n)`` on
+    ``default_rng(config.seed)`` and the config-seeded customers.  On top
+    of the block's weekly step it records each Saturday campaign in a
+    :class:`MeasurementStore`, exports BRAS traffic (step 7), and takes
+    proactive per-line and group dispatches between weeks on the same
+    random stream.
+    """
+
+    def __init__(self, config: SimulationConfig | None = None):
+        config = config or SimulationConfig()
+        models = build_plant_models(config)
+        n = models.population.n_lines
+        super().__init__(
+            config, models, 0, n,
+            rng=np.random.default_rng(config.seed),
+            customers=build_customers(n, config.n_weeks, config.customers),
+        )
+        self.population = models.population
+        self.physics = models.tester.physics
+        self.measurements = MeasurementStore(n_lines=n, n_weeks=config.n_weeks)
+
+        sampled_bras = list(range(min(config.traffic.sample_bras,
+                                      self.population.topology.n_brases)))
+        sampled_lines = np.flatnonzero(
+            np.isin(self.population.bras_idx, sampled_bras)
+        )
+        self.traffic_model = TrafficModel(
+            line_ids=sampled_lines, n_days=config.n_weeks * 7,
+            config=config.traffic,
+        )
+        self._traffic_slots = sampled_lines
+
+    def step(self) -> int:
+        """Simulate the next week; returns the week index just completed."""
+        w = self.week
+        features, effects = self.step_week()
+        self.measurements.add_week(w, w * 7 + SATURDAY_OFFSET, features)
+        # 7. Traffic export for the sampled BRAS population.
+        self._record_traffic(w, effects)
+        return w
+
+    def run(self, n_weeks: int | None = None) -> SimulationResult:
+        """Run (the remainder of) the horizon and return the result bundle."""
+        target = self.config.n_weeks if n_weeks is None else min(
+            self.config.n_weeks, self.week + n_weeks
+        )
+        while self.week < target:
+            self.step()
+        return self.result()
+
+    def result(self) -> SimulationResult:
+        """Snapshot the current outputs (valid at any point of the run)."""
+        return SimulationResult(
+            config=self.config,
+            population=self.population,
+            customers=self.customers,
+            measurements=self.measurements,
+            ticket_log=self.ticket_log,
+            outages=self.outages,
+            dispatcher=self.dispatcher,
+            traffic=self.traffic_model.finish(),
+            fault_events=self.fault_events,
+            group_faults=self.group_faults,
+        )
+
+    # ----- proactive interface (used by the NEVERMIND pipeline) -------------
+
+    def apply_proactive_fixes(self, line_ids: np.ndarray, day: int) -> list[DispatchRecord]:
+        """Dispatch technicians to predicted lines ahead of any complaint.
+
+        Healthy lines close as "no trouble found"; faulty lines are fixed
+        with the usual dispatch success rate.  Returns the dispatch
+        records (whose ``true_disposition`` tells the caller whether the
+        prediction found a real problem).
+
+        Raises:
+            IndexError: if any id is outside ``[0, n_lines)``; nothing is
+                dispatched then.
+        """
+        lines = np.atleast_1d(np.asarray(line_ids, dtype=int))
+        n = self.population.n_lines
+        bad = lines[(lines < 0) | (lines >= n)]
+        if bad.size:
+            raise IndexError(
+                f"line ids out of range [0, {n}): {bad[:5].tolist()}"
+            )
+        records = []
+        for line in lines:
+            disposition = int(self.state.disposition[line])
+            ticket = self.ticket_log.open_ticket(
+                line_id=int(line),
+                day=day,
+                category=TicketCategory.CUSTOMER_EDGE,
+                source=TicketSource.NEVERMIND,
+                fault_disposition=disposition,
+                fault_onset_day=int(self.state.onset_day[line]),
+            )
+            record = self.dispatcher.resolve(
+                ticket.ticket_id, int(line), day, disposition, self.rng
+            )
+            ticket.resolved_day = record.day
+            ticket.recorded_disposition = record.recorded_disposition
+            if disposition >= 0 and record.fixed:
+                self._close_fault_events(np.array([line]), record.day, "proactive")
+                self.state.clear(np.array([line]))
+            records.append(record)
+        return records
+
+    def apply_group_fixes(
+        self, groups: list[tuple[str, int]], day: int
+    ) -> list[GroupDispatchRecord]:
+        """Send one consolidated crew per upstream plant cluster.
+
+        ``groups`` is a list of ``(level, group_id)`` pairs -- level
+        ``"dslam"`` or ``"binder"`` -- typically the upstream clusters the
+        fleet triage layer found.  If the shared plant really has an
+        active group fault, the crew clears it (with the usual failed-fix
+        risk); otherwise the visit closes as found-nothing.  A cleared
+        DSLAM event's scheduled escalation outage still occurs (the card
+        swap needs its maintenance window either way).
+
+        Raises:
+            ValueError: for a level other than ``"dslam"`` or
+                ``"binder"``; nothing is dispatched then.
+        """
+        topo = self.population.topology
+        groups = [(str(level), int(group_id)) for level, group_id in groups]
+        for level, _ in groups:
+            if level not in (LEVEL_DSLAM, LEVEL_BINDER):
+                raise ValueError(
+                    f"group level must be {LEVEL_DSLAM!r} or "
+                    f"{LEVEL_BINDER!r}, got {level!r}"
+                )
+        records: list[GroupDispatchRecord] = []
+        for level, group_id in groups:
+            line_ids = (
+                topo.lines_of_dslam(group_id)
+                if level == LEVEL_DSLAM
+                else topo.lines_of_binder(group_id)
+            )
+            event = (
+                self.group_faults.find_active(level, group_id, day)
+                if self.group_faults is not None
+                else None
+            )
+            record = self.dispatcher.resolve_group(
+                level, group_id, int(line_ids.size), day,
+                found_fault=event is not None, rng=self.rng,
+            )
+            if event is not None and record.fixed:
+                self.group_faults.clear_event(event, record.day)
+            records.append(record)
+        return records
+
+    # ----- internals ---------------------------------------------------------
 
     def _record_traffic(self, week: int, effects: FaultEffects) -> None:
         slots = self._traffic_slots

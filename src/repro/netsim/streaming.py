@@ -20,26 +20,28 @@ bit-identical features and ticket vectors.  The "monolithic" streaming
 run is simply the single-chunk case (``chunk_lines=None``) -- there is
 no separate code path to diverge from.
 
-**What a block simulates.**  Each block replays the exact
-:meth:`DslSimulator.step` weekly order on its own lines: fault
-evolution and onsets, shared-infrastructure precursors, customer edge /
-precursor / billing tickets through a real :class:`Dispatcher` (failed
-fixes, retries, IVR deflection during outages), and the Saturday
-line-test campaign with :func:`~repro.netsim.simulator.combine_shared_effects`
-coupling.  Cross-line structures that must be globally consistent --
-topology, the outage schedule, and pre-scheduled correlated group-fault
-events -- are built once from their own config seeds and *restricted* to
-each block (:meth:`GroupFaultModel.line_strength_range`), so a binder
-event straddling a block boundary degrades its members in every block it
+**What a block simulates.**  Each block is a
+:class:`~repro.netsim.simulator.PlantBlock` over its lines -- the same
+object :class:`DslSimulator` is for the whole plant -- so it runs the
+one weekly step (fault evolution and onsets, shared-infrastructure
+precursors, customer edge / precursor / billing tickets through a real
+:class:`Dispatcher`, the Saturday line test) on the block's two
+substreams.  Cross-line structures that must be globally consistent --
+population, physics, topology, the outage schedule, and pre-scheduled
+correlated group-fault events -- are built once by
+:func:`~repro.netsim.simulator.build_plant_models` from their own config
+seeds and *restricted* to each block
+(:meth:`GroupFaultModel.line_strength_range`), so a binder event
+straddling a block boundary degrades its members in every block it
 touches.
 
 Because blocks are independent, a streaming run is **not** bit-identical
 to ``DslSimulator.run`` (which threads one global RNG through all lines)
 -- it is the same generative process under a different, scalable seeding
-scheme.  Ground-truth fault-event lists and BRAS traffic export are not
-produced on this path; the streaming cycle's consumers (store, encoder,
-scorer, dispatcher) need only the Table-2 features and ticket-recency
-vectors.
+scheme.  Only the Table-2 features and ticket-recency vectors leave a
+block: its fault-event ledger is discarded and no BRAS traffic is
+exported, since the streaming cycle's consumers (store, encoder, scorer,
+dispatcher) need neither.
 """
 
 from __future__ import annotations
@@ -49,26 +51,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.measurement.linetest import LineTester
-from repro.measurement.records import N_FEATURES
-from repro.netsim.faults import FaultModel, FaultState
-from repro.netsim.groupfaults import GroupFaultModel, GroupFaultSchedule
-from repro.netsim.physics import LinePhysics, LoopConditions
 from repro.netsim.simulator import (
     SATURDAY_OFFSET,
+    PlantBlock,
     SimulationConfig,
-    combine_shared_effects,
+    build_plant_models,
 )
-from repro.netsim.population import build_population
 from repro.tickets.customers import build_customers
-from repro.tickets.dispatch import Dispatcher
-from repro.tickets.outage import OutageSchedule
-from repro.tickets.ticketing import (
-    DAY_OF_WEEK_WEIGHTS,
-    TicketCategory,
-    TicketLog,
-    TicketSource,
-)
 
 __all__ = ["STREAM_BLOCK_LINES", "WeekBlock", "StreamingSimulator",
            "stream_weeks"]
@@ -109,44 +98,9 @@ class StreamingSimulator:
 
     def __init__(self, config: SimulationConfig | None = None):
         self.config = config or SimulationConfig()
-        cfg = self.config
-        self.population = build_population(cfg.population)
-        self.conditions = self.population.conditions()
-        if cfg.physics_model == "reach":
-            self.physics = LinePhysics()
-        elif cfg.physics_model == "dmt":
-            from repro.netsim.dmt import DmtLinePhysics
-
-            self.physics = DmtLinePhysics()
-        else:
-            raise ValueError(
-                f"physics_model must be 'reach' or 'dmt', got "
-                f"{cfg.physics_model!r}"
-            )
-        self.tester = LineTester(physics=self.physics, config=cfg.linetest)
-        self.fault_model = FaultModel(
-            rate_scale=cfg.fault_rate_scale, directional=cfg.directional_faults
-        )
-        n = self.population.n_lines
-        if cfg.group_faults is not None:
-            schedule = GroupFaultSchedule.generate(
-                self.population.topology, cfg.n_weeks, cfg.group_faults
-            )
-            self.group_faults = GroupFaultModel(schedule=schedule, n_lines=n)
-        else:
-            self.group_faults = None
-        if self.group_faults is not None and cfg.group_faults.escalate_to_outage:
-            self.outages = OutageSchedule.from_group_faults(
-                self.group_faults.schedule.events,
-                self.population.topology.n_dslams,
-                cfg.n_weeks,
-                cfg.outages,
-                outage_days=cfg.group_faults.outage_days,
-            )
-        else:
-            self.outages = OutageSchedule.generate(
-                self.population.topology.n_dslams, cfg.n_weeks, cfg.outages
-            )
+        self.models = build_plant_models(self.config)
+        self.population = self.models.population
+        self.group_faults = self.models.group_faults
 
     @property
     def n_lines(self) -> int:
@@ -202,17 +156,6 @@ class StreamingSimulator:
             np.random.SeedSequence(entropy=entropy, spawn_key=(salt, block))
         )
 
-    def _block_conditions(self, start: int, stop: int) -> LoopConditions:
-        full = self.conditions
-        return LoopConditions(
-            loop_kft=full.loop_kft[start:stop],
-            profile_down_kbps=full.profile_down_kbps[start:stop],
-            profile_up_kbps=full.profile_up_kbps[start:stop],
-            ambient_noise_db=full.ambient_noise_db[start:stop],
-            static_bridge_tap=full.static_bridge_tap[start:stop],
-            static_crosstalk=full.static_crosstalk[start:stop],
-        )
-
     def _block_weeks(
         self, start: int, stop: int, block: int
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -223,195 +166,25 @@ class StreamingSimulator:
         """
         cfg = self.config
         c = stop - start
-        rng = self._block_rng(_SIM_SALT, cfg.seed, block)
-        customers = build_customers(
-            c, cfg.n_weeks, cfg.customers,
-            rng=self._block_rng(_CUSTOMER_SALT, cfg.customers.seed, block),
+        plant = PlantBlock(
+            cfg, self.models, start, stop,
+            rng=self._block_rng(_SIM_SALT, cfg.seed, block),
+            customers=build_customers(
+                c, cfg.n_weeks, cfg.customers,
+                rng=self._block_rng(_CUSTOMER_SALT, cfg.customers.seed, block),
+            ),
         )
-        state = FaultState.healthy(c)
-        ticket_log = TicketLog()
-        dispatcher = Dispatcher(cfg.atds)
-        conditions = self._block_conditions(start, stop)
-        dslam_idx = self.population.dslam_idx[start:stop]
-        group_cfg = cfg.group_faults
         feats: list[np.ndarray] = []
         lasts: list[np.ndarray] = []
-
         for w in range(cfg.n_weeks):
-            week_start = w * 7
-            saturday = week_start + SATURDAY_OFFSET
-
-            # 1-2. Evolve existing faults, inject new onsets.
-            self.fault_model.advance_week(state, rng)
-            self.fault_model.sample_onsets(state, rng, week_start)
-
-            # 3. Shared-infrastructure degradation, restricted to the block.
-            line_precursor = self.outages.precursor_strength(w)[dslam_idx]
-            group_strength = None
-            shared_strength = line_precursor
-            if self.group_faults is not None:
-                group_strength = self.group_faults.line_strength_range(
-                    saturday, start, stop
-                )
-                shared_strength = np.maximum(line_precursor, group_strength)
-
-            # 4. Customer reporting.
-            clear_after_saturday: list[tuple[int, int]] = []
-            self._edge_tickets(
-                w, saturday, state, customers, dslam_idx, ticket_log,
-                dispatcher, rng, clear_after_saturday,
-            )
-            self._precursor_calls(
-                w, shared_strength, customers, dslam_idx, ticket_log, rng
-            )
-            self._billing_tickets(w, c, ticket_log, rng)
-
-            # 5. Saturday line-test campaign.
-            effects = combine_shared_effects(
-                self.fault_model.effects(state), line_precursor,
-                group_strength, cfg.outages,
-                group_cfg,
-            )
-            dslam_down = self.outages.dslams_down_on(saturday)[dslam_idx]
-            usage = customers.usage_intensity * customers.present(w)
-            features = self.tester.run(
-                conditions, effects, usage, dslam_down, rng
-            )
-
-            # 6. Dispatches that landed after the test clear now.
-            for line, _day in clear_after_saturday:
-                if state.disposition[line] >= 0:
-                    state.clear(np.array([line]))
-
+            features, _ = plant.step_week()
             feats.append(np.ascontiguousarray(features, dtype=np.float32))
             lasts.append(
-                ticket_log.last_ticket_day_before(c, saturday).astype(np.int64)
+                plant.ticket_log.last_ticket_day_before(
+                    c, w * 7 + SATURDAY_OFFSET
+                ).astype(np.int64)
             )
         return feats, lasts
-
-    # ----- block-local ticket generation (mirrors DslSimulator) ------------
-
-    def _report_days(
-        self, rng: np.random.Generator, week_start: int, count: int
-    ) -> np.ndarray:
-        return week_start + rng.choice(7, size=count, p=DAY_OF_WEEK_WEIGHTS)
-
-    def _edge_tickets(
-        self,
-        week: int,
-        saturday: int,
-        state: FaultState,
-        customers,
-        dslam_idx: np.ndarray,
-        ticket_log: TicketLog,
-        dispatcher: Dispatcher,
-        rng: np.random.Generator,
-        clear_after_saturday: list[tuple[int, int]],
-    ) -> None:
-        cfg = self.config
-        week_start = week * 7
-        active = np.flatnonzero(state.active)
-        if active.size == 0:
-            return
-        kinds = state.disposition[active]
-        severity = state.severity[active]
-        perceive = self.fault_model.arrays.perceivability[kinds]
-        usage_mult = (
-            cfg.notice_usage_floor
-            + (1.0 - cfg.notice_usage_floor) * customers.usage_intensity[active]
-        )
-        present = customers.present(week)[active]
-        p_report = (
-            perceive * severity * usage_mult
-            * customers.report_propensity[active] * present
-        )
-        reporters = active[rng.random(active.size) < p_report]
-        if reporters.size == 0:
-            return
-        days = self._report_days(rng, week_start, reporters.size)
-        days = np.maximum(days, state.onset_day[reporters])
-        days = np.minimum(days, week_start + 6)
-        for line, day in zip(reporters, days):
-            line = int(line)
-            day = int(day)
-            disposition = int(state.disposition[line])
-            if disposition < 0:
-                continue  # cleared earlier in this loop (failed-fix retries)
-            dslam = int(dslam_idx[line])
-            if self.outages.dslams_down_on(day)[dslam]:
-                ticket_log.record_ivr(line, day, dslam, disposition)
-                continue
-            ticket = ticket_log.open_ticket(
-                line_id=line,
-                day=day,
-                category=TicketCategory.CUSTOMER_EDGE,
-                source=TicketSource.CUSTOMER,
-                fault_disposition=disposition,
-                fault_onset_day=int(state.onset_day[line]),
-            )
-            record = dispatcher.resolve(
-                ticket.ticket_id, line, day, disposition, rng
-            )
-            ticket.resolved_day = record.day
-            ticket.recorded_disposition = record.recorded_disposition
-            if record.fixed:
-                if record.day <= saturday:
-                    state.clear(np.array([line]))
-                else:
-                    clear_after_saturday.append((line, record.day))
-
-    def _precursor_calls(
-        self,
-        week: int,
-        shared_strength: np.ndarray,
-        customers,
-        dslam_idx: np.ndarray,
-        ticket_log: TicketLog,
-        rng: np.random.Generator,
-    ) -> None:
-        cfg = self.config
-        week_start = week * 7
-        affected = np.flatnonzero(shared_strength > 0)
-        if affected.size == 0:
-            return
-        p_call = (
-            cfg.precursor_report_rate
-            * shared_strength[affected]
-            * customers.usage_intensity[affected]
-            * customers.present(week)[affected]
-        )
-        callers = affected[rng.random(affected.size) < p_call]
-        if callers.size == 0:
-            return
-        days = self._report_days(rng, week_start, callers.size)
-        for line, day in zip(callers, days):
-            dslam = int(dslam_idx[int(line)])
-            if self.outages.dslams_down_on(int(day))[dslam]:
-                ticket_log.record_ivr(int(line), int(day), dslam, -1)
-            else:
-                ticket_log.open_ticket(
-                    line_id=int(line),
-                    day=int(day),
-                    category=TicketCategory.OTHER,
-                    source=TicketSource.CUSTOMER,
-                )
-
-    def _billing_tickets(
-        self, week: int, n: int, ticket_log: TicketLog,
-        rng: np.random.Generator,
-    ) -> None:
-        count = rng.binomial(n, self.config.billing_ticket_rate)
-        if count == 0:
-            return
-        lines = rng.choice(n, size=count, replace=False)
-        days = self._report_days(rng, week * 7, count)
-        for line, day in zip(lines, days):
-            ticket_log.open_ticket(
-                line_id=int(line),
-                day=int(day),
-                category=TicketCategory.BILLING,
-                source=TicketSource.CUSTOMER,
-            )
 
 
 def stream_weeks(

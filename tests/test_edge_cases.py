@@ -60,6 +60,56 @@ class TestFaultFreePlant:
         assert np.median(nmr) > 5.0
 
 
+class TestInvalidDispatchTargets:
+    """Bad proactive targets are refused before any ticket or RNG draw."""
+
+    @pytest.fixture
+    def sim(self):
+        config = SimulationConfig(
+            n_weeks=6,
+            population=PopulationConfig(n_lines=300, seed=3),
+            fault_rate_scale=8.0,
+            seed=5,
+        )
+        sim = DslSimulator(config)
+        for _ in range(4):
+            sim.step()
+        return sim
+
+    @staticmethod
+    def _snapshot(sim):
+        return (
+            len(sim.ticket_log.tickets),
+            len(sim.dispatcher.records),
+            len(sim.dispatcher.group_records),
+            sim.rng.bit_generator.state,
+            sim.state.disposition.copy(),
+        )
+
+    def _assert_untouched(self, sim, before):
+        after = self._snapshot(sim)
+        assert after[:4] == before[:4]
+        np.testing.assert_array_equal(after[4], before[4])
+
+    @pytest.mark.parametrize("ids", [[-1], [3, -1], [0, 300]])
+    def test_out_of_range_line_ids(self, sim, ids):
+        before = self._snapshot(sim)
+        with pytest.raises(IndexError, match="out of range"):
+            sim.apply_proactive_fixes(np.array(ids), day=30)
+        self._assert_untouched(sim, before)
+        assert len(sim.apply_proactive_fixes(np.array([0, 299]), day=30)) == 2
+
+    @pytest.mark.parametrize(
+        "groups", [[("DSLAM", 0)], [("dslam", 0), ("cabinet", 1)]]
+    )
+    def test_unknown_group_level(self, sim, groups):
+        before = self._snapshot(sim)
+        with pytest.raises(ValueError, match="group level"):
+            sim.apply_group_fixes(groups, day=30)
+        self._assert_untouched(sim, before)
+        assert len(sim.apply_group_fixes([("binder", 0)], day=30)) == 1
+
+
 class TestSilentCustomers:
     def test_zero_propensity_means_no_reports(self):
         config = SimulationConfig(
