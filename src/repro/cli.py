@@ -687,12 +687,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_scale(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
-    import time
     from pathlib import Path
 
     from repro.features.encoding import EncoderConfig, LineFeatureEncoder
     from repro.netsim import STREAM_BLOCK_LINES, stream_weeks
-    from repro.obs.profile import peak_rss_kb
+    from repro.obs.profile import peak_rss_kb, stage
     from repro.serve import LineWeekStore, StoredWorld
 
     config = _sim_config(args)
@@ -704,28 +703,26 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             root = Path(stack.enter_context(
                 tempfile.TemporaryDirectory())) / "store"
         store = LineWeekStore.create(root, args.lines, config.population)
-        gen_start = time.perf_counter()
-        weeks = store.append_week_chunks(
-            stream_weeks(config, chunk_lines=chunk))
-        gen_seconds = time.perf_counter() - gen_start
+        with stage("scale.generate_append") as generate:
+            weeks = store.append_week_chunks(
+                stream_weeks(config, chunk_lines=chunk))
         store.verify()
 
         world = StoredWorld(LineWeekStore.open(root), out_of_core=True)
         encoder = LineFeatureEncoder(EncoderConfig())
-        encode_start = time.perf_counter()
-        encoded = sum(
-            piece.matrix.shape[0]
-            for _, piece in world.iter_encode_week(
-                store.latest_week, encoder, chunk_lines=chunk)
-        )
-        encode_seconds = time.perf_counter() - encode_start
+        with stage("scale.encode") as encode:
+            encoded = sum(
+                piece.matrix.shape[0]
+                for _, piece in world.iter_encode_week(
+                    store.latest_week, encoder, chunk_lines=chunk)
+            )
 
     print(f"streamed {args.lines} lines x {len(weeks)} weeks "
           f"(chunk {chunk} lines)")
-    print(f"  generate+append : {gen_seconds:.1f}s "
-          f"({args.lines * len(weeks) / gen_seconds:.0f} line-weeks/s)")
-    print(f"  encode (latest) : {encode_seconds:.1f}s "
-          f"({encoded / encode_seconds:.0f} lines/s, streamed)")
+    print(f"  generate+append : {generate.seconds:.1f}s "
+          f"({args.lines * len(weeks) / generate.seconds:.0f} line-weeks/s)")
+    print(f"  encode (latest) : {encode.seconds:.1f}s "
+          f"({encoded / encode.seconds:.0f} lines/s, streamed)")
     print(f"  peak RSS        : {peak_rss_kb() / 1024:.0f} MB")
     if args.store:
         print(f"  store           : {root}")

@@ -29,7 +29,6 @@ from repro.obs.history import HistoryStore
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import get_registry
 from repro.obs.profile import current_rss_kb, peak_rss_kb, stage
-from repro.obs.tracing import span
 
 LOG = get_logger("pipeline")
 
@@ -318,7 +317,7 @@ class NevermindPipeline:
     def step(self) -> WeeklyReport | None:
         """Advance one week; returns the proactive report once live."""
         week = self.simulator.step()
-        with span("pipeline.week", week=week):
+        with stage("pipeline.week", week=week):
             return self._step_week(week)
 
     def _step_week(self, week: int) -> WeeklyReport | None:

@@ -35,7 +35,7 @@ from repro.features.selection import single_feature_ap
 from repro.ml.binning import BinnedDataset
 from repro.ml.boostexter import BStump, BStumpConfig, TRAIN_BACKENDS
 from repro.netsim.simulator import SimulationResult
-from repro.obs.tracing import span
+from repro.obs.profile import stage
 
 __all__ = ["PredictorConfig", "TicketPredictor"]
 
@@ -202,7 +202,7 @@ class TicketPredictor:
             raise ValueError("training window contains a single class")
         self._base_categorical = train.features.categorical.copy()
 
-        with span(
+        with stage(
             "predict.fit",
             rows=train.features.matrix.shape[0],
             base_features=train.features.n_features,
@@ -227,7 +227,7 @@ class TicketPredictor:
             if hist
             else None
         )
-        with span("predict.select_base", backend=cfg.backend):
+        with stage("predict.select_base", backend=cfg.backend):
             base_scores = single_feature_ap(
                 train.features, train.y, selection.features, selection.y,
                 cfg.capacity, n_rounds=cfg.selection_rounds,
@@ -262,13 +262,13 @@ class TicketPredictor:
         quad_binned = prod_binned = None
         prod_rows: np.ndarray | None = None
         if cfg.include_derived:
-            with span("predict.select_derived"):
+            with stage("predict.select_derived"):
                 quad_binned, prod_binned, prod_rows = self._select_derived(
                     train, selection, base_scores, base_binned
                 )
 
-        with span("predict.final_train", rounds=cfg.train_rounds,
-                  backend=cfg.backend):
+        with stage("predict.final_train", rounds=cfg.train_rounds,
+                   backend=cfg.backend):
             X_train = self._assemble(train.features)
             names = self._column_names(train.features)
             self.feature_names = names
@@ -421,11 +421,11 @@ class TicketPredictor:
 
     def score_week(self, result: SimulationResult, week: int) -> np.ndarray:
         """Calibrated scores for every line at prediction week ``week``."""
-        with span("predict.encode", week=week):
+        with stage("predict.encode", week=week):
             base = self.encoder.encode(
                 result.measurements, week, result.population, result.ticket_log
             )
-        with span("predict.score", week=week):
+        with stage("predict.score", week=week):
             return self.score_features(base)
 
     def rank_week(self, result: SimulationResult, week: int) -> np.ndarray:

@@ -48,7 +48,6 @@ from repro.ml.metrics import auc, average_precision, entropy, top_n_average_prec
 from repro.ml.pca import PCA
 from repro.obs.metrics import get_registry
 from repro.obs.profile import stage
-from repro.obs.tracing import span
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -288,7 +287,7 @@ def single_feature_ap(
             )
             margins.update(zip(loop_cols, loop_margins))
 
-        with span("select.ap_scoring"):
+        with stage("select.ap_scoring"):
             return _scores_from_margins(
                 margins, train, test, y_test, n, n_features
             )

@@ -30,7 +30,8 @@ from repro.ml.calibration import PlattCalibrator
 from repro.ml.ensemble_scoring import CompiledEnsemble, compile_stumps
 from repro.ml.stumps import HistStumpSearch, Stump, StumpSearch
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import span, tracing_enabled
+from repro.obs.profile import stage
+from repro.obs.tracing import tracing_enabled
 
 __all__ = ["BStumpConfig", "WeakLearner", "BStump", "TRAIN_BACKENDS"]
 
@@ -210,12 +211,12 @@ class BStump:
             weights = weights / np.sum(weights)
 
         rounds_total, round_seconds, round_z, margin_gauge = _train_metrics()
-        with span(
+        with stage(
             "train.fit", rows=int(n), features=int(X.shape[1]),
             rounds=int(self.config.n_rounds),
-        ) as fit_span:
+        ) as fit_stage:
             hist = self.config.backend == "hist"
-            with span("train.search_setup", backend=self.config.backend):
+            with stage("train.search_setup", backend=self.config.backend):
                 if hist:
                     if binned is None:
                         binned = BinnedDataset.from_matrix(
@@ -249,7 +250,7 @@ class BStump:
             # Per-round metric values are flushed once per fit: one
             # labelled lock pass per metric instead of three per round.
             round_times: list[float] = []
-            with span("train.boost_rounds"):
+            with stage("train.boost_rounds"):
                 try:
                     for t in range(self.config.n_rounds):
                         round_start = perf_counter()
@@ -286,10 +287,10 @@ class BStump:
 
             if not self.learners:
                 raise RuntimeError("boosting selected no weak learners")
-            fit_span.set_tag("rounds_trained", len(self.learners))
+            fit_stage.set_tag("rounds_trained", len(self.learners))
 
             if self.config.calibrate:
-                with span("train.calibrate"):
+                with stage("train.calibrate"):
                     self.calibrator = PlattCalibrator().fit(margin, y)
         return self
 

@@ -222,11 +222,6 @@ class CompiledEnsemble:
         """How many distinct feature columns the ensemble actually reads."""
         return len({g.feature for g in self.groups})
 
-    @property
-    def used_features(self) -> np.ndarray:
-        """Sorted distinct feature columns the ensemble actually reads."""
-        return np.array(sorted({g.feature for g in self.groups}), dtype=np.intp)
-
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Additive margin ``f(x) = sum_t h_t(x)`` for each row of ``X``.
 

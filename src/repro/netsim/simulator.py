@@ -648,14 +648,21 @@ class DslSimulator(PlantBlock):
         Raises:
             ValueError: for a level other than ``"dslam"`` or
                 ``"binder"``; nothing is dispatched then.
+            IndexError: for a group id outside ``[0, n_dslams)`` or
+                ``[0, n_binders)``; nothing is dispatched then.
         """
         topo = self.population.topology
         groups = [(str(level), int(group_id)) for level, group_id in groups]
-        for level, _ in groups:
+        for level, group_id in groups:
             if level not in (LEVEL_DSLAM, LEVEL_BINDER):
                 raise ValueError(
                     f"group level must be {LEVEL_DSLAM!r} or "
                     f"{LEVEL_BINDER!r}, got {level!r}"
+                )
+            n = topo.n_dslams if level == LEVEL_DSLAM else topo.n_binders
+            if not 0 <= group_id < n:
+                raise IndexError(
+                    f"{level} id {group_id} out of range [0, {n})"
                 )
         records: list[GroupDispatchRecord] = []
         for level, group_id in groups:

@@ -5,9 +5,10 @@ Three pillars, all stdlib-only:
 * :mod:`repro.obs.metrics` -- a process-global, thread-safe registry of
   counters, gauges and fixed-bucket histograms, serializable as JSON and
   as Prometheus text exposition format;
-* :mod:`repro.obs.tracing` -- ``with span("train.round", round=t):``
-  hierarchical wall-time trees, toggled by ``REPRO_TRACE`` and free when
-  disabled, with span contexts that worker threads adopt on fan-out;
+* :mod:`repro.obs.tracing` -- hierarchical wall-time span trees, the
+  trace sink of every ``stage()``, toggled by ``REPRO_TRACE`` and not
+  built when disabled, with span contexts that worker threads adopt on
+  fan-out;
 * :mod:`repro.obs.log` -- stdlib logging with a key=value formatter,
   levelled by ``REPRO_LOG_LEVEL`` / ``--verbose``.
 
@@ -76,7 +77,6 @@ from repro.obs.tracing import (
     get_tracer,
     set_tracer,
     set_tracing,
-    span,
     tracing_enabled,
 )
 
@@ -122,6 +122,5 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "set_tracing",
-    "span",
     "tracing_enabled",
 ]

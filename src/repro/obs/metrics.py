@@ -33,8 +33,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from time import perf_counter
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -221,10 +220,6 @@ class Histogram(_Metric):
             series = self._series[key] = _HistogramSeries(self.buckets)
         return series
 
-    def time(self, **labels):
-        """Context manager observing the block's wall time in seconds."""
-        return _HistogramTimer(self, labels)
-
     def series(self, **labels) -> tuple[list[int], float, int]:
         """(per-bucket counts incl. overflow, sum, count) for one label set."""
         with self._lock:
@@ -246,22 +241,6 @@ class Histogram(_Metric):
 
     def _clear(self) -> None:
         self._series.clear()
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_labels", "_start")
-
-    def __init__(self, histogram: Histogram, labels: dict[str, Any]):
-        self._histogram = histogram
-        self._labels = labels
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._histogram.observe(perf_counter() - self._start, **self._labels)
-        return False
 
 
 class MetricsRegistry:
@@ -446,9 +425,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     _REGISTRY = registry
     return previous
 
-
-def iter_samples(snapshot: dict[str, Any]) -> Iterator[tuple[str, dict, dict]]:
-    """Yield (metric name, entry, sample) triples of a snapshot."""
-    for name, entry in snapshot.items():
-        for sample in entry["samples"]:
-            yield name, entry, sample

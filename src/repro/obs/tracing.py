@@ -1,29 +1,19 @@
-"""Span tracing: hierarchical wall-time trees with near-zero idle cost.
+"""Span tracing: hierarchical wall-time trees, the stage's trace sink.
 
-The API is one context manager::
-
-    from repro.obs import span
-
-    with span("train.round", round=t):
-        ...
-
-Spans nest per thread, record wall time, tags, and error status, and
-export as JSON trees or a flame-style text report.  Tracing is **off by
-default**: the ``REPRO_TRACE`` environment variable (read at import)
-or :func:`set_tracing` turns it on, and when it is off :func:`span`
-returns a shared no-op context manager -- no allocation, no lock, no
-record -- so instrumented hot paths pay a single function call and a
-dict build for the tags.
+Every timed block is a :func:`repro.obs.profile.stage`; while tracing is
+on, the stage also records a span through :meth:`Tracer.start_span` /
+:meth:`Tracer.end_span` on its own clock readings, so the span and the
+stage ledger hold the same wall time.  Spans nest per thread, carry the
+stage's tags and error status, and export as JSON trees or a
+flame-style text report.  Tracing is **off by default**: the
+``REPRO_TRACE`` environment variable (read at import) or
+:func:`set_tracing` turns it on, and when it is off no span is built.
 
 Thread fan-out: a worker thread cannot see the submitting thread's span
 stack, so the fabric captures a :class:`SpanContext` (just the parent
 span id) before fan-out and each task adopts it (:meth:`Tracer.adopt`);
 the child span attaches to the still-open parent through the tracer's
 id index.
-
-:func:`repro.obs.profile.stage` records its span through
-:meth:`Tracer.start_span` / :meth:`Tracer.end_span` so the span shares the
-stage's own clock readings instead of taking a second pair.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ __all__ = [
     "set_tracing",
     "get_tracer",
     "set_tracer",
-    "span",
     "current_context",
     "flame_report",
 ]
@@ -118,24 +107,6 @@ class Span:
         }
 
 
-class _NoopSpan:
-    """The shared do-nothing span handed out while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set_tag(self, key: str, value: Any) -> None:
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 class SpanContext(NamedTuple):
     """A reference to a span that another thread can adopt as its parent."""
 
@@ -205,20 +176,6 @@ class Tracer:
                 if s.parent_id is not None:
                     s.tags.setdefault("remote_parent", s.parent_id)
                 self._roots.append(s)
-
-    @contextmanager
-    def span(self, name: str, **tags):
-        """Record one span; nests under the thread's innermost open span."""
-        if not tracing_enabled():
-            yield _NOOP_SPAN
-            return
-        s = self.start_span(name, tags, perf_counter())
-        try:
-            yield s
-        except BaseException as exc:
-            self.end_span(s, perf_counter(), exc)
-            raise
-        self.end_span(s, perf_counter(), None)
 
     # ----- propagation ----------------------------------------------------
 
@@ -320,13 +277,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _TRACER
     _TRACER = tracer
     return previous
-
-
-def span(name: str, **tags):
-    """Record a span on the global tracer (no-op when tracing is off)."""
-    if not tracing_enabled():
-        return _NOOP_SPAN
-    return _TRACER.span(name, **tags)
 
 
 def current_context() -> SpanContext:

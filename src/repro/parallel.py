@@ -30,10 +30,16 @@ caller's ``task_label``; its ``_count`` is the completed-task count),
 (per-worker counter; pool threads carry a stable ``repro-worker_N``
 name, so utilization is busy-seconds per worker over wall time).  Each
 fan-out as a whole runs under one ``stage("fabric.<task_label>")``.
-When ``REPRO_TRACE`` is on, the span context is captured *inside* that
-stage and every task runs under an adopted child span, so at every
-worker count the task spans nest under the ``fabric.<task_label>``
-span even though worker threads have their own stacks.
+Per-task timing stays one ``perf_counter`` pair, not a stage: a
+``stage()`` per task would add two ``getrusage`` calls to every task.
+When ``REPRO_TRACE`` is on, the span context is captured *inside* the
+fan-out's stage and each task opens an adopted child span on that same
+pair (:meth:`~repro.obs.tracing.Tracer.start_span` /
+:meth:`~repro.obs.tracing.Tracer.end_span`), so the task span,
+``repro_parallel_task_seconds`` and the busy counter share one reading,
+and at every worker count the task spans nest under the
+``fabric.<task_label>`` span even though worker threads have their own
+stacks.
 """
 
 from __future__ import annotations
@@ -159,21 +165,27 @@ def parallel_map(
 
     def run(indexed: tuple[int, _T]) -> _R:
         index, item = indexed
+        task_span = None
         start = perf_counter()
+        if tracer is not None:
+            with tracer.adopt(context):
+                task_span = tracer.start_span(
+                    task_label, {"index": index}, start
+                )
         try:
-            if tracer is not None:
-                with tracer.adopt(context):
-                    with tracer.span(task_label, index=index):
-                        result = fn(item)
-            else:
-                result = fn(item)
-        except BaseException:
+            result = fn(item)
+        except BaseException as exc:
             task_errors.inc(task=task_label)
+            if task_span is not None:
+                tracer.end_span(task_span, perf_counter(), exc)
             raise
         finally:
             queue_depth.dec()
             finished.append(None)
-        elapsed = perf_counter() - start
+        end = perf_counter()
+        if task_span is not None:
+            tracer.end_span(task_span, end, None)
+        elapsed = end - start
         task_seconds.observe(elapsed, task=task_label)
         worker_busy.inc(elapsed, worker=threading.current_thread().name)
         return result

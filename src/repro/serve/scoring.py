@@ -42,7 +42,6 @@ from repro.explain.attribution import attribute_rows
 from repro.explain.report import ExplanationReport, build_report
 from repro.obs.log import RateLimitedLogger, get_logger
 from repro.obs.profile import stage
-from repro.obs.tracing import span
 from repro.parallel import parallel_map, split_shards
 from repro.serve.cache import ScoreCache
 from repro.serve.registry import ModelBundle
@@ -177,10 +176,10 @@ def score_bundles(
             raise RuntimeError(f"bundle {name!r} is not fitted/calibrated")
         models.append((predictor.model.compiled(), predictor.recipes))
 
-    with span("serve.score_bundles", week=week, models=len(names)) as run_span:
+    with stage("serve.score_bundles", week=week, models=len(names)) as run:
         *_, margins = _score_shards(
             world, bundles[names[0]].predictor.encoder, week, shard_size,
-            workers, run_span, models, "serve.shadow_shard",
+            workers, run, models, "serve.shadow_shard",
         )
         return {
             name: bundles[name].predictor.model.calibrator.transform(margin)
@@ -250,7 +249,7 @@ class ScoringEngine:
             )
             if model.calibrator is None:
                 raise RuntimeError("bundle model has no calibrator")
-            with span("serve.calibrate", week=week):
+            with stage("serve.calibrate", week=week):
                 scores = model.calibrator.transform(margin)
 
         result = WeekScores(

@@ -51,6 +51,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.fleet import find_clusters, plan_dispatches
 from repro.obs.metrics import get_registry
+from repro.obs.profile import stage
 from repro.obs.slo import DEFAULT_SLOS, SLOMonitor
 from repro.obs.tracing import flame_report, get_tracer, tracing_enabled
 from repro.serve.cache import ScoreCache
@@ -349,10 +350,11 @@ class ScoringService:
             top = _int_param(query, "top") if "top" in query else 3
             if top < 1:
                 raise _ServiceError(400, "top must be >= 1")
-            with self._explain_seconds.time(route="/dispatch"):
+            with stage("serve.explain", route="/dispatch") as st:
                 payloads = engine.attribution_payloads(
                     week, dispatch.line_ids, top_k=top
                 )
+            self._explain_seconds.observe(st.seconds, route="/dispatch")
             dispatch = dispatch.with_attributions(payloads)
             self._explains_total.inc(len(payloads), route="/dispatch")
         return 200, dispatch.to_dict()
@@ -381,8 +383,9 @@ class ScoringService:
         engine = self._require_engine()
         self._scored(week)  # scoring-run metrics for cold weeks
         triage = self._week_triage(week)
-        with self._explain_seconds.time(route="/explain"):
+        with stage("serve.explain", route="/explain") as st:
             report = engine.explain(week, line, top_k=top, triage=triage)
+        self._explain_seconds.observe(st.seconds, route="/explain")
         self._explains_total.inc(route="/explain")
         payload = report.to_dict()
         payload["rendered"] = report.render_text()

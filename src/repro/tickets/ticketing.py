@@ -154,19 +154,6 @@ class TicketLog:
         """Customer-edge tickets only (the paper's study population)."""
         return [t for t in self.tickets if t.category is TicketCategory.CUSTOMER_EDGE]
 
-    def customer_edge_days(self) -> np.ndarray:
-        """Sorted array of (line_id, day) for customer-reported edge tickets."""
-        rows = [
-            (t.line_id, t.day)
-            for t in self.tickets
-            if t.category is TicketCategory.CUSTOMER_EDGE
-            and t.source is TicketSource.CUSTOMER
-        ]
-        if not rows:
-            return np.empty((0, 2), dtype=int)
-        out = np.array(rows, dtype=int)
-        return out[np.lexsort((out[:, 1], out[:, 0]))]
-
     def first_edge_ticket_after(
         self, n_lines: int, day: int, horizon_days: int
     ) -> np.ndarray:

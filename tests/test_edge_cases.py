@@ -109,6 +109,21 @@ class TestInvalidDispatchTargets:
         self._assert_untouched(sim, before)
         assert len(sim.apply_group_fixes([("binder", 0)], day=30)) == 1
 
+    @pytest.mark.parametrize(
+        "groups",
+        [[("dslam", -1)], [("binder", -1)], [("binder", 0), ("dslam", 10**6)]],
+    )
+    def test_out_of_range_group_ids(self, sim, groups):
+        topo = sim.population.topology
+        before = self._snapshot(sim)
+        with pytest.raises(IndexError, match="out of range"):
+            sim.apply_group_fixes(groups, day=30)
+        with pytest.raises(IndexError, match="out of range"):
+            sim.apply_group_fixes([("binder", topo.n_binders)], day=30)
+        self._assert_untouched(sim, before)
+        last = topo.n_dslams - 1
+        assert len(sim.apply_group_fixes([("dslam", last)], day=30)) == 1
+
 
 class TestSilentCustomers:
     def test_zero_propensity_means_no_reports(self):

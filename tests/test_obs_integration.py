@@ -23,6 +23,7 @@ from repro.obs import (
     set_registry,
     set_tracer,
     set_tracing,
+    stage,
 )
 from repro.serve import ModelBundle, ModelRegistry, ScoringService
 
@@ -212,6 +213,31 @@ class TestServiceObservability:
         ]
         assert len(shard_spans) == run["tags"]["shards"] >= 2
 
+    def test_explain_seconds_are_the_explain_stage_readings(
+        self, fresh_obs, service
+    ):
+        registry, tracer = fresh_obs
+        assert service.dispatch_request("GET", "/explain?line=3")[0] == 200
+        assert service.dispatch_request(
+            "GET", "/dispatch?explain=1&top=2"
+        )[0] == 200
+        snapshot = registry.snapshot()
+        [timed] = [
+            s for s in snapshot["repro_stage_wall_seconds"]["samples"]
+            if s["labels"] == {"stage": "serve.explain"}
+        ]
+        by_route = {
+            s["labels"]["route"]: s["sum"]
+            for s in snapshot["repro_serve_explain_seconds"]["samples"]
+        }
+        assert timed["count"] == 2
+        assert timed["sum"] == by_route["/explain"] + by_route["/dispatch"]
+        routes = [
+            s["tags"]["route"] for s in tracer.export()
+            if s["name"] == "serve.explain"
+        ]
+        assert routes == ["/explain", "/dispatch"]
+
 
 class TestDegradedService:
     def test_registry_only_mount_degrades_to_503(
@@ -257,7 +283,7 @@ class TestCli:
 
         registry, tracer = fresh_obs
         registry.counter("repro_pipeline_weeks_total").inc(4)
-        with tracer.span("pipeline.week", week=1):
+        with stage("pipeline.week", week=1):
             pass
         telemetry_path = tmp_path / "telemetry.json"
         telemetry_path.write_text(

@@ -318,6 +318,9 @@ def test_no_with_statement_stacks_timers():
     "serve/scoring.py",
     "lifecycle/shadow.py",
     "features/selection.py",
+    "core/predictor.py",
+    "cli.py",
+    "obs/metrics.py",
 ])
 def test_stage_timed_modules_read_no_clock_of_their_own(module):
     path = ROOT / "src" / "repro" / module
