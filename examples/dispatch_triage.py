@@ -120,23 +120,6 @@ def main() -> None:
         for feat, value in info["disposition_contributions"]:
             print(f"    {names[feat]:<24} {value:+.2f}")
 
-    # Section 6.1's deferred improvement: order tests by p/cost instead of
-    # p alone when per-location test times differ.
-    from repro.core.triage import (
-        DEFAULT_TEST_MINUTES,
-        cost_aware_order,
-        expected_search_cost,
-    )
-
-    probs_row = probs["combined model (Eq. 2)"][interesting]
-    prob_order = np.argsort(-probs_row)
-    cost_order = cost_aware_order(probs_row)
-    by_prob = expected_search_cost(probs_row, prob_order, DEFAULT_TEST_MINUTES)
-    by_ratio = expected_search_cost(probs_row, cost_order, DEFAULT_TEST_MINUTES)
-    print("\nCost-aware triage (Section 6.1's deferred extension):")
-    print(f"  expected minutes, probability order : {by_prob:6.1f}")
-    print(f"  expected minutes, p/cost order      : {by_ratio:6.1f}")
-
 
 if __name__ == "__main__":
     main()

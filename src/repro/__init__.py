@@ -67,16 +67,8 @@ from repro.core.locator import (
     ranks_of_truth,
     tests_to_locate,
 )
-from repro.core.capacity import CapacityEconomics, optimal_capacity, value_curve
 from repro.core.pipeline import NevermindPipeline, PipelineConfig, WeeklyReport
 from repro.core.predictor import PredictorConfig, TicketPredictor
-from repro.core.reporting import EvaluationReport, full_evaluation_report
-from repro.core.triage import (
-    DEFAULT_TEST_MINUTES,
-    cost_aware_order,
-    expected_search_cost,
-    expected_tests,
-)
 from repro.data.export import export_all
 from repro.data.joins import (
     LabeledDataset,
@@ -160,15 +152,6 @@ __all__ = [
     "DslSimulator",
     "SimulationConfig",
     "SimulationResult",
-    "CapacityEconomics",
-    "optimal_capacity",
-    "value_curve",
-    "EvaluationReport",
-    "full_evaluation_report",
-    "DEFAULT_TEST_MINUTES",
-    "cost_aware_order",
-    "expected_search_cost",
-    "expected_tests",
     "export_all",
     "scenario",
     "scenario_names",

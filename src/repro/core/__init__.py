@@ -36,12 +36,6 @@ from repro.core.locator import (
 )
 from repro.core.pipeline import NevermindPipeline, PipelineConfig, WeeklyReport
 from repro.core.predictor import PredictorConfig, TicketPredictor
-from repro.core.triage import (
-    DEFAULT_TEST_MINUTES,
-    cost_aware_order,
-    expected_search_cost,
-    expected_tests,
-)
 
 __all__ = [
     "OutageExplanation",
@@ -65,8 +59,4 @@ __all__ = [
     "WeeklyReport",
     "PredictorConfig",
     "TicketPredictor",
-    "DEFAULT_TEST_MINUTES",
-    "cost_aware_order",
-    "expected_search_cost",
-    "expected_tests",
 ]

@@ -158,11 +158,6 @@ class LocatorDataset:
     def n_examples(self) -> int:
         return len(self.disposition)
 
-    def disposition_prior(self, n_dispositions: int) -> np.ndarray:
-        """Empirical disposition frequencies (the experience model input)."""
-        counts = np.bincount(self.disposition, minlength=n_dispositions)
-        total = counts.sum()
-        return counts / total if total else counts.astype(float)
 
 
 def build_locator_dataset(

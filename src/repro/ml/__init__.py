@@ -29,7 +29,6 @@ from repro.ml.ensemble_scoring import (
     compile_stumps,
     naive_grouped_margin,
 )
-from repro.ml.isotonic import IsotonicCalibrator, pool_adjacent_violators
 from repro.ml.logistic import LogisticRegressionResult, fit_logistic_regression
 from repro.ml.metrics import (
     accuracy_at_n,
@@ -57,8 +56,6 @@ __all__ = [
     "compile_stumps",
     "naive_grouped_margin",
     "PlattCalibrator",
-    "IsotonicCalibrator",
-    "pool_adjacent_violators",
     "LogisticRegressionResult",
     "fit_logistic_regression",
     "accuracy_at_n",

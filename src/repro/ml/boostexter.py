@@ -361,21 +361,6 @@ class BStump:
         """Hard labels in {-1, +1} by thresholding the margin."""
         return np.where(self.decision_function(X) >= threshold, 1.0, -1.0)
 
-    def feature_importances(self) -> np.ndarray:
-        """Total absolute score mass each feature contributes.
-
-        For each selected stump, both block scores weigh in; features never
-        selected get 0.  This powers Fig-9-style introspection of which line
-        features drive an inference.
-        """
-        if self.n_features_ is None:
-            raise RuntimeError("model is not fitted")
-        importances = np.zeros(self.n_features_)
-        for learner in self.learners:
-            stump = learner.stump
-            importances[stump.feature] += abs(stump.s_lo) + abs(stump.s_hi)
-        return importances
-
     def explain(self, x: np.ndarray, top_k: int = 10) -> list[tuple[int, float]]:
         """Per-feature score contributions for a single example.
 

@@ -47,7 +47,7 @@ from repro.netsim.groupfaults import (
     GroupFaultModel,
     GroupFaultSchedule,
 )
-from repro.netsim.physics import LinePhysics, LoopConditions
+from repro.netsim.physics import LoopConditions
 from repro.netsim.population import Population, PopulationConfig, build_population
 from repro.tickets.customers import CustomerBehavior, CustomerConfig, build_customers
 from repro.tickets.dispatch import (
@@ -133,10 +133,6 @@ class SimulationConfig:
             even a light user eventually notices a dead line.
         precursor_report_rate: weekly probability scale that a customer
             calls about shared-infrastructure (pre-outage) degradation.
-        physics_model: "reach" (default; calibrated exponential reach/rate
-            curves) or "dmt" (per-tone bit-loading model from
-            :mod:`repro.netsim.dmt` -- slower to construct, physically
-            derived).
         group_faults: correlated shared-plant fault process (None keeps
             the run bit-identical to pre-group-fault simulations).  When
             set, the tickets-side outage schedule is *derived* from the
@@ -156,7 +152,6 @@ class SimulationConfig:
     billing_ticket_rate: float = 0.0015
     notice_usage_floor: float = 0.35
     precursor_report_rate: float = 0.05
-    physics_model: str = "reach"
     group_faults: GroupFaultConfig | None = None
     seed: int = 101
 
@@ -232,17 +227,6 @@ class PlantModels:
 def build_plant_models(cfg: SimulationConfig) -> PlantModels:
     """Build the :class:`PlantModels` both simulation engines run on."""
     population = build_population(cfg.population)
-    if cfg.physics_model == "reach":
-        physics = LinePhysics()
-    elif cfg.physics_model == "dmt":
-        from repro.netsim.dmt import DmtLinePhysics
-
-        physics = DmtLinePhysics()
-    else:
-        raise ValueError(
-            f"physics_model must be 'reach' or 'dmt', got "
-            f"{cfg.physics_model!r}"
-        )
     topology = population.topology
     group_faults = None
     if cfg.group_faults is not None:
@@ -269,7 +253,7 @@ def build_plant_models(cfg: SimulationConfig) -> PlantModels:
     return PlantModels(
         population=population,
         conditions=population.conditions(),
-        tester=LineTester(physics=physics, config=cfg.linetest),
+        tester=LineTester(config=cfg.linetest),
         fault_model=FaultModel(
             rate_scale=cfg.fault_rate_scale, directional=cfg.directional_faults
         ),

@@ -130,10 +130,6 @@ class Topology:
         """Line indices served by a DSLAM."""
         return self.dslams[dslam_id].line_ids
 
-    def lines_of_bras(self, bras_id: int) -> np.ndarray:
-        """Line indices aggregated under a BRAS."""
-        return np.flatnonzero(self.line_bras == bras_id)
-
     def binder_of_line(self, line_id: int) -> int:
         """Binder index of a line (-1 when the topology has no binders)."""
         if not self.has_binders:

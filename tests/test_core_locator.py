@@ -37,6 +37,7 @@ class TestExperienceModel:
         model = ExperienceModel(fast_config).fit(train)
         assert model.prior_.sum() == pytest.approx(1.0)
         assert np.all(model.prior_ > 0)  # smoothing covers unseen codes
+        assert model.prior_.max() < 0.5  # no dominant disposition
 
     def test_rows_identical(self, locator_data, fast_config):
         train, test = locator_data

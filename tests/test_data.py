@@ -119,12 +119,6 @@ class TestLocatorDataset:
         ds = build_locator_dataset(small_result, 40, 60)
         assert np.all((ds.ticket_days >= 40) & (ds.ticket_days <= 60))
 
-    def test_prior_distribution(self, small_result):
-        ds = build_locator_dataset(small_result, 40, 120)
-        prior = ds.disposition_prior(52)
-        assert prior.sum() == pytest.approx(1.0)
-        assert prior.max() < 0.5  # no dominant disposition
-
     def test_empty_range_raises(self, small_result):
         with pytest.raises(ValueError):
             build_locator_dataset(small_result, 0, 1)

@@ -1,16 +1,10 @@
-"""Tests for the extension modules: cost-aware triage, churn, serialization."""
+"""Tests for the extension modules: churn, serialization."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.triage import (
-    DEFAULT_TEST_MINUTES,
-    cost_aware_order,
-    expected_search_cost,
-    expected_tests,
-)
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.serialize import (
     bstump_from_dict,
@@ -19,52 +13,6 @@ from repro.ml.serialize import (
     save_bstump,
 )
 from repro.tickets.churn import ChurnConfig, estimate_churn
-
-
-class TestCostAwareTriage:
-    def test_default_costs_align_with_catalog(self):
-        assert DEFAULT_TEST_MINUTES.shape == (52,)
-        assert np.all(DEFAULT_TEST_MINUTES > 0)
-
-    def test_order_by_probability_when_costs_equal(self):
-        probs = np.array([0.1, 0.5, 0.4])
-        order = cost_aware_order(probs, costs=np.ones(3))
-        assert list(order) == [1, 2, 0]
-
-    def test_cheap_tests_jump_the_queue(self):
-        probs = np.array([0.5, 0.5])
-        costs = np.array([10.0, 1.0])
-        assert list(cost_aware_order(probs, costs)) == [1, 0]
-
-    def test_pc_order_minimises_expected_cost(self, rng):
-        """Exchange-argument optimality: p/c order beats random orders."""
-        probs = rng.dirichlet(np.ones(8))
-        costs = rng.uniform(1, 20, size=8)
-        best = expected_search_cost(probs, cost_aware_order(probs, costs), costs)
-        for _ in range(50):
-            perm = rng.permutation(8)
-            assert best <= expected_search_cost(probs, perm, costs) + 1e-9
-
-    def test_expected_tests_unit_costs(self):
-        probs = np.array([1.0, 0.0, 0.0])
-        assert expected_tests(probs, np.array([0, 1, 2])) == pytest.approx(1.0)
-        assert expected_tests(probs, np.array([2, 1, 0])) == pytest.approx(3.0)
-
-    def test_residual_mass_pays_full_sweep(self):
-        probs = np.array([0.5, 0.0])
-        costs = np.array([1.0, 1.0])
-        # 0.5 chance found at cost 1; 0.5 residual pays both tests.
-        value = expected_search_cost(probs, np.array([0, 1]), costs)
-        assert value == pytest.approx(0.5 * 1 + 0.5 * 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cost_aware_order(np.array([0.5, -0.1]), np.ones(2))
-        with pytest.raises(ValueError):
-            cost_aware_order(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            expected_search_cost(np.array([0.5, 0.5]), np.array([0, 0]),
-                                 np.ones(2))
 
 
 class TestChurn:

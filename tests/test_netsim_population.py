@@ -73,11 +73,6 @@ class TestTopology:
             assert np.all(topo.line_dslam[dslam.line_ids] == dslam.dslam_id)
             assert np.all(topo.line_bras[dslam.line_ids] == dslam.bras_id)
 
-    def test_lines_of_bras_roundtrip(self, population):
-        topo = population.topology
-        lines = topo.lines_of_bras(0)
-        assert np.all(topo.line_bras[lines] == 0)
-
     def test_conditions_bundle(self, population):
         cond = population.conditions()
         assert cond.n_lines == population.n_lines

@@ -36,10 +36,6 @@ class TestTopology:
         topo = make_valid_topology()
         assert list(topo.lines_of_dslam(1)) == [3, 4, 5]
 
-    def test_lines_of_bras(self):
-        topo = make_valid_topology()
-        assert list(topo.lines_of_bras(0)) == [0, 1, 2]
-
     def test_detects_orphan_line(self):
         topo = make_valid_topology()
         topo.dslams[1] = Dslam(dslam_id=1, bras_id=1, geo=1,

@@ -7,9 +7,8 @@ streaming engine were made to share one weekly block step:
 * ``DslSimulator.run`` outputs -- the measurement cube and its Saturday
   days, every ticket field, the IVR calls, the per-line and group
   dispatch records, the ground-truth fault events, the traffic log and
-  each group event's cleared day -- for a default ``reach`` world, the
-  ``correlated_faults`` scenario (outages escalated from group events), a
-  small ``physics_model="dmt"`` world and a :class:`SeasonalDslSimulator`;
+  each group event's cleared day -- for a default ``reach`` world and the
+  ``correlated_faults`` scenario (outages escalated from group events);
 * a :class:`NevermindPipeline` run with triage on over a world with group
   faults, so the shared RNG is pinned through ``apply_proactive_fixes``
   and ``apply_group_fixes`` between weeks;
@@ -40,7 +39,6 @@ from repro.netsim import STREAM_BLOCK_LINES, stream_weeks
 from repro.netsim.groupfaults import GroupFaultConfig
 from repro.netsim.population import PopulationConfig
 from repro.netsim.scenarios import scenario
-from repro.netsim.seasonality import SeasonalDslSimulator
 from repro.netsim.simulator import DslSimulator, SimulationConfig
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "sim_digest_v1.json"
@@ -113,27 +111,6 @@ def _correlated_world():
     return DslSimulator(config).run()
 
 
-def _dmt_world():
-    config = SimulationConfig(
-        n_weeks=4,
-        population=PopulationConfig(n_lines=300, seed=3),
-        fault_rate_scale=4.0,
-        physics_model="dmt",
-        seed=9,
-    )
-    return DslSimulator(config).run()
-
-
-def _seasonal_world():
-    config = SimulationConfig(
-        n_weeks=16,
-        population=PopulationConfig(n_lines=1500, seed=11),
-        fault_rate_scale=3.0,
-        seed=19,
-    )
-    return SeasonalDslSimulator(config).run()
-
-
 def _pipeline_world():
     simulation = SimulationConfig(
         n_weeks=18,
@@ -161,8 +138,6 @@ def _pipeline_world():
 WORLDS = {
     "reach": _reach_world,
     "correlated_faults": _correlated_world,
-    "dmt": _dmt_world,
-    "seasonal": _seasonal_world,
     "pipeline_triage": _pipeline_world,
 }
 
