@@ -324,7 +324,9 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=200,
                         help="synthetic ensemble depth")
     parser.add_argument("--shard-size", type=int, default=32_768,
-                        help="lines per scoring shard")
+                        help="lines per scoring shard (kept at 32,768, not "
+                             "the program's DEFAULT_SHARD_SIZE: the "
+                             "worker-speedup baseline was measured there)")
     parser.add_argument("--workers", type=int, default=None,
                         help="scoring fan-out (default: REPRO_WORKERS, or "
                              "min(4, cpu) when unset)")

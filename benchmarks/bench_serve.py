@@ -72,6 +72,7 @@ from repro.netsim.population import PopulationConfig
 from repro.obs.profile import resource_section
 from repro.parallel import worker_count
 from repro.serve import (
+    DEFAULT_SHARD_SIZE,
     LineWeekStore,
     ModelBundle,
     ScoringEngine,
@@ -577,8 +578,9 @@ def main() -> None:
                         help="stored weeks")
     parser.add_argument("--rounds", type=int, default=200,
                         help="synthetic ensemble depth")
-    parser.add_argument("--shard-size", type=int, default=16_384,
-                        help="lines per scoring shard")
+    parser.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE,
+                        help="lines per scoring shard (default: the "
+                             "program's DEFAULT_SHARD_SIZE)")
     parser.add_argument("--workers", type=int, default=None,
                         help="scoring fan-out (default: REPRO_WORKERS, or "
                              "min(4, cpu) when unset)")

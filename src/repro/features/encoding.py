@@ -170,101 +170,90 @@ class LineFeatureEncoder:
         if week not in measurements.filled_weeks:
             raise ValueError(f"week {week} has no recorded campaign")
         n = measurements.n_lines
-        current = np.asarray(measurements.week_matrix(week), dtype=float)
+        n_basic = len(FEATURE_NAMES)
+        base_count = self.base_feature_count()
+        if not cfg.include_products:
+            product_pairs = []
+        elif product_pairs is None:
+            product_pairs = [
+                (i, j) for i in range(base_count) for j in range(i + 1, base_count)
+            ]
+        for i, j in product_pairs:
+            if not (0 <= i < base_count and 0 <= j < base_count):
+                raise IndexError(f"product pair ({i}, {j}) out of base range")
+        n_quad = base_count if cfg.include_quadratic else 0
 
+        # Every block is written straight into its column slice of one
+        # preallocated matrix; each op is elementwise, so the values are
+        # those of building the blocks apart and stacking them.
+        matrix = np.empty((n, base_count + n_quad + len(product_pairs)))
         names: list[str] = []
         groups: list[str] = []
-        categorical: list[bool] = []
-        blocks: list[np.ndarray] = []
+
+        def columns(group: str, labels: list[str]) -> None:
+            names.extend(labels)
+            groups.extend([group] * len(labels))
 
         # --- basic -------------------------------------------------------
-        blocks.append(current)
-        for fname in FEATURE_NAMES:
-            names.append(f"basic:{fname}")
-            groups.append("basic")
-            categorical.append(fname in CATEGORICAL_FEATURES)
+        current = matrix[:, :n_basic]
+        np.copyto(current, measurements.week_matrix(week))
+        columns("basic", [f"basic:{f}" for f in FEATURE_NAMES])
 
         # --- delta -------------------------------------------------------
+        delta = matrix[:, n_basic:2 * n_basic]
         if week >= 1 and (week - 1) in measurements.filled_weeks:
-            previous = np.asarray(measurements.week_matrix(week - 1), dtype=float)
-            delta = current - previous
+            np.copyto(delta, measurements.week_matrix(week - 1))
+            np.subtract(current, delta, out=delta)
         else:
-            delta = np.full_like(current, np.nan)
-        blocks.append(delta)
-        for fname in FEATURE_NAMES:
-            names.append(f"delta:{fname}")
-            groups.append("delta")
-            categorical.append(False)
+            delta[...] = np.nan
+        columns("delta", [f"delta:{f}" for f in FEATURE_NAMES])
 
         # --- time-series ---------------------------------------------------
-        blocks.append(self._timeseries_block(measurements, week, current))
-        for fname in FEATURE_NAMES:
-            names.append(f"ts:{fname}")
-            groups.append("timeseries")
-            categorical.append(False)
+        self._timeseries_block(
+            measurements, week, current, matrix[:, 2 * n_basic:3 * n_basic]
+        )
+        columns("timeseries", [f"ts:{f}" for f in FEATURE_NAMES])
 
         # --- profile -------------------------------------------------------
-        profile_block = self._profile_block(current, population)
-        blocks.append(profile_block)
-        for fname in _PROFILE_FEATURES:
-            names.append(f"profile:{fname}")
-            groups.append("profile")
-            categorical.append(False)
+        profile_stop = 3 * n_basic + len(_PROFILE_FEATURES)
+        self._profile_block(
+            current, population, matrix[:, 3 * n_basic:profile_stop]
+        )
+        columns("profile", [f"profile:{f}" for f in _PROFILE_FEATURES])
 
         # --- ticket --------------------------------------------------------
         pred_day = int(measurements.saturday_day[week])
         if ticket_log is not None:
             last_day = ticket_log.last_ticket_day_before(n, pred_day)
-            since = np.where(
+            matrix[:, profile_stop] = np.where(
                 last_day >= 0, pred_day - last_day, _NO_TICKET_CAP_DAYS
-            ).astype(float)
+            )
         else:
-            since = np.full(n, _NO_TICKET_CAP_DAYS)
-        blocks.append(since[:, None])
-        names.append("ticket:days_since_last")
-        groups.append("ticket")
-        categorical.append(False)
+            matrix[:, profile_stop] = _NO_TICKET_CAP_DAYS
+        columns("ticket", ["ticket:days_since_last"])
 
         # --- modem ---------------------------------------------------------
-        off_frac = measurements.modem_off_fraction(upto_week=week + 1)
-        blocks.append(off_frac[:, None])
-        names.append("modem:off_fraction")
-        groups.append("modem")
-        categorical.append(False)
-
-        matrix = np.hstack(blocks)
-        base_count = matrix.shape[1]
+        matrix[:, profile_stop + 1] = measurements.modem_off_fraction(
+            upto_week=week + 1
+        )
+        columns("modem", ["modem:off_fraction"])
 
         # --- derived: quadratic ---------------------------------------------
-        if cfg.include_quadratic:
-            quad = matrix**2
-            matrix = np.hstack([matrix, quad])
-            for k in range(base_count):
-                names.append(f"quad:{names[k]}")
-                groups.append("quadratic")
-                categorical.append(False)
+        base = matrix[:, :base_count]
+        if n_quad:
+            np.square(base, out=matrix[:, base_count:base_count + n_quad])
+            columns("quadratic", [f"quad:{name}" for name in names[:base_count]])
 
         # --- derived: product -----------------------------------------------
-        if cfg.include_products:
-            if product_pairs is None:
-                product_pairs = [
-                    (i, j) for i in range(base_count) for j in range(i + 1, base_count)
-                ]
-            cols = np.empty((n, len(product_pairs)))
-            for slot, (i, j) in enumerate(product_pairs):
-                if not (0 <= i < base_count and 0 <= j < base_count):
-                    raise IndexError(f"product pair ({i}, {j}) out of base range")
-                cols[:, slot] = matrix[:, i] * matrix[:, j]
-                names.append(f"prod:{names[i]}*{names[j]}")
-                groups.append("product")
-                categorical.append(False)
-            matrix = np.hstack([matrix, cols])
+        for slot, (i, j) in enumerate(product_pairs, start=base_count + n_quad):
+            np.multiply(base[:, i], base[:, j], out=matrix[:, slot])
+        columns("product",
+                [f"prod:{names[i]}*{names[j]}" for i, j in product_pairs])
 
+        categorical = np.zeros(len(names), dtype=bool)
+        categorical[:n_basic] = [f in CATEGORICAL_FEATURES for f in FEATURE_NAMES]
         return FeatureSet(
-            matrix=matrix,
-            names=names,
-            groups=groups,
-            categorical=np.asarray(categorical, dtype=bool),
+            matrix=matrix, names=names, groups=groups, categorical=categorical
         )
 
     def base_feature_count(self) -> int:
@@ -272,9 +261,15 @@ class LineFeatureEncoder:
         return 3 * len(FEATURE_NAMES) + len(_PROFILE_FEATURES) + 2
 
     def _timeseries_block(
-        self, measurements: MeasurementStore, week: int, current: np.ndarray
-    ) -> np.ndarray:
-        """Table-3 "timeseries": ``(l_iK - mean(l_i)) / std(l_i)`` per line.
+        self,
+        measurements: MeasurementStore,
+        week: int,
+        current: np.ndarray,
+        deviation: np.ndarray,
+    ) -> None:
+        """Table-3 "timeseries": ``(l_iK - mean(l_i)) / std(l_i)`` per line,
+        written into ``deviation`` (the block's column slice of the
+        encoded matrix).
 
         A streaming kernel over the history weeks, run one row tile of
         :data:`TIMESERIES_TILE_ROWS` lines at a time: each week's
@@ -297,11 +292,11 @@ class LineFeatureEncoder:
         history = measurements.filled_weeks
         history = history[(history < week) & (history >= week - cfg.history_weeks)]
         if history.size == 0:
-            return np.full_like(current, np.nan)
+            deviation[...] = np.nan
+            return
         cube = measurements.cube
         n_lines = current.shape[0]
         tile = min(TIMESERIES_TILE_ROWS, n_lines)
-        deviation = np.empty_like(current)
         missing = np.empty((tile, current.shape[1]), dtype=bool)
         absent = np.empty(missing.shape, dtype=np.intp)
         buf, total, squares = (np.empty(missing.shape) for _ in range(3))
@@ -338,16 +333,15 @@ class LineFeatureEncoder:
                 out = np.subtract(current[rows], mean, out=deviation[rows])
                 out /= std
                 np.copyto(out, np.nan, where=counts < cfg.min_history_records)
-        return deviation
 
-    def _profile_block(self, current: np.ndarray, population: Population) -> np.ndarray:
+    def _profile_block(
+        self, current: np.ndarray, population: Population, out: np.ndarray
+    ) -> None:
         expectations = self._profile_expectations(population)
-        cols = np.empty((current.shape[0], len(_PROFILE_FEATURES)))
-        for slot, fname in enumerate(_PROFILE_FEATURES):
-            expected = expectations[:, slot]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cols[:, slot] = current[:, feature_index(fname)] / expected
-        return cols
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for slot, fname in enumerate(_PROFILE_FEATURES):
+                np.divide(current[:, feature_index(fname)],
+                          expectations[:, slot], out=out[:, slot])
 
     @staticmethod
     def _profile_expectations(population: Population) -> np.ndarray:

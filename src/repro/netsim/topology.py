@@ -164,6 +164,8 @@ class Topology:
             seen[dslam.line_ids] = True
             if np.any(self.line_dslam[dslam.line_ids] != dslam.dslam_id):
                 raise ValueError("line_dslam disagrees with DSLAM membership")
+            if np.any(self.line_bras[dslam.line_ids] != dslam.bras_id):
+                raise ValueError("line_bras disagrees with the DSLAM uplink")
         if not np.all(seen):
             raise ValueError("some lines are not served by any DSLAM")
         for bras in self.brases:

@@ -45,14 +45,15 @@ from repro.obs.profile import stage
 from repro.parallel import parallel_map, split_shards
 from repro.serve.cache import ScoreCache
 from repro.serve.registry import ModelBundle
-from repro.serve.store import StoredWorld, _population_row_view, _StoredTicketView
+from repro.serve.store import (
+    DEFAULT_SHARD_SIZE,
+    StoredWorld,
+    _population_row_view,
+    _StoredTicketView,
+)
 from repro.tickets.dispatch import DispatchList, Dispatcher, build_dispatch_list
 
 __all__ = ["WeekScores", "ScoringEngine", "DEFAULT_SHARD_SIZE", "score_bundles"]
-
-#: Default lines per shard; small enough to parallelise a laptop-scale
-#: population, large enough that per-shard numpy dispatch overhead is noise.
-DEFAULT_SHARD_SIZE = 16_384
 
 #: Shard-level logging is a hot loop (a 100K-line week is dozens of
 #: shards per run, every run): sample 1-in-50 per event, not per line.

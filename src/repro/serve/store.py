@@ -67,7 +67,7 @@ __all__ = [
     "StoredWorld",
     "snapshot_result",
     "DENSE_LINE_WEEK_BUDGET",
-    "DEFAULT_ENCODE_CHUNK",
+    "DEFAULT_SHARD_SIZE",
 ]
 
 _MANIFEST = "manifest.json"
@@ -79,8 +79,16 @@ _FORMAT_VERSION = 1
 #: it" path should silently allocate.
 DENSE_LINE_WEEK_BUDGET = 4_000_000
 
-#: Default row-chunk of the out-of-core :meth:`StoredWorld.encode_week`.
-DEFAULT_ENCODE_CHUNK = 65_536
+#: Lines per out-of-core read+encode batch: a scoring shard, and the
+#: default row chunk of :meth:`StoredWorld.iter_encode_week`.  A batch
+#: holds its rows of every stored week (lines x weeks x 100 B: 25
+#: float32 per line-week) plus their float64 encode (83 base columns,
+#: 664 B per line); at 29 stored weeks, 4,096 lines is ~12 MB of cube
+#: and ~3 MB of features.  Sized by a sweep on the ``weekly_cycle``
+#: benchmark (40K lines, 29 weeks, 2 vCPUs; DESIGN.md section 15):
+#: against 16,384 lines, 4,096 cuts peak RSS ~156 -> ~99 MB with
+#: latency no worse, and 2,048 saves ~7 MB more but runs slower.
+DEFAULT_SHARD_SIZE = 4_096
 
 
 def _sha256(data: bytes) -> str:
@@ -628,9 +636,10 @@ class StoredWorld:
     ``out_of_core=True``, or automatic once ``lines x weeks`` exceeds
     :data:`DENSE_LINE_WEEK_BUDGET` -- :meth:`shard_measurements` reads
     only its own rows from disk, so peak memory is bounded by the shard
-    size, not the plant.  Both modes yield bit-identical rows (the store
-    rows are the same bytes), so scoring results do not depend on the
-    mode.
+    size, not the plant: shard lines x stored weeks x 100 B of cube
+    (25 float32 per line-week) plus the shard's encode.  Both modes
+    yield bit-identical rows (the store rows are the same bytes), so
+    scoring results do not depend on the mode.
     """
 
     def __init__(
@@ -731,19 +740,21 @@ class StoredWorld:
     ):
         """Yield ``(shard, FeatureSet)`` per row chunk of a stored week.
 
-        The streaming form of :meth:`encode_week`: each chunk's encoded
-        features are yielded and released, so a consumer that processes
-        chunks independently (scoring, export) never holds the full
-        base-feature matrix -- at paper scale that matrix is several
-        times larger than a week of raw measurements.
+        The streaming form of :meth:`encode_week`: each chunk of
+        ``chunk_lines`` lines (default :data:`DEFAULT_SHARD_SIZE`, the
+        scoring shard) is read and encoded, yielded and released, so a
+        consumer that processes chunks independently (scoring, export)
+        never holds the full base-feature matrix -- at paper scale that
+        matrix is several times larger than a week of raw measurements.
         """
         if chunk_lines is not None and chunk_lines < 1:
             raise ValueError(f"chunk_lines must be >= 1, got {chunk_lines}")
         day = self.store.day_of(week)
-        chunk = chunk_lines or DEFAULT_ENCODE_CHUNK
         population = self.population()
         last_day = np.asarray(self.store.last_ticket_day(week))
-        for shard in split_shards(self.store.n_lines, chunk):
+        for shard in split_shards(
+            self.store.n_lines, chunk_lines or DEFAULT_SHARD_SIZE
+        ):
             yield shard, encoder.encode(
                 self.shard_measurements(shard),
                 week,

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.features.encoding import EncoderConfig, FeatureSet, LineFeatureEncoder
-from repro.measurement.records import FEATURE_NAMES, feature_index
+from repro.features.encoding import (
+    _PROFILE_FEATURES,
+    EncoderConfig,
+    FeatureSet,
+    LineFeatureEncoder,
+)
+from repro.measurement.records import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    MeasurementStore,
+    feature_index,
+)
+from repro.netsim.population import PopulationConfig, build_population
+from repro.serve.store import LineWeekStore, StoredWorld, _StoredTicketView
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +195,132 @@ class TestFeatureSet:
         )
         with pytest.raises(ValueError):
             fs.hstack(other)
+
+
+def stacked_encode(encoder, measurements, week, population, ticket_log=None,
+                   product_pairs=None):
+    """The encode as separate blocks joined by ``np.hstack``: the
+    reference the preallocated encode must match bit for bit."""
+    current = np.asarray(measurements.week_matrix(week), dtype=float)
+    if week >= 1 and (week - 1) in measurements.filled_weeks:
+        delta = current - np.asarray(measurements.week_matrix(week - 1), float)
+    else:
+        delta = np.full_like(current, np.nan)
+    ts = np.empty_like(current)
+    encoder._timeseries_block(measurements, week, current, ts)
+    expected = encoder._profile_expectations(population)
+    profile = np.empty_like(expected)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for slot, name in enumerate(_PROFILE_FEATURES):
+            profile[:, slot] = current[:, feature_index(name)] / expected[:, slot]
+    day = int(measurements.saturday_day[week])
+    if ticket_log is None:
+        since = np.full(measurements.n_lines, 365.0)
+    else:
+        last = ticket_log.last_ticket_day_before(measurements.n_lines, day)
+        since = np.where(last >= 0, day - last, 365.0).astype(float)
+    off = measurements.modem_off_fraction(upto_week=week + 1)
+    matrix = np.hstack([current, delta, ts, profile, since[:, None], off[:, None]])
+    base_count = matrix.shape[1]
+    if encoder.config.include_quadratic:
+        matrix = np.hstack([matrix, matrix**2])
+    if encoder.config.include_products:
+        if product_pairs is None:
+            product_pairs = [
+                (i, j) for i in range(base_count) for j in range(i + 1, base_count)
+            ]
+        cols = np.empty((matrix.shape[0], len(product_pairs)))
+        for slot, (i, j) in enumerate(product_pairs):
+            cols[:, slot] = matrix[:, i] * matrix[:, j]
+        matrix = np.hstack([matrix, cols])
+    return matrix
+
+
+def _nan_payload_world(n_lines=300, n_weeks=9, seed=3):
+    """A store whose records carry NaNs with distinct payloads and signs,
+    signed zeros, mixed magnitudes and a missing week, plus a ticket view
+    with ticket-free lines."""
+    rng = np.random.default_rng(seed)
+    store = MeasurementStore(n_lines=n_lines, n_weeks=n_weeks)
+    for week in range(n_weeks):
+        if week == n_weeks - 4:
+            continue  # a gap: the delta and history reads must skip it
+        features = rng.normal(10.0, 3.0, size=(n_lines, N_FEATURES))
+        features *= 10.0 ** rng.integers(-6, 7, size=features.shape)
+        features[rng.random(features.shape) < 0.1] = -0.0
+        features = features.astype(np.float32)
+        bits = features.view(np.uint32)
+        nan = rng.random(features.shape) < 0.15
+        payload = rng.integers(1, 2**22, size=features.shape, dtype=np.uint32)
+        sign = np.where(rng.random(features.shape) < 0.5, 0x80000000, 0)
+        bits[nan] = (0x7FC00000 | payload | sign.astype(np.uint32))[nan]
+        store.add_week(week, week * 7 + 5, features)
+    population = build_population(PopulationConfig(n_lines=n_lines, seed=seed))
+    last_day = rng.integers(-1, 60, size=n_lines)
+    return store, population, last_day
+
+
+_CONFIGS = [
+    EncoderConfig(history_weeks=6, include_quadratic=quad, include_products=prod)
+    for quad in (False, True) for prod in (False, True)
+]
+_CONFIG_IDS = ["base", "products", "quadratic", "quadratic+products"]
+
+
+def _assert_bits_equal(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestPreallocatedEncode:
+    """One preallocated matrix gives the stacked blocks' bits exactly."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return _nan_payload_world()
+
+    @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
+    @pytest.mark.parametrize("week", [0, 6, 8])  # week 6 follows the gap
+    def test_dense_matches_stacked_blocks(self, world, config, week):
+        store, population, last_day = world
+        encoder = LineFeatureEncoder(config)
+        day = int(store.saturday_day[week])
+        tickets = _StoredTicketView(last_day, day)
+        for pairs in (None, [(0, 1), (82, 3), (50, 50), (81, 60)]):
+            got = encoder.encode(store, week, population, tickets, pairs)
+            _assert_bits_equal(
+                got.matrix,
+                stacked_encode(encoder, store, week, population, tickets, pairs),
+            )
+        cold = encoder.encode(store, week, population)
+        _assert_bits_equal(
+            cold.matrix, stacked_encode(encoder, store, week, population)
+        )
+
+    def test_payloads_reach_the_output(self, world):
+        store, population, _ = world
+        fs = LineFeatureEncoder(_CONFIGS[-1]).encode(store, 8, population)
+        nans = fs.matrix[np.isnan(fs.matrix)].view(np.uint64)
+        assert np.unique(nans).size > 100
+        assert np.any(nans >> 63) and np.any(fs.matrix.view(np.uint64) == 2**63)
+
+    @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
+    def test_out_of_core_matches_stacked_blocks(self, world, config, tmp_path):
+        store, population, last_day = world
+        stored = LineWeekStore.create(
+            tmp_path / "store", store.n_lines, population.config
+        )
+        for week in store.filled_weeks.tolist():
+            stored.append_week(
+                week, int(store.saturday_day[week]), store.week_matrix(week),
+                last_day,
+            )
+        encoder = LineFeatureEncoder(config)
+        week = int(store.filled_weeks[-1])
+        tickets = _StoredTicketView(last_day, int(store.saturday_day[week]))
+        expected = stacked_encode(encoder, store, week, population, tickets)
+        for out_of_core in (False, True):
+            reader = StoredWorld(stored, out_of_core=out_of_core)
+            for chunk_lines in (None, 97, 1_000):
+                got = reader.encode_week(week, encoder, chunk_lines=chunk_lines)
+                _assert_bits_equal(got.matrix, expected)

@@ -63,6 +63,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.validate()
 
+    def test_detects_line_bras_mismatch(self):
+        topo = make_valid_topology()
+        topo.line_bras = np.array([1, 1, 1, 0, 0, 0])  # every line on the other BRAS
+        with pytest.raises(ValueError, match="line_bras"):
+            topo.validate()
+
     def test_detects_bras_membership_mismatch(self):
         topo = make_valid_topology()
         topo.brases[0] = Bras(bras_id=0, dslam_ids=np.array([0, 1]))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.measurement.records import N_FEATURES
+from repro.netsim.population import PopulationConfig
 from repro.parallel import split_shards
-from repro.serve import ModelBundle, ScoringEngine, StoredWorld
+from repro.serve import LineWeekStore, ModelBundle, ScoringEngine, StoredWorld
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +243,49 @@ class TestRowPath:
             engine.explain(week, line)
         with pytest.raises(IndexError):
             engine.attribution_payloads(week, [3, line])
+
+
+class TestMemoryBound:
+    """Out-of-core scoring memory follows the shard, not the plant."""
+
+    SHARD = 256
+    WEEKS = 12
+
+    def _world(self, root, n_lines, rng):
+        store = LineWeekStore.create(
+            root / f"store-{n_lines}", n_lines,
+            PopulationConfig(n_lines=n_lines, seed=1),
+        )
+        for week in range(self.WEEKS):
+            day = week * 7 + 5
+            features = rng.normal(10.0, 3.0, size=(n_lines, N_FEATURES))
+            store.append_week(
+                week, day, features, rng.integers(-1, day, size=n_lines)
+            )
+        world = StoredWorld(store, out_of_core=True)
+        world.population()  # the plant rebuild is cached, not per run
+        return world
+
+    def _peak_bytes(self, bundle, world) -> int:
+        engine = ScoringEngine(bundle, world, shard_size=self.SHARD, workers=1)
+        tracemalloc.start()
+        try:
+            engine.score_week(self.WEEKS - 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_far_slower_than_stored_history(
+        self, small_predictor, tmp_path
+    ):
+        rng = np.random.default_rng(0)
+        bundle = ModelBundle(predictor=small_predictor)
+        small = self._world(tmp_path, 4 * self.SHARD, rng)
+        large = self._world(tmp_path, 16 * self.SHARD, rng)
+        self._peak_bytes(bundle, small)  # warm lazy state off the books
+        growth = self._peak_bytes(bundle, large) - self._peak_bytes(bundle, small)
+        per_line = growth / (large.n_lines - small.n_lines)
+        history_per_line = self.WEEKS * N_FEATURES * 4
+        # Only per-line vectors (margins, scores) scale with the plant;
+        # a whole-plant cube would add all of ``history_per_line``.
+        assert per_line < 0.1 * history_per_line, (per_line, history_per_line)

@@ -8,6 +8,8 @@ store, reader, encoder and scorer.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ from repro.netsim import (
 )
 from repro.netsim.groupfaults import GroupFaultConfig
 from repro.netsim.population import PopulationConfig
-from repro.serve.store import LineWeekStore, StoredWorld, _StoredTicketView
+from repro.serve.store import (
+    DEFAULT_SHARD_SIZE,
+    LineWeekStore,
+    StoredWorld,
+    _StoredTicketView,
+)
 
 N_LINES = 3 * STREAM_BLOCK_LINES - 1000  # deliberately not block-aligned
 N_WEEKS = 4
@@ -211,6 +218,21 @@ class TestOutOfCoreWorld:
                 assert np.array_equal(got.matrix, ref.matrix, equal_nan=True)
                 assert got.names == ref.names
                 assert got.groups == ref.groups
+
+    def test_default_chunk_hashes_like_one_65536_line_chunk(self, store):
+        # The default chunk is the scoring shard, several chunks over this
+        # plant; one 65,536-line chunk covers it whole.
+        assert N_LINES > DEFAULT_SHARD_SIZE
+        encoder = LineFeatureEncoder(EncoderConfig(include_quadratic=True))
+        for out_of_core in (False, True):
+            world = StoredWorld(store, out_of_core=out_of_core)
+            digests = {
+                hashlib.sha256(
+                    world.encode_week(N_WEEKS - 1, encoder, chunk).matrix
+                ).hexdigest()
+                for chunk in (None, 65_536)
+            }
+            assert len(digests) == 1, f"out_of_core={out_of_core}"
 
     def test_iter_encode_week_streams_the_same_matrix(self, store):
         encoder = LineFeatureEncoder(EncoderConfig())
