@@ -142,10 +142,8 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
         assert appended == list(range(n_weeks)), appended
         store.verify()
 
-        # The paper-scale path: never materialise the dense cube.
-        world = StoredWorld(
-            LineWeekStore.open(store.root), out_of_core=True
-        )
+        # StoredWorld reads each shard's rows from disk; no plant cube.
+        world = StoredWorld(LineWeekStore.open(store.root))
         encoder = LineFeatureEncoder(EncoderConfig())
         target = store.latest_week
 
@@ -214,7 +212,7 @@ def bench_cycle(n_lines: int, n_weeks: int, chunk_lines: int, n_rounds: int,
             "shard_size": shard_size,
             "n_shards": scored.n_shards,
             "workers": worker_count(workers),
-            "out_of_core": world.out_of_core_active(),
+            "out_of_core": True,  # StoredWorld's only residency mode
             "generate_append_seconds": gen_seconds,
             "generate_seconds": generate_seconds,
             "append_seconds": append_seconds,

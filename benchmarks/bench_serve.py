@@ -6,9 +6,9 @@ path at deployment-like scale and writes the numbers to
 
 * **snapshot** -- line-week store append throughput (line-weeks/sec);
 * **cold_score** -- the first full Saturday scoring run from a freshly
-  opened store: mmap first-touch page faults + per-shard Table-3 encode
-  + compiled scoring + calibration, fanned across ``repro.parallel``
-  workers;
+  opened store: each shard's rows of every stored week read from disk
+  + per-shard Table-3 encode + compiled scoring + calibration, fanned
+  across ``repro.parallel`` workers;
 * **score** -- the same full run repeated best-of-N (the repo's
   ``bench_perf`` timing idiom) with the score cache cleared each pass,
   so every pass re-reads the store, re-encodes, and re-scores; this
@@ -222,7 +222,7 @@ def bench_serve(n_lines: int, n_weeks: int, n_rounds: int, shard_size: int,
             store.append_week(week, day, matrix, last_ticket)
         snapshot_seconds = time.perf_counter() - start
 
-        # A fresh handle, so cold-path timing includes manifest + mmap reads.
+        # A fresh handle, so cold-path timing includes manifest + shard reads.
         world = StoredWorld(LineWeekStore.open(store.root))
         bundle = _synthetic_bundle(
             rng, LineFeatureEncoder(EncoderConfig()), n_rounds,

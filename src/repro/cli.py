@@ -708,7 +708,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
                 stream_weeks(config, chunk_lines=chunk))
         store.verify()
 
-        world = StoredWorld(LineWeekStore.open(root), out_of_core=True)
+        world = StoredWorld(LineWeekStore.open(root))
         encoder = LineFeatureEncoder(EncoderConfig())
         with stage("scale.encode") as encode:
             encoded = sum(

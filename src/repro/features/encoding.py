@@ -118,17 +118,6 @@ class FeatureSet:
             categorical=self.categorical[indices],
         )
 
-    def hstack(self, other: "FeatureSet") -> "FeatureSet":
-        """Column-wise concatenation of two feature sets."""
-        if other.matrix.shape[0] != self.matrix.shape[0]:
-            raise ValueError("feature sets cover different populations")
-        return FeatureSet(
-            matrix=np.hstack([self.matrix, other.matrix]),
-            names=self.names + other.names,
-            groups=self.groups + other.groups,
-            categorical=np.concatenate([self.categorical, other.categorical]),
-        )
-
 
 def product_feature(matrix: np.ndarray, i: int, j: int) -> np.ndarray:
     """The product column ``matrix[:, i] * matrix[:, j]`` (NaN propagates)."""

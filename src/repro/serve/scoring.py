@@ -70,8 +70,8 @@ class WeekScores:
         scores: per-line calibrated ticket probabilities.
         n_shards: how many line-shards the run fanned out.
         prepare_seconds: wall time of the ``serve.prepare`` stage, the
-            shared set-up before the shard fan-out (population, dense
-            cube, ticket vector).
+            shared set-up before the shard fan-out (population, week
+            day, ticket vector).
         score_seconds: the rest of the ``serve.score_week`` stage: the
             shard fan-out (each shard's ``serve.read``, ``serve.encode``
             and ``serve.ensemble`` stages) plus calibration.
@@ -109,15 +109,14 @@ def _score_shards(world, encoder, week, shard_size, workers, run, models,
                   label):
     """A scoring run's ``serve.prepare`` stage and shard fan-out.
 
-    Each shard is read and encoded once, then every ``(compiled,
-    recipes)`` model folds it under ``serve.ensemble``.  Returns the
-    week's day, the prepare seconds, the shard count and the
-    ``(n_models, n_lines)`` margins.
+    ``serve.prepare`` holds only the per-week set-up; each shard reads
+    its own rows from disk and encodes them once, then every
+    ``(compiled, recipes)`` model folds it under ``serve.ensemble``.
+    Returns the week's day, the prepare seconds, the shard count and
+    the ``(n_models, n_lines)`` margins.
     """
     with stage("serve.prepare", week=week) as prepare:
         population = world.population()
-        if not world.out_of_core_active():
-            world.measurements()  # build the dense cube once, outside the fan-out
         day = world.store.day_of(week)
         last_day = np.asarray(world.store.last_ticket_day(week))
     shards = split_shards(world.n_lines, shard_size)

@@ -36,13 +36,11 @@ whole-week appends produce byte-identical ``.npy`` files and checksums.
 
 On the read side, :meth:`LineWeekStore.read_rows_into` serves a
 contiguous row range, or a sorted set of row ids run by run, straight
-from disk offsets (no mmap, so touched pages never accumulate in RSS),
-and :class:`StoredWorld` switches to an out-of-core mode --
-automatically past :data:`DENSE_LINE_WEEK_BUDGET` line-weeks -- where
-scoring shards, chunked encodes and per-line reads read only their own
-rows instead of assembling the full ``(n_weeks, n_lines, 25)`` cube;
-either way each stored week's rows are read in place into their
-contiguous block of a week-major cube.
+from disk offsets (no mmap, so touched pages never accumulate in RSS).
+:class:`StoredWorld` reads out of core: scoring shards, chunked encodes
+and per-line reads each read only their own rows of every stored week,
+in place into that week's contiguous block of a week-major cube, and
+nothing ever assembles the plant's ``(n_weeks, n_lines, 25)`` cube.
 """
 
 from __future__ import annotations
@@ -66,18 +64,11 @@ __all__ = [
     "LineWeekStore",
     "StoredWorld",
     "snapshot_result",
-    "DENSE_LINE_WEEK_BUDGET",
     "DEFAULT_SHARD_SIZE",
 ]
 
 _MANIFEST = "manifest.json"
 _FORMAT_VERSION = 1
-
-#: Above this many line-weeks (lines x stored weeks), :class:`StoredWorld`
-#: defaults to out-of-core reads instead of assembling the dense cube --
-#: 4M line-weeks is a ~400 MB float32 cube, about the most a "just load
-#: it" path should silently allocate.
-DENSE_LINE_WEEK_BUDGET = 4_000_000
 
 #: Lines per out-of-core read+encode batch: a scoring shard, and the
 #: default row chunk of :meth:`StoredWorld.iter_encode_week`.  A batch
@@ -193,7 +184,7 @@ class LineWeekStore:
         self.n_lines = n_lines
         self._population_config = population
         self._entries = entries
-        self._layouts: dict[str, tuple[tuple[int, ...], np.dtype, int]] = {}
+        self._layouts: dict[str, tuple[tuple[int, ...], np.dtype, int, str]] = {}
 
     # ----- lifecycle ------------------------------------------------------
 
@@ -443,11 +434,15 @@ class LineWeekStore:
         entry = self._entry(week)
         return self._load(entry.tickets, entry.tickets_checksum, mmap)
 
-    def _shard_layout(self, name: str) -> tuple[tuple[int, ...], np.dtype, int]:
-        """(shape, dtype, data byte offset) of a shard, header parsed once."""
+    def _shard_layout(
+        self, name: str
+    ) -> tuple[tuple[int, ...], np.dtype, int, str]:
+        """(shape, dtype, data byte offset, path) of a shard, header parsed
+        once."""
         layout = self._layouts.get(name)
         if layout is None:
-            with open(self.root / name, "rb") as fh:
+            path = str(self.root / name)
+            with open(path, "rb") as fh:
                 version = _npy_format.read_magic(fh)
                 if version == (1, 0):
                     shape, fortran, dtype = _npy_format.read_array_header_1_0(fh)
@@ -459,13 +454,13 @@ class LineWeekStore:
                     )
                 if fortran:
                     raise ValueError(f"shard {name} is Fortran-ordered")
-                layout = (tuple(shape), dtype, fh.tell())
+                layout = (tuple(shape), dtype, fh.tell(), path)
             self._layouts[name] = layout
         return layout
 
     def _row_layout(
         self, name: str, start: int, stop: int
-    ) -> tuple[tuple[int, ...], np.dtype, int]:
+    ) -> tuple[tuple[int, ...], np.dtype, int, str]:
         """:meth:`_shard_layout`, after checking ``[start, stop)`` fits."""
         layout = self._shard_layout(name)
         if not 0 <= start <= stop <= layout[0][0]:
@@ -474,10 +469,11 @@ class LineWeekStore:
             )
         return layout
 
-    def _read_rows_into(self, name: str, rows, out: np.ndarray) -> None:
-        runs = _row_runs(rows, out.shape[0])
+    def _read_runs_into(self, name: str, runs, out: np.ndarray) -> None:
+        """Read each ``(first row, output row, length)`` run of
+        :func:`_row_runs` into ``out`` with one positioned read."""
         first, (last, _, count) = runs[0][0], runs[-1]
-        shape, dtype, offset = self._row_layout(name, first, last + count)
+        shape, dtype, offset, path = self._row_layout(name, first, last + count)
         if (
             out.dtype != dtype
             or out.shape[1:] != tuple(shape[1:])
@@ -492,34 +488,42 @@ class LineWeekStore:
         if out.size == 0:
             return
         row_bytes = out.nbytes // out.shape[0]
-        with open(self.root / name, "rb") as fh:
+        buf = memoryview(out).cast("B")
+        # Unbuffered: each run is read straight into ``out``, with no
+        # read-ahead past a short run.
+        with open(path, "rb", buffering=0) as fh:
             for start, at, count in runs:
-                block = out[at:at + count]
+                view = buf[at * row_bytes:(at + count) * row_bytes]
                 fh.seek(offset + start * row_bytes)
-                # A buffered readinto keeps reading until ``block`` is full
-                # or the file ends, so a short count means a truncated shard.
-                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
-                    raise ValueError(f"shard {name} is truncated")
+                while view:  # a raw read may stop short; 0 bytes is EOF
+                    got = fh.readinto(view)
+                    if not got:
+                        raise ValueError(f"shard {name} is truncated")
+                    view = view[got:]
+
+    def _read_week_runs(self, week: int, runs, out: np.ndarray) -> None:
+        """:meth:`read_rows_into` with the rows' runs already computed."""
+        self._read_runs_into(self._entry(week).measurements, runs, out)
 
     def _read_rows(self, name: str, start: int, stop: int) -> np.ndarray:
-        shape, dtype, _ = self._row_layout(name, start, stop)
+        shape, dtype, *_ = self._row_layout(name, start, stop)
         out = np.empty((stop - start,) + tuple(shape[1:]), dtype=dtype)
-        self._read_rows_into(name, start, out)
+        self._read_runs_into(name, _row_runs(start, stop - start), out)
         return out
 
     def read_rows_into(self, week: int, rows, out: np.ndarray) -> None:
         """Read rows ``[rows, rows + len(out))`` of a week into ``out``,
         or, given a sorted array of unique row ids, those rows.
 
-        Each contiguous run is one direct positioned read of exactly its
-        byte range into the caller's buffer (the shard opened once) --
+        Each contiguous run is one unbuffered positioned read of exactly
+        its byte range into the caller's buffer (the shard opened once) --
         no mmap, so out-of-core scoring never accumulates touched pages
         in resident memory, and no intermediate copy.  ``out`` must be a
         writeable C-contiguous ``(rows, 25)`` float32 array (e.g. one
         week's block of a week-major cube); raises ``ValueError`` for
         rows outside the shard or a truncated shard file.
         """
-        self._read_rows_into(self._entry(week).measurements, rows, out)
+        self._read_week_runs(week, _row_runs(rows, out.shape[0]), out)
 
     def read_rows(self, week: int, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)`` of a week's measurement matrix.
@@ -547,9 +551,9 @@ class LineWeekStore:
             return self._read_rows(name, rows, stop)
         if stop is not None:
             raise ValueError("stop applies to a start row, not to row ids")
-        shape, dtype, _ = self._shard_layout(name)
+        shape, dtype, *_ = self._shard_layout(name)
         out = np.empty((len(rows),) + tuple(shape[1:]), dtype=dtype)
-        self._read_rows_into(name, rows, out)
+        self._read_runs_into(name, _row_runs(rows, len(rows)), out)
         return out
 
     def verify(self) -> None:
@@ -596,18 +600,6 @@ class _StoredTicketView:
         return np.asarray(self._last_day)
 
 
-def _measurement_row_view(full: MeasurementStore, rows) -> MeasurementStore:
-    """A row view of a dense measurement store (zero-copy for a slice).
-
-    Every MeasurementStore method reduces along the week/feature axes
-    per line, so the view behaves exactly like the full store restricted
-    to these rows.
-    """
-    return MeasurementStore.from_week_major(
-        full.cube[:, rows], full.saturday_day, full._filled
-    )
-
-
 def _population_row_view(full: Population, rows) -> Population:
     """A row view of the population's per-line arrays (zero-copy for a
     slice)."""
@@ -630,26 +622,22 @@ class StoredWorld:
     :meth:`encode_week` produces feature matrices bit-identical to
     encoding the live simulation the snapshots came from.
 
-    Two residency modes, one contract.  In **dense** mode every stored
-    week is assembled into one in-memory cube (cached) and shards are
-    zero-copy views of it.  In **out-of-core** mode -- forced with
-    ``out_of_core=True``, or automatic once ``lines x weeks`` exceeds
-    :data:`DENSE_LINE_WEEK_BUDGET` -- :meth:`shard_measurements` reads
-    only its own rows from disk, so peak memory is bounded by the shard
-    size, not the plant: shard lines x stored weeks x 100 B of cube
-    (25 float32 per line-week) plus the shard's encode.  Both modes
-    yield bit-identical rows (the store rows are the same bytes), so
-    scoring results do not depend on the mode.
+    Reads are out of core: :meth:`shard_measurements` reads only its own
+    rows of every stored week from disk, so peak memory is bounded by
+    the shard size, not the plant: shard lines x stored weeks x 100 B of
+    cube (25 float32 per line-week) plus the shard's encode.  No
+    whole-plant cube is ever cached.  ``out_of_core`` is accepted only
+    as ``True``, the one residency mode.
     """
 
-    def __init__(
-        self, store: LineWeekStore, out_of_core: bool | None = None
-    ):
+    def __init__(self, store: LineWeekStore, out_of_core: bool = True):
+        if out_of_core is not True:
+            raise ValueError(
+                f"StoredWorld always reads its shards from disk; "
+                f"out_of_core must be True, got {out_of_core!r}"
+            )
         self.store = store
-        self.out_of_core = out_of_core
         self._population: Population | None = None
-        self._measurements: MeasurementStore | None = None
-        self._measured_weeks: tuple[int, ...] = ()
 
     @property
     def n_lines(self) -> int:
@@ -658,8 +646,6 @@ class StoredWorld:
     def refresh(self) -> None:
         """Re-read the manifest (picks up weeks appended by a writer)."""
         self.store = LineWeekStore.open(self.store.root)
-        self._measurements = None
-        self._measured_weeks = ()
 
     def population(self) -> Population:
         """The plant population, rebuilt from the stored seed (cached)."""
@@ -667,38 +653,14 @@ class StoredWorld:
             self._population = build_population(self.store.population_config())
         return self._population
 
-    def out_of_core_active(self) -> bool:
-        """Whether shard reads bypass the dense in-memory cube."""
-        if self.out_of_core is not None:
-            return self.out_of_core
-        weeks = self.store.weeks
-        if not weeks:
-            return False
-        return self.store.n_lines * (max(weeks) + 1) > DENSE_LINE_WEEK_BUDGET
-
-    def measurements(self) -> MeasurementStore:
-        """All stored weeks assembled into a MeasurementStore (cached).
-
-        This is the dense cube; out-of-core consumers should use
-        :meth:`shard_measurements` instead.
-        """
-        weeks = tuple(self.store.weeks)
-        if self._measurements is None or self._measured_weeks != weeks:
-            self._measurements = self._read_measurements(0, self.store.n_lines)
-            self._measured_weeks = weeks
-        return self._measurements
-
     def shard_measurements(self, rows) -> MeasurementStore:
         """A measurement view covering only ``rows``: a contiguous slice
         (a scoring shard) or a sorted array of unique line ids.
 
-        Dense mode returns a row view of the cached cube (zero-copy for
-        a slice); out-of-core mode reads exactly those rows of every
-        stored week from disk (positioned reads, no mmap), so a reader
-        never materialises more than its own rows.
+        Reads exactly those rows of every stored week from disk
+        (positioned reads, no mmap), so a reader never materialises more
+        than its own rows.
         """
-        if not self.out_of_core_active():
-            return _measurement_row_view(self.measurements(), rows)
         if not isinstance(rows, slice):
             return self._read_measurements(rows, len(rows))
         start, stop, step = rows.indices(self.store.n_lines)
@@ -714,11 +676,12 @@ class StoredWorld:
 
         Each stored week's rows land straight in its contiguous block of
         a week-major cube; only the weeks the store does not hold are
-        NaN-filled.
+        NaN-filled.  The rows' runs are computed once for every week.
         """
         stored = self.store.weeks
         if not stored:
             raise ValueError("the store holds no weeks yet")
+        runs = _row_runs(rows, n_rows)
         n_weeks = max(stored) + 1
         cube = np.empty((n_weeks, n_rows, N_FEATURES), dtype=np.float32)
         saturday_day = np.full(n_weeks, -1, dtype=int)
@@ -726,7 +689,7 @@ class StoredWorld:
         filled[stored] = True
         for week in range(n_weeks):
             if filled[week]:
-                self.store.read_rows_into(week, rows, cube[week])
+                self.store._read_week_runs(week, runs, cube[week])
                 saturday_day[week] = self.store.day_of(week)
             else:
                 cube[week] = np.nan
@@ -773,8 +736,8 @@ class StoredWorld:
         Assembles the :meth:`iter_encode_week` row chunks into one
         preallocated output -- every encoder operation is row-wise, so
         the chunked matrix is bit-identical to a one-pass encode while
-        an out-of-core world never loads the full week matrix (and
-        never holds two copies of the encoded one).  Serving never
+        the world never loads the full week matrix (and never holds two
+        copies of the encoded one).  Serving never
         builds this matrix: its per-line reads encode only their rows.
         """
         matrix: np.ndarray | None = None

@@ -18,6 +18,7 @@ from repro import (
     TicketPredictor,
     paper_style_split,
 )
+from repro.measurement.records import N_FEATURES, MeasurementStore
 from repro.serve import snapshot_result
 
 
@@ -73,6 +74,27 @@ def small_store(small_result, tmp_path_factory):
     return snapshot_result(
         small_result, tmp_path_factory.mktemp("serve") / "store"
     )
+
+
+def _dense_measurements(store) -> MeasurementStore:
+    """A whole-plant MeasurementStore assembled from every stored week's
+    ``week_matrix`` rows, NaN where the store holds no week."""
+    n_weeks = store.latest_week + 1
+    cube = np.full((n_weeks, store.n_lines, N_FEATURES), np.nan, np.float32)
+    saturday_day = np.full(n_weeks, -1, dtype=int)
+    filled = np.zeros(n_weeks, dtype=bool)
+    for week in store.weeks:
+        cube[week] = store.week_matrix(week)
+        saturday_day[week] = store.day_of(week)
+        filled[week] = True
+    return MeasurementStore.from_week_major(cube, saturday_day, filled)
+
+
+@pytest.fixture(scope="session")
+def dense_measurements():
+    """The oracle for out-of-core reads: a factory building a dense
+    in-memory MeasurementStore of a ``LineWeekStore``."""
+    return _dense_measurements
 
 
 @pytest.fixture(scope="session")

@@ -182,20 +182,6 @@ class TestFeatureSet:
         assert fs.matrix.shape == (3, 2)
         assert fs.categorical[0]
 
-    def test_hstack(self):
-        fs = self.make()
-        combined = fs.hstack(fs)
-        assert combined.n_features == 8
-
-    def test_hstack_rejects_mismatched_rows(self):
-        fs = self.make()
-        other = FeatureSet(
-            matrix=np.zeros((2, 1)), names=["x"], groups=["basic"],
-            categorical=np.array([False]),
-        )
-        with pytest.raises(ValueError):
-            fs.hstack(other)
-
 
 def stacked_encode(encoder, measurements, week, population, ticket_log=None,
                    product_pairs=None):
@@ -319,8 +305,7 @@ class TestPreallocatedEncode:
         week = int(store.filled_weeks[-1])
         tickets = _StoredTicketView(last_day, int(store.saturday_day[week]))
         expected = stacked_encode(encoder, store, week, population, tickets)
-        for out_of_core in (False, True):
-            reader = StoredWorld(stored, out_of_core=out_of_core)
-            for chunk_lines in (None, 97, 1_000):
-                got = reader.encode_week(week, encoder, chunk_lines=chunk_lines)
-                _assert_bits_equal(got.matrix, expected)
+        reader = StoredWorld(stored)
+        for chunk_lines in (None, 97, 1_000):
+            got = reader.encode_week(week, encoder, chunk_lines=chunk_lines)
+            _assert_bits_equal(got.matrix, expected)

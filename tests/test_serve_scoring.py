@@ -10,7 +10,15 @@ import pytest
 from repro.measurement.records import N_FEATURES
 from repro.netsim.population import PopulationConfig
 from repro.parallel import split_shards
-from repro.serve import LineWeekStore, ModelBundle, ScoringEngine, StoredWorld
+from repro.serve import (
+    LineWeekStore,
+    ModelBundle,
+    ModelRegistry,
+    ScoringEngine,
+    ScoringService,
+    StoredWorld,
+)
+from repro.serve.store import _StoredTicketView
 
 
 @pytest.fixture(scope="module")
@@ -102,16 +110,13 @@ class TestDeterminism:
     ):
         week = small_store.latest_week
         bundle = ModelBundle(predictor=small_predictor)
-        for out_of_core in (False, True):
-            world = StoredWorld(small_store, out_of_core=out_of_core)
-            results = []
-            for workers in ("1", "4"):
-                monkeypatch.setenv("REPRO_WORKERS", workers)
-                engine = ScoringEngine(bundle, world, shard_size=199)
-                results.append(engine.score_week(week).scores)
-            assert np.array_equal(results[0], results[1]), (
-                f"out_of_core={out_of_core}"
-            )
+        world = StoredWorld(small_store)
+        results = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            engine = ScoringEngine(bundle, world, shard_size=199)
+            results.append(engine.score_week(week).scores)
+        assert np.array_equal(results[0], results[1])
 
     def test_errors_on_unfitted_bundle(self, small_store, small_predictor):
         from repro import PredictorConfig, TicketPredictor
@@ -132,7 +137,9 @@ class TestDeterminism:
 class TestRowPath:
     """``locate``, ``explain`` and the dispatch payloads encode only their
     lines; each answer equals the same computation on rows of the
-    whole-week encoding, on a dense and an out-of-core world."""
+    whole-week encoding: one pass over a dense cube the test assembles
+    from the stored week matrices, or the world's chunked out-of-core
+    ``encode_week``."""
 
     ID_SETS = (
         [1717, 4, 980],      # unsorted
@@ -141,15 +148,24 @@ class TestRowPath:
         [40, 41, 42, 1300, 1301],  # two contiguous runs
     )
 
-    @pytest.fixture(scope="class", params=[False, True], ids=["dense", "ooc"])
-    def setup(self, request, small_store, small_predictor, small_locator):
-        world = StoredWorld(small_store, out_of_core=request.param)
+    @pytest.fixture(scope="class", params=["dense", "ooc"])
+    def setup(self, request, small_store, small_predictor, small_locator,
+              dense_measurements):
+        world = StoredWorld(small_store)
         engine = ScoringEngine(
             ModelBundle(predictor=small_predictor, locator=small_locator),
             world, shard_size=700, model_version="vrow",
         )
         week = small_store.latest_week
-        base = world.encode_week(week, small_predictor.encoder)
+        if request.param == "dense":
+            base = small_predictor.encoder.encode(
+                dense_measurements(small_store), week, world.population(),
+                _StoredTicketView(
+                    small_store.last_ticket_day(week), small_store.day_of(week)
+                ),
+            )
+        else:
+            base = world.encode_week(week, small_predictor.encoder)
         return engine, week, base.matrix
 
     @staticmethod
@@ -246,7 +262,8 @@ class TestRowPath:
 
 
 class TestMemoryBound:
-    """Out-of-core scoring memory follows the shard, not the plant."""
+    """Scoring memory follows the shard, not the plant, for a default
+    ``StoredWorld`` and for a cold ``/explain`` on a fresh service."""
 
     SHARD = 256
     WEEKS = 12
@@ -262,30 +279,65 @@ class TestMemoryBound:
             store.append_week(
                 week, day, features, rng.integers(-1, day, size=n_lines)
             )
-        world = StoredWorld(store, out_of_core=True)
+        world = StoredWorld(store)
         world.population()  # the plant rebuild is cached, not per run
         return world
 
-    def _peak_bytes(self, bundle, world) -> int:
-        engine = ScoringEngine(bundle, world, shard_size=self.SHARD, workers=1)
+    @staticmethod
+    def _peak_bytes(run) -> int:
         tracemalloc.start()
         try:
-            engine.score_week(self.WEEKS - 1)
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_peak_grows_far_slower_than_stored_history(
-        self, small_predictor, tmp_path
-    ):
+    def _assert_per_line_growth_small(self, peak, tmp_path):
+        """``peak(world)`` grows far slower per line than the history."""
         rng = np.random.default_rng(0)
-        bundle = ModelBundle(predictor=small_predictor)
         small = self._world(tmp_path, 4 * self.SHARD, rng)
         large = self._world(tmp_path, 16 * self.SHARD, rng)
-        self._peak_bytes(bundle, small)  # warm lazy state off the books
-        growth = self._peak_bytes(bundle, large) - self._peak_bytes(bundle, small)
+        peak(small)  # warm lazy state off the books
+        growth = peak(large) - peak(small)
         per_line = growth / (large.n_lines - small.n_lines)
         history_per_line = self.WEEKS * N_FEATURES * 4
         # Only per-line vectors (margins, scores) scale with the plant;
         # a whole-plant cube would add all of ``history_per_line``.
         assert per_line < 0.1 * history_per_line, (per_line, history_per_line)
+
+    def test_peak_grows_far_slower_than_stored_history(
+        self, small_predictor, tmp_path
+    ):
+        bundle = ModelBundle(predictor=small_predictor)
+
+        def peak(world):
+            engine = ScoringEngine(
+                bundle, world, shard_size=self.SHARD, workers=1
+            )
+            return self._peak_bytes(lambda: engine.score_week(self.WEEKS - 1))
+
+        self._assert_per_line_growth_small(peak, tmp_path)
+
+    def test_cold_explain_peak_grows_far_slower_than_stored_history(
+        self, small_predictor, tmp_path
+    ):
+        registry_root = tmp_path / "registry"
+        ModelRegistry(registry_root).publish(
+            ModelBundle(predictor=small_predictor), activate=True
+        )
+        query = f"/explain?line=0&week={self.WEEKS - 1}"
+
+        def peak(world):
+            service = ScoringService(
+                world.store.root, registry_root, shard_size=self.SHARD,
+                workers=1,
+            )
+            service.world.population()
+
+            def explain():
+                status, _ = service.dispatch_request("GET", query)
+                assert status == 200
+
+            return self._peak_bytes(explain)
+
+        self._assert_per_line_growth_small(peak, tmp_path)

@@ -178,20 +178,20 @@ class TestOutOfCoreReads:
             )
         return store
 
-    def test_shards_equal_the_dense_row_view(self, store):
+    def test_shards_equal_the_dense_row_view(self, store, dense_measurements):
         from repro.parallel import split_shards
 
-        dense = StoredWorld(store, out_of_core=False)
-        ooc = StoredWorld(store, out_of_core=True)
+        dense = dense_measurements(store)
+        world = StoredWorld(store)
         shards = split_shards(self.N_LINES, 384)
         assert shards[-1].stop - shards[-1].start < 384  # a partial last shard
         for shard in shards:
-            d = dense.shard_measurements(shard)
-            o = ooc.shard_measurements(shard)
-            assert o.data.shape == d.data.shape
-            assert o.data.tobytes() == d.data.tobytes()
+            d = dense.data[shard]
+            o = world.shard_measurements(shard)
+            assert o.data.shape == d.shape
+            assert o.data.tobytes() == d.tobytes()
             assert np.isnan(o.data[:, 2, :]).all()  # the unstored week
-            assert o.saturday_day.tolist() == d.saturday_day.tolist()
+            assert o.saturday_day.tolist() == dense.saturday_day.tolist()
             assert o.filled_weeks.tolist() == list(self.STORED)
             for week in self.STORED:
                 assert o.week_matrix(week).flags.c_contiguous
@@ -214,22 +214,20 @@ class TestOutOfCoreReads:
     def test_truncated_week_file_raises(self, store):
         path = store.root / "week_00003.npy"
         path.write_bytes(path.read_bytes()[:-N_FEATURES * 4 * 10])
-        ooc = StoredWorld(LineWeekStore.open(store.root), out_of_core=True)
+        ooc = StoredWorld(LineWeekStore.open(store.root))
         ooc.shard_measurements(slice(0, 500))  # rows before the cut still read
         with pytest.raises(ValueError, match="truncated"):
             ooc.shard_measurements(slice(500, self.N_LINES))
         with pytest.raises(ValueError, match="truncated"):
             ooc.shard_measurements(np.array([3, 999]))  # last run past the cut
 
-    def test_id_rows_equal_the_dense_rows(self, store):
+    def test_id_rows_equal_the_dense_rows(self, store, dense_measurements):
         # Runs of one and of several ids, the first and the last line,
         # and a run across a 384-row shard boundary.
         ids = np.array([0, 1, 2, 17, 380, 381, 382, 383, 384, 700, 999])
-        dense = StoredWorld(store, out_of_core=False)
-        ooc = StoredWorld(store, out_of_core=True)
-        d = dense.shard_measurements(ids)
-        o = ooc.shard_measurements(ids)
-        assert o.data.tobytes() == d.data.tobytes()
+        d = dense_measurements(store).data[ids]
+        o = StoredWorld(store).shard_measurements(ids)
+        assert o.data.tobytes() == d.tobytes()
         assert np.isnan(o.data[:, 2, :]).all()
         for week in self.STORED:
             assert o.week_matrix(week).tobytes() == (

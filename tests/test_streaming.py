@@ -184,14 +184,15 @@ class TestChunkedStore:
         assert reopened.weeks == []
 
 
-def _one_pass_encode(world, week, encoder):
-    """The oracle: one ``encoder.encode`` over the whole dense cube."""
+def _one_pass_encode(world, dense, week, encoder):
+    """The oracle: one ``encoder.encode`` over the whole dense cube,
+    ``dense`` (the ``dense_measurements`` factory) of the world's store."""
     store = world.store
     ticket_view = _StoredTicketView(
         store.last_ticket_day(week), store.day_of(week)
     )
     return encoder.encode(
-        world.measurements(), week, world.population(), ticket_view
+        dense(store), week, world.population(), ticket_view
     )
 
 
@@ -205,42 +206,38 @@ class TestOutOfCoreWorld:
             store.append_week(week, week * 7 + 5, feats[week], lasts[week])
         return store
 
-    def test_encode_week_chunked_matches_dense(self, store):
+    def test_encode_week_chunked_matches_dense(self, store, dense_measurements):
         encoder = LineFeatureEncoder(EncoderConfig())
-        dense = StoredWorld(store, out_of_core=False)
-        ooc = StoredWorld(store, out_of_core=True)
-        ref = _one_pass_encode(dense, N_WEEKS - 1, encoder)
-        for world in (dense, ooc):
-            for chunk_lines in (5_000, 9_999, None):
-                got = world.encode_week(
-                    N_WEEKS - 1, encoder, chunk_lines=chunk_lines
-                )
-                assert np.array_equal(got.matrix, ref.matrix, equal_nan=True)
-                assert got.names == ref.names
-                assert got.groups == ref.groups
+        world = StoredWorld(store)
+        ref = _one_pass_encode(world, dense_measurements, N_WEEKS - 1, encoder)
+        for chunk_lines in (5_000, 9_999, None):
+            got = world.encode_week(N_WEEKS - 1, encoder, chunk_lines=chunk_lines)
+            assert np.array_equal(got.matrix, ref.matrix, equal_nan=True)
+            assert got.names == ref.names
+            assert got.groups == ref.groups
 
     def test_default_chunk_hashes_like_one_65536_line_chunk(self, store):
         # The default chunk is the scoring shard, several chunks over this
         # plant; one 65,536-line chunk covers it whole.
         assert N_LINES > DEFAULT_SHARD_SIZE
         encoder = LineFeatureEncoder(EncoderConfig(include_quadratic=True))
-        for out_of_core in (False, True):
-            world = StoredWorld(store, out_of_core=out_of_core)
-            digests = {
-                hashlib.sha256(
-                    world.encode_week(N_WEEKS - 1, encoder, chunk).matrix
-                ).hexdigest()
-                for chunk in (None, 65_536)
-            }
-            assert len(digests) == 1, f"out_of_core={out_of_core}"
+        world = StoredWorld(store)
+        digests = {
+            hashlib.sha256(
+                world.encode_week(N_WEEKS - 1, encoder, chunk).matrix
+            ).hexdigest()
+            for chunk in (None, 65_536)
+        }
+        assert len(digests) == 1
 
-    def test_iter_encode_week_streams_the_same_matrix(self, store):
+    def test_iter_encode_week_streams_the_same_matrix(
+        self, store, dense_measurements
+    ):
         encoder = LineFeatureEncoder(EncoderConfig())
-        dense = StoredWorld(store, out_of_core=False)
-        ooc = StoredWorld(store, out_of_core=True)
-        ref = _one_pass_encode(dense, N_WEEKS - 1, encoder)
+        world = StoredWorld(store)
+        ref = _one_pass_encode(world, dense_measurements, N_WEEKS - 1, encoder)
         rows = 0
-        for shard, piece in ooc.iter_encode_week(
+        for shard, piece in world.iter_encode_week(
             N_WEEKS - 1, encoder, chunk_lines=6_000
         ):
             assert np.array_equal(
@@ -250,23 +247,22 @@ class TestOutOfCoreWorld:
             rows += piece.matrix.shape[0]
         assert rows == N_LINES
 
-    def test_shard_measurements_match_dense_view(self, store):
-        dense = StoredWorld(store, out_of_core=False)
-        ooc = StoredWorld(store, out_of_core=True)
+    def test_shard_measurements_match_dense_view(self, store, dense_measurements):
+        dense = dense_measurements(store)
         shard = slice(4_000, 12_345)
-        d = dense.shard_measurements(shard)
-        o = ooc.shard_measurements(shard)
-        assert np.array_equal(d.data, o.data, equal_nan=True)
+        o = StoredWorld(store).shard_measurements(shard)
+        assert np.array_equal(dense.data[shard], o.data, equal_nan=True)
         assert np.array_equal(
-            d.saturday_day[:N_WEEKS], o.saturday_day[:N_WEEKS]
+            dense.saturday_day[:N_WEEKS], o.saturday_day[:N_WEEKS]
         )
 
-    def test_auto_heuristic(self, store):
-        # 3 blocks x 4 weeks is far below the dense budget
-        assert not StoredWorld(store).out_of_core_active()
-        assert StoredWorld(store, out_of_core=True).out_of_core_active()
+    def test_out_of_core_is_the_only_mode(self, store):
+        StoredWorld(store, out_of_core=True)  # the one mode, spelled out
+        for value in (False, None, 1):
+            with pytest.raises(ValueError, match="out_of_core"):
+                StoredWorld(store, out_of_core=value)
 
     def test_ooc_rejects_degenerate_shards(self, store):
-        ooc = StoredWorld(store, out_of_core=True)
+        ooc = StoredWorld(store)
         with pytest.raises(ValueError):
             ooc.shard_measurements(slice(100, 100))
