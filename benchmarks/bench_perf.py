@@ -7,7 +7,9 @@ Measures the three hot paths this repo optimises and writes the numbers
   naive scorer on a deep synthetic ensemble (default 100K rows x 400
   rounds, the Fig-3 weekly-scoring shape), asserting the margins equal
   ``naive_grouped_margin`` bit for bit.
-* **train** -- ``BStump.fit`` throughput in rows/sec.
+* **train** -- ``BStump.fit`` throughput in rows/sec, and the exact
+  fit's tracemalloc peak per (row x column) cell on a wide matrix
+  (``peak_bytes_per_cell``, guarded by ``max_peak_bytes_per_cell``).
 * **train_locator** -- the full Section-6 combined-locator fit (52
   disposition heads + 4 location heads + CV-fold refits) unified on one
   shared ``BinnedDataset`` vs per-head exact, asserting the unified fit
@@ -18,7 +20,8 @@ Measures the three hot paths this repo optimises and writes the numbers
   tie-break/AP(N) pass per candidate -- the "before" of this PR's
   speedup claim) and the current per-column loop (today's fits with the
   shared vectorised scoring stage).  Asserts all paths select identical
-  feature sets.
+  feature sets, and records the tie-break + AP(N) scoring stage's
+  tracemalloc peak (``scoring_peak_bytes``).
 
 Run from the repo root::
 
@@ -36,12 +39,18 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from repro.features.encoding import FeatureSet
-from repro.features.selection import single_feature_ap
+from repro.features.selection import (
+    _boost_columns_chunk,
+    _eligible_columns,
+    _scores_from_margins,
+    single_feature_ap,
+)
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.ensemble_scoring import compile_stumps, naive_grouped_margin
 from repro.ml.stumps import Stump
@@ -52,6 +61,15 @@ from repro.parallel import worker_count
 #: The observability acceptance bar: disabled-mode instrumentation on the
 #: weekly scoring path must cost less than this fraction of its runtime.
 MAX_OBS_OVERHEAD = 0.03
+
+#: Wide-matrix probe of the exact fit's memory: the paper's ~130 encoded
+#: columns over enough rows that per-cell arrays dominate.
+WIDE_FIT_SHAPE = (4_000, 128)
+
+#: Bound on the exact fit's tracemalloc peak per cell of ``WIDE_FIT_SHAPE``.
+#: Blocked construction reads 31.0 B/cell (the retained per-round state is
+#: 25 of it); whole-matrix sort temporaries read 69.8.
+MAX_FIT_BYTES_PER_CELL = 36.0
 
 
 def _timed(fn, repeats: int = 1):
@@ -125,13 +143,33 @@ def bench_score(rng, n_rows: int, n_rounds: int, n_features: int, repeats: int):
     }
 
 
+def _traced_peak_bytes(fn) -> int:
+    """tracemalloc peak of one call, counting only what it allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _synthetic_labels(rng, X):
+    n_rows = X.shape[0]
+    y = np.where(np.isnan(X[:, 0]), 0.0, X[:, 0]) + rng.normal(size=n_rows) > 0
+    return y.astype(float)
+
+
 def bench_train(rng, n_rows: int, n_rounds: int, n_features: int):
     X = _synthetic_matrix(rng, n_rows, n_features)
-    y = (np.where(np.isnan(X[:, 0]), 0.0, X[:, 0]) + rng.normal(size=n_rows) > 0)
+    y = _synthetic_labels(rng, X)
     config = BStumpConfig(n_rounds=n_rounds, calibrate=False)
-    elapsed, model = _timed(
-        lambda: BStump(config).fit(X, y.astype(float))
-    )
+    elapsed, model = _timed(lambda: BStump(config).fit(X, y))
+    # Its own stream, so the probe leaves the later sections' data as is.
+    wide_rng = np.random.default_rng(0)
+    wide = _synthetic_matrix(wide_rng, *WIDE_FIT_SHAPE)
+    wide_y = _synthetic_labels(wide_rng, wide)
+    wide_config = BStumpConfig(n_rounds=3, calibrate=False)
+    peak = _traced_peak_bytes(lambda: BStump(wide_config).fit(wide, wide_y))
     return {
         "n_rows": n_rows,
         "n_rounds_requested": n_rounds,
@@ -140,6 +178,9 @@ def bench_train(rng, n_rows: int, n_rounds: int, n_features: int):
         "seconds": elapsed,
         "rows_per_sec": n_rows / elapsed,
         "row_rounds_per_sec": n_rows * len(model.learners) / elapsed,
+        "wide_shape": list(WIDE_FIT_SHAPE),
+        "peak_bytes_per_cell": peak / wide.size,
+        "max_peak_bytes_per_cell": MAX_FIT_BYTES_PER_CELL,
     }
 
 
@@ -366,7 +407,6 @@ def _reference_single_feature_ap(train, y_train, test, y_test, n, n_rounds):
     """
     from repro.features.selection import (
         _break_ties_by_value,
-        _eligible_columns,
         _fit_single_column_margin,
     )
     from repro.ml.metrics import top_n_average_precision
@@ -419,6 +459,18 @@ def bench_selection(rng, n_rows: int, n_features: int, n_rounds: int,
     def top20(scores):
         return set(np.argsort(-scores, kind="stable")[:20].tolist())
 
+    # The scoring stage alone, on the sweep's own margins.
+    config = BStumpConfig(n_rounds=n_rounds, calibrate=False)
+    eligible = np.flatnonzero(_eligible_columns(train.matrix))
+    chunk = _boost_columns_chunk(
+        train.matrix.T[eligible], BStump._canonical_labels(y[:half]),
+        test.matrix.T[eligible], config,
+    )
+    margins = dict(zip(eligible.tolist(), chunk))
+    scoring_peak = _traced_peak_bytes(lambda: _scores_from_margins(
+        margins, train, test, y[half:], capacity, n_features
+    ))
+
     return {
         "n_rows": n_rows,
         "n_features": n_features,
@@ -435,6 +487,7 @@ def bench_selection(rng, n_rows: int, n_features: int, n_rounds: int,
         "selected_sets_identical": (
             top20(batched_scores) == top20(loop_scores) == top20(baseline_scores)
         ),
+        "scoring_peak_bytes": scoring_peak,
         "workers": worker_count(),
     }
 
@@ -573,8 +626,12 @@ def main() -> None:
     print(f"score:     {score['speedup']:.1f}x compiled vs naive "
           f"({score['compiled_rows_per_sec']:.0f} rows/s vs "
           f"{score['naive_rows_per_sec']:.0f} rows/s)")
-    print(f"train:     {report['train']['rows_per_sec']:.0f} rows/s "
-          f"({report['train']['n_rounds_trained']} rounds)")
+    train = report["train"]
+    print(f"train:     {train['rows_per_sec']:.0f} rows/s "
+          f"({train['n_rounds_trained']} rounds), exact fit peak "
+          f"{train['peak_bytes_per_cell']:.1f} B/cell on "
+          f"{train['wide_shape'][0]}x{train['wide_shape'][1]} "
+          f"(bound {train['max_peak_bytes_per_cell']:.0f})")
     hist = report["train_hist"]
     print(f"train_hist: {hist['speedup']:.1f}x hist vs exact "
           f"({hist['hist_rows_per_sec']:.0f} rows/s vs "
@@ -590,7 +647,8 @@ def main() -> None:
     print(f"selection: {sel['speedup']:.1f}x batched vs reference "
           f"({sel['speedup_vs_loop']:.1f}x vs current loop), "
           f"scores identical: {sel['scores_identical']}, "
-          f"selected sets identical: {sel['selected_sets_identical']}")
+          f"selected sets identical: {sel['selected_sets_identical']}, "
+          f"scoring peak {sel['scoring_peak_bytes'] / 2**20:.2f} MB")
     obs = report["obs_overhead"]
     print(f"obs:       {obs['overhead_fraction']:+.2%} disabled-mode "
           f"instrumentation overhead (budget {obs['budget_fraction']:.0%})")

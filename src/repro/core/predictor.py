@@ -344,6 +344,9 @@ class TicketPredictor:
             int(i)
             for i in np.flatnonzero(quad_scores > self._thresholds["quadratic"])
         ]
+        # Scored: free the quadratic matrices before the product ones are
+        # built (the hist path keeps only their binning for the final fit).
+        del quad_train, quad_sel
 
         # Products over the pool of strongest base features.
         pool = np.argsort(-base_scores, kind="stable")[:cfg.product_pool]

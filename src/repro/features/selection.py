@@ -25,8 +25,8 @@ for every column at once in the value-sorted domain (sort once per class,
 prefix-sum round statistics, slice-wise weight updates).  Column chunks
 are independent, so the sweep also fans out over
 :func:`repro.parallel.parallel_map` (``REPRO_WORKERS``).  The final
-tie-break + AP(N) scoring stage is likewise evaluated for all candidate
-columns in one vectorised pass.  Pass ``batched=False`` for the original
+tie-break + AP(N) scoring stage is likewise vectorised, over blocks of
+candidate columns.  Pass ``batched=False`` for the original
 per-column ``BStump().fit`` loop, kept as the exact reference: its
 margins agree with the sweep to floating-point round-off and both paths
 select identical feature sets (see ``tests/test_selection_batched.py``).
@@ -46,6 +46,7 @@ from repro.ml.binning import BinnedDataset
 from repro.ml.boostexter import BStump, BStumpConfig, TRAIN_BACKENDS
 from repro.ml.metrics import auc, average_precision, entropy, top_n_average_precision
 from repro.ml.pca import PCA
+from repro.ml.stumps import COLUMN_BLOCK
 from repro.obs.metrics import get_registry
 from repro.obs.profile import stage
 from repro.parallel import parallel_map
@@ -301,7 +302,7 @@ def _scores_from_margins(
     n: int,
     n_features: int,
 ) -> np.ndarray:
-    """Tie-break and AP(N)-score all candidate margins in one pass.
+    """Tie-break and AP(N)-score all candidate margins, block by block.
 
     Row-vectorised equivalent of calling :func:`_break_ties_by_value` and
     :func:`~repro.ml.metrics.top_n_average_precision` per column: each
@@ -309,18 +310,22 @@ def _scores_from_margins(
     in the same order as the one-column calls, so scores match the scalar
     reference bit for bit.  (The tie-break orientation is computed with a
     different summation order than ``np.corrcoef``, but only its *sign*
-    is used, which agrees except exactly at zero correlation.)
+    is used, which agrees except exactly at zero correlation.)  Rows are
+    independent, so candidates are scored ``COLUMN_BLOCK`` at a time: the
+    (candidates x test rows) temporaries follow one block, not the sweep.
     """
     scores = np.zeros(n_features)
-    if not margins:
-        return scores
     cols = sorted(margins)
-    stacked = np.stack([margins[j] for j in cols])  # (n_cands, n_test)
-    cont_rows = np.flatnonzero([not train.categorical[j] for j in cols])
-    if cont_rows.size:
-        values = test.matrix.T[[cols[i] for i in cont_rows]]
-        stacked[cont_rows] = _break_ties_by_value_rows(stacked[cont_rows], values)
-    scores[cols] = _top_n_ap_rows(y_test, n, stacked)
+    for start in range(0, len(cols), COLUMN_BLOCK):
+        block = cols[start:start + COLUMN_BLOCK]
+        stacked = np.stack([margins[j] for j in block])  # (block, n_test)
+        cont_rows = np.flatnonzero([not train.categorical[j] for j in block])
+        if cont_rows.size:
+            values = test.matrix.T[[block[i] for i in cont_rows]]
+            stacked[cont_rows] = _break_ties_by_value_rows(
+                stacked[cont_rows], values
+            )
+        scores[block] = _top_n_ap_rows(y_test, n, stacked)
     return scores
 
 

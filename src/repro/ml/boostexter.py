@@ -182,7 +182,8 @@ class BStump:
             X: (n_samples, n_features) float matrix, NaN = missing.
             y: labels, {0, 1} or {-1, +1}.
             categorical: optional boolean mask marking categorical columns.
-            sample_weight: optional non-negative initial example weights.
+            sample_weight: optional finite, non-negative initial example
+                weights with a positive total.
             binned: pre-binned form of ``X`` for the hist backend.  Pass
                 one (e.g. the binning the selection sweep already built)
                 to skip re-binning; ignored by the exact backend.
@@ -206,9 +207,15 @@ class BStump:
             weights = np.asarray(sample_weight, dtype=float)
             if weights.shape != (n,):
                 raise ValueError("sample_weight must have one entry per row")
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("sample_weight must be finite")
             if np.any(weights < 0):
                 raise ValueError("sample_weight must be non-negative")
-            weights = weights / np.sum(weights)
+            with np.errstate(over="ignore"):
+                total = np.sum(weights)
+            if not np.isfinite(total) or total <= 0:
+                raise ValueError("sample_weight must have a positive finite total")
+            weights = weights / total
 
         rounds_total, round_seconds, round_z, margin_gauge = _train_metrics()
         with stage(

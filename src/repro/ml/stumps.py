@@ -39,6 +39,7 @@ __all__ = [
     "StumpSearch",
     "HistStumpSearch",
     "MISSING_POLICIES",
+    "COLUMN_BLOCK",
 ]
 
 #: Cells (rows x features) per histogram-table block.  A matrix within
@@ -46,6 +47,13 @@ __all__ = [
 #: block by block over the parallel fabric, which bounds the per-round
 #: weight tile and amortises the pool's per-round spin-up.
 _HIST_PARALLEL_MIN_CELLS = 2_000_000
+
+#: Columns per block of the training layer's transient work: the exact
+#: search's per-column sorts at construction and the selection sweep's
+#: tie-break + AP(N) scoring.  Transient memory follows one block of
+#: this many columns instead of the whole matrix; every result is the
+#: same for any block size, as each column is handled on its own.
+COLUMN_BLOCK = 16
 
 _EPS_SCALE = 0.5  # eps = _EPS_SCALE / n, the standard 1/(2n) smoothing
 
@@ -249,10 +257,16 @@ def fit_stump(
 class StumpSearch:
     """Vectorised best-stump search over a whole feature matrix.
 
-    The expensive parts that do not depend on the boosting weights -- the
-    per-column sort orders and tie masks -- are computed once at
-    construction, so each boosting round only costs a weight gather, a
-    cumulative sum and an argmin over all features simultaneously.
+    What does not depend on the boosting weights is derived once at
+    construction from per-column sorts, ``COLUMN_BLOCK`` continuous
+    columns at a time: each cell's grid *segment* (the candidate-split
+    interval its sorted position falls into), the present mask, the
+    validity of every grid split (no split between tied values) and the
+    two sorted values around it, which give its threshold.  The sort
+    orders themselves are dropped block by block, so construction memory
+    follows one block.  Each boosting round then costs a masked weight
+    fill, one weighted ``bincount`` over segments, a prefix sum over the
+    grid and an argmin over all features simultaneously.
     """
 
     def __init__(
@@ -306,19 +320,7 @@ class StumpSearch:
         self._cat_cols = np.flatnonzero(categorical)
 
         if self._cont_cols.size:
-            sub = X[:, self._cont_cols]
-            self._order = np.argsort(sub, axis=0, kind="stable")  # NaNs last
-            sorted_vals = np.take_along_axis(sub, self._order, axis=0)
-            self._present_cont = ~np.isnan(sub)
-            self._present_counts = np.sum(self._present_cont, axis=0)
-            # split k is valid when the value at k-1 differs from k (or k is
-            # at either extreme); splits beyond the present count are invalid.
-            valid = np.ones((n + 1, self._cont_cols.size), dtype=bool)
-            with np.errstate(invalid="ignore"):
-                interior_tie = sorted_vals[:-1] == sorted_vals[1:]
-            valid[1:n, :] = ~interior_tie
-            ks = np.arange(n + 1)[:, None]
-            valid &= ks <= self._present_counts[None, :]
+            C = self._cont_cols.size
             # Candidate split grid: exact below the cap, quantile-strided
             # above it (always keeping the no-split endpoints).
             if n + 1 > max_split_points:
@@ -327,9 +329,8 @@ class StumpSearch:
                 )
             else:
                 grid = np.arange(n + 1)
+            G = grid.size
             self._grid = grid
-            self._valid = valid[grid, :]
-            self._sorted_vals = sorted_vals
             # Each round needs the cumulative (positive) weight below every
             # candidate split, but only at the G grid positions -- never at
             # all n+1 of them.  So instead of a per-round sorted gather plus
@@ -338,15 +339,27 @@ class StumpSearch:
             # its row's sorted position falls into; a round then reduces to
             # one weighted ``bincount`` over segments (output is G x C,
             # cache-resident) and a tiny prefix sum.
-            C = self._cont_cols.size
-            G = grid.size
-            inv_order = np.empty_like(self._order)
-            np.put_along_axis(
-                inv_order, self._order, np.arange(n)[:, None], axis=0
-            )
-            segment = np.searchsorted(grid, inv_order, side="right") - 1
-            np.clip(segment, 0, G - 2, out=segment)
-            self._flat_segment = (segment * C + np.arange(C)[None, :]).ravel()
+            segment = np.empty((n, C), dtype=np.intp)
+            self._present_cont = np.empty((n, C), dtype=bool)
+            self._present_counts = np.empty(C, dtype=np.intp)
+            self._valid = np.empty((G, C), dtype=bool)
+            # Sorted values on either side of each grid split: all that
+            # ``_continuous_threshold`` reads of the sorted columns.  Rows
+            # for k = 0 and k = n are clamped and never read.
+            self._split_lo = np.empty((G, C))
+            self._split_hi = np.empty((G, C))
+            # The grid segment of each sorted position, shared by every
+            # column: a column's row segments scatter it by sort order.
+            sorted_segment = np.searchsorted(grid, np.arange(n), side="right") - 1
+            np.clip(sorted_segment, 0, G - 2, out=sorted_segment)
+            for lo in range(0, C, COLUMN_BLOCK):
+                self._fill_column_block(
+                    X[:, self._cont_cols[lo:lo + COLUMN_BLOCK]], lo,
+                    segment, sorted_segment,
+                )
+            segment *= C
+            segment += np.arange(C)
+            self._flat_segment = segment.ravel()
             self._n_segment_bins = (G - 1) * C
             # Per-round scratch buffers, allocated once: each boosting
             # round fills these in place instead of reallocating.
@@ -373,6 +386,44 @@ class StumpSearch:
             values = np.unique(col[present])
             self._cat_values.append(values)
             self._cat_masks.append(present[:, None] & (col[:, None] == values[None, :]))
+
+    def _fill_column_block(
+        self,
+        sub: np.ndarray,
+        lo: int,
+        segment: np.ndarray,
+        sorted_segment: np.ndarray,
+    ) -> None:
+        """Sort-derived state of continuous slots ``lo:lo + width``.
+
+        Writes the block's row segments into ``segment`` and its present
+        mask, present counts, split validity and grid-split values into
+        the search's arrays.  Only this block's sort order is ever alive,
+        so construction memory follows the block, not the matrix.
+        """
+        n = self.n
+        grid = self._grid
+        cols = slice(lo, lo + sub.shape[1])
+        order = np.argsort(sub, axis=0, kind="stable")  # NaNs last
+        present = ~np.isnan(sub)
+        self._present_cont[:, cols] = present
+        counts = np.sum(present, axis=0)
+        self._present_counts[cols] = counts
+        np.put_along_axis(
+            segment[:, cols], order, sorted_segment[:, None], axis=0
+        )
+        below = np.take_along_axis(sub, order[np.maximum(grid - 1, 0)], axis=0)
+        above = np.take_along_axis(sub, order[np.minimum(grid, n - 1)], axis=0)
+        self._split_lo[:, cols] = below
+        self._split_hi[:, cols] = above
+        # Split k is valid when the value at k-1 differs from k (or k is
+        # at either extreme); splits beyond the present count are invalid.
+        valid = np.ones((grid.size, sub.shape[1]), dtype=bool)
+        interior = (grid > 0) & (grid < n)
+        with np.errstate(invalid="ignore"):
+            valid[interior] = below[interior] != above[interior]
+        valid &= grid[:, None] <= counts[None, :]
+        self._valid[:, cols] = valid
 
     def _missing_terms(
         self, wp_miss: np.ndarray, wn_miss: np.ndarray
@@ -455,15 +506,14 @@ class StumpSearch:
         z[~self._valid] = np.inf
         return z
 
-    def _continuous_threshold(self, k: int, slot: int) -> float:
+    def _continuous_threshold(self, row: int, slot: int) -> float:
+        k = int(self._grid[row])
         m = int(self._present_counts[slot])
         if k == 0:
             return -math.inf
         if k >= m:
             return math.inf
-        return 0.5 * float(
-            self._sorted_vals[k - 1, slot] + self._sorted_vals[k, slot]
-        )
+        return 0.5 * float(self._split_lo[row, slot] + self._split_hi[row, slot])
 
     def _best_continuous(self, weights: np.ndarray) -> Stump:
         cols = self._cont_cols
@@ -486,10 +536,9 @@ class StumpSearch:
 
         flat = int(np.argmin(z))
         row, slot = divmod(flat, cols.size)
-        k = int(self._grid[row])
         return Stump(
             feature=int(cols[slot]),
-            threshold=self._continuous_threshold(k, slot),
+            threshold=self._continuous_threshold(row, slot),
             s_lo=_block_score(
                 float(self._buf_wp_lo[row, slot]),
                 float(self._buf_wn_lo[row, slot]),

@@ -89,6 +89,38 @@ class TestFit:
         with pytest.raises(ValueError):
             BStump().fit(X, y, sample_weight=np.full(60, -1.0))
 
+    @pytest.mark.parametrize(
+        "fill, match",
+        [
+            (0.0, "positive finite total"),
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+        ],
+        ids=["all-zero", "all-nan", "all-inf", "all-minus-inf"],
+    )
+    @pytest.mark.parametrize("backend", ["exact", "hist"])
+    def test_rejects_degenerate_sample_weight(self, rng, fill, match, backend):
+        # Each once returned a one-learner model with z = nan and NaN
+        # margins instead of failing.
+        X, y = make_problem(rng, n=60)
+        with pytest.raises(ValueError, match=match):
+            BStump(BStumpConfig(backend=backend)).fit(
+                X, y, sample_weight=np.full(60, fill)
+            )
+
+    def test_rejects_one_non_finite_sample_weight(self, rng):
+        X, y = make_problem(rng, n=60)
+        weights = np.ones(60)
+        weights[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            BStump().fit(X, y, sample_weight=weights)
+
+    def test_rejects_overflowing_sample_weight_total(self, rng):
+        X, y = make_problem(rng, n=60)
+        with pytest.raises(ValueError, match="positive finite total"):
+            BStump().fit(X, y, sample_weight=np.full(60, 1e308))
+
     def test_early_stop_on_constant_features(self, rng):
         # A constant feature admits no informative split: Z stays ~1 and
         # boosting stops instead of spinning for all requested rounds.

@@ -1,11 +1,14 @@
 """Unit tests for decision stumps (repro.ml.stumps)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.ml.stumps import Stump, StumpSearch, fit_stump
+from repro.ml import stumps
+from repro.ml.boostexter import BStump, BStumpConfig
+from repro.ml.stumps import COLUMN_BLOCK, Stump, StumpSearch, fit_stump
 
 
 def uniform_weights(n):
@@ -174,3 +177,113 @@ class TestStumpSearch:
         search = StumpSearch(X, y)
         with pytest.raises(ValueError):
             search.best_stump(np.ones(5))
+
+
+def _edge_case_matrix(rng, n, n_continuous):
+    """``n_continuous`` continuous columns (the blocked ones) with ties,
+    NaNs and an all-missing column, plus two categorical columns mixed in
+    when there is more than one continuous column."""
+    n_features = n_continuous + (2 if n_continuous > 1 else 0)
+    categorical = np.zeros(n_features, dtype=bool)
+    if n_features > n_continuous:
+        categorical[[1, n_features - 1]] = True
+    X = rng.integers(0, 6, size=(n, n_features)).astype(float)  # ties
+    X[:, ::2] += rng.normal(size=(n, (n_features + 1) // 2))
+    X[rng.random((n, n_features)) < 0.2] = np.nan
+    X[:, categorical] = np.round(np.abs(X[:, categorical]))
+    if n_continuous > 1:
+        X[:, n_features - 2] = np.nan  # an all-missing continuous column
+    y = np.where(rng.random(n) < 0.35, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return X, y, categorical
+
+
+def _weight_vectors(rng, n):
+    sparse = rng.random(n)
+    sparse[rng.random(n) < 0.3] = 0.0
+    skewed = rng.exponential(size=n) ** 3
+    return [uniform_weights(n), rng.random(n), sparse, skewed / skewed.sum()]
+
+
+def _stump_bits(stump):
+    return tuple(
+        np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in (stump.feature, stump.threshold, stump.s_lo, stump.s_hi,
+                  stump.s_miss, stump.categorical, stump.z)
+    )
+
+
+class TestColumnBlockEdges:
+    """The blocked construction is bit-identical at every block edge."""
+
+    @pytest.mark.parametrize(
+        "n_continuous",
+        [1, COLUMN_BLOCK - 1, COLUMN_BLOCK, COLUMN_BLOCK + 1, 2 * COLUMN_BLOCK + 1],
+    )
+    @pytest.mark.parametrize("max_split_points", [16, 1000])
+    @pytest.mark.parametrize("missing_policy", ["score", "abstain"])
+    def test_matches_one_block_and_one_column_construction(
+        self, rng, monkeypatch, n_continuous, max_split_points, missing_policy
+    ):
+        n = 300  # max_split_points 16 < n (quantile grid), 1000 > n (exact)
+        X, y, categorical = _edge_case_matrix(rng, n, n_continuous)
+
+        def best_stumps(block):
+            monkeypatch.setattr(stumps, "COLUMN_BLOCK", block)
+            search = StumpSearch(
+                X, y, categorical, missing_policy=missing_policy,
+                max_split_points=max_split_points,
+            )
+            return [
+                _stump_bits(search.best_stump(w))
+                for w in _weight_vectors(np.random.default_rng(9), n)
+            ]
+
+        blocked = best_stumps(COLUMN_BLOCK)
+        assert blocked == best_stumps(n_continuous)  # one block
+        assert blocked == best_stumps(1)  # one column per block
+
+    @pytest.mark.parametrize(
+        "n_continuous", [COLUMN_BLOCK - 1, COLUMN_BLOCK + 1, 2 * COLUMN_BLOCK + 1]
+    )
+    def test_exact_search_matches_fit_stump_oracle(self, rng, n_continuous):
+        n = 120
+        X, y, categorical = _edge_case_matrix(rng, n, n_continuous)
+        n_features = X.shape[1]
+        search = StumpSearch(X, y, categorical, max_split_points=n + 1)
+        for w in _weight_vectors(rng, n):
+            best = search.best_stump(w)
+            oracle = [
+                fit_stump(X[:, j], y, w, feature=j, categorical=categorical[j])
+                for j in range(n_features)
+            ]
+            assert best.z == pytest.approx(min(s.z for s in oracle), rel=1e-7)
+            reference = oracle[best.feature]
+            assert best.z == pytest.approx(reference.z, rel=1e-7)
+            assert best.threshold == reference.threshold
+            assert best.s_miss == pytest.approx(reference.s_miss, rel=1e-7)
+
+
+class TestMemoryBound:
+    """The exact fit's transient memory follows a column block."""
+
+    #: Bytes per (row x column) cell of an exact fit's tracemalloc peak.
+    #: The retained per-round state is 25 B/cell (segment keys 8, present
+    #: mask 1, two weight buffers 16); whole-matrix sort temporaries put
+    #: the peak near 69 B/cell.
+    MAX_BYTES_PER_CELL = 40
+
+    def test_exact_fit_peak_per_cell(self, rng):
+        n, n_features = 4_000, 128
+        X = rng.normal(size=(n, n_features))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        y = np.where(np.nan_to_num(X[:, 0]) + rng.normal(size=n) > 0, 1.0, -1.0)
+        model = BStump(BStumpConfig(n_rounds=3, calibrate=False))
+        tracemalloc.start()
+        try:
+            model.fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_cell = peak / X.size
+        assert per_cell < self.MAX_BYTES_PER_CELL, per_cell

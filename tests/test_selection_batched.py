@@ -7,12 +7,15 @@ or threshold decision flips.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.features import selection
 from repro.features.encoding import FeatureSet
-from repro.ml.metrics import gain_ratio
+from repro.ml.metrics import gain_ratio, top_n_average_precision
+from repro.ml.stumps import COLUMN_BLOCK
 
 
 def _world(rng, n=700, n_features=24):
@@ -126,3 +129,76 @@ def test_batched_median_imputation_matches_per_column():
     )
     assert np.array_equal(batched, loop)
     assert not np.any(np.isnan(batched))
+
+
+def _scoring_inputs(rng, n_cands, n_test=400):
+    """Piecewise-constant candidate margins over a test window.
+
+    Returns ``(margins, train, test, y_test)`` as ``_scores_from_margins``
+    takes them.  The raw values have ties, NaNs, a constant column, an
+    all-missing column and categorical columns; one candidate is left
+    out of ``margins`` as an ineligible column would be.
+    """
+    values = rng.normal(size=(n_test, n_cands))
+    values[:, ::3] = np.round(values[:, ::3] * 2)
+    values[rng.random(values.shape) < 0.2] = np.nan
+    categorical = np.zeros(n_cands, dtype=bool)
+    categorical[2::7] = True
+    values[:, categorical] = rng.integers(0, 3, size=(n_test, categorical.sum()))
+    if n_cands > 5:
+        values[:, 4] = 1.5
+        values[:, 5] = np.nan
+    margins = {}
+    for j in range(n_cands):
+        if n_cands > 6 and j == 6:
+            continue
+        levels = rng.normal(size=4)
+        margin = levels[np.digitize(np.nan_to_num(values[:, j]), [-0.5, 0.5])]
+        margin[np.isnan(values[:, j])] = levels[3]
+        margins[j] = margin
+    names = [f"c{j}" for j in range(n_cands)]
+    features = FeatureSet(values, names, ["default"] * n_cands, categorical)
+    y_test = (rng.random(n_test) < 0.2).astype(float)
+    return margins, features, features, y_test
+
+
+@pytest.mark.parametrize(
+    "n_cands",
+    [1, COLUMN_BLOCK - 1, COLUMN_BLOCK, COLUMN_BLOCK + 1, 2 * COLUMN_BLOCK + 1],
+)
+@pytest.mark.parametrize("n", [30, 10_000])  # partition path, full-sort path
+def test_blocked_scoring_matches_per_column_reference(n_cands, n):
+    rng = np.random.default_rng(n_cands)
+    margins, train, test, y_test = _scoring_inputs(rng, n_cands)
+    scores = selection._scores_from_margins(
+        margins, train, test, y_test, n, n_cands
+    )
+    reference = np.zeros(n_cands)
+    for j, margin in margins.items():
+        if not train.categorical[j]:
+            margin = selection._break_ties_by_value(margin, test.matrix[:, j])
+        reference[j] = top_n_average_precision(y_test, n, margin)
+    assert np.array_equal(scores, reference)
+
+
+def test_scoring_peak_grows_by_at_most_one_block():
+    """AP(N) scoring memory follows a candidate block, not the sweep."""
+    n_test = 2_000
+
+    def peak(n_cands):
+        margins, train, test, y_test = _scoring_inputs(
+            np.random.default_rng(0), n_cands, n_test
+        )
+        tracemalloc.start()
+        try:
+            selection._scores_from_margins(
+                margins, train, test, y_test, 100, n_cands
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(COLUMN_BLOCK)  # warm lazy state off the books
+    growth = peak(8 * COLUMN_BLOCK) - peak(COLUMN_BLOCK)
+    one_block = COLUMN_BLOCK * n_test * 8  # one (block x test rows) float64
+    assert growth <= one_block, (growth, one_block)
