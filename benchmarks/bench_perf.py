@@ -21,7 +21,12 @@ Measures the three hot paths this repo optimises and writes the numbers
   speedup claim) and the current per-column loop (today's fits with the
   shared vectorised scoring stage).  Asserts all paths select identical
   feature sets, and records the tie-break + AP(N) scoring stage's
-  tracemalloc peak (``scoring_peak_bytes``).
+  tracemalloc peak (``scoring_peak_bytes``).  CI asserts the three
+  identity flags (``scores_identical``, ``scores_match_reference``,
+  ``selected_sets_identical``).
+* **obs_overhead** -- disabled-mode instrumentation cost on the scoring
+  path, the median of ``OBS_OVERHEAD_READINGS`` in-situ readings
+  against ``MAX_OBS_OVERHEAD``, with every reading recorded.
 
 Run from the repo root::
 
@@ -46,11 +51,11 @@ import numpy as np
 
 from repro.features.encoding import FeatureSet
 from repro.features.selection import (
-    _boost_columns_chunk,
     _eligible_columns,
     _scores_from_margins,
     single_feature_ap,
 )
+from repro.features.sweep import sweep_chunk_margins
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.ensemble_scoring import compile_stumps, naive_grouped_margin
 from repro.ml.stumps import Stump
@@ -61,6 +66,10 @@ from repro.parallel import worker_count
 #: The observability acceptance bar: disabled-mode instrumentation on the
 #: weekly scoring path must cost less than this fraction of its runtime.
 MAX_OBS_OVERHEAD = 0.03
+
+#: In-situ readings of that overhead per run, fixed in advance; the guard
+#: judges their median, so one reading disturbed by load cannot fail it.
+OBS_OVERHEAD_READINGS = 5
 
 #: Wide-matrix probe of the exact fit's memory: the paper's ~130 encoded
 #: columns over enough rows that per-cell arrays dominate.
@@ -462,9 +471,10 @@ def bench_selection(rng, n_rows: int, n_features: int, n_rounds: int,
     # The scoring stage alone, on the sweep's own margins.
     config = BStumpConfig(n_rounds=n_rounds, calibrate=False)
     eligible = np.flatnonzero(_eligible_columns(train.matrix))
-    chunk = _boost_columns_chunk(
+    chunk = sweep_chunk_margins(
         train.matrix.T[eligible], BStump._canonical_labels(y[:half]),
-        test.matrix.T[eligible], config,
+        test.matrix.T[eligible], config.n_rounds, config.early_stop_z,
+        config.missing_policy, config.max_split_points,
     )
     margins = dict(zip(eligible.tolist(), chunk))
     scoring_peak = _traced_peak_bytes(lambda: _scores_from_margins(
@@ -492,6 +502,46 @@ def bench_selection(rng, n_rows: int, n_features: int, n_rounds: int,
     }
 
 
+def _obs_overhead_reading(compiled, X, n_rows: int, n_samples: int) -> dict:
+    """One in-situ reading of the disabled-mode wrap cost.
+
+    Times ``n_samples`` wrapped calls, each timestamped just outside and
+    just inside the instrumentation; the reading's overhead is the
+    larger of the median paired difference (the typical call) and the
+    top-2%-trimmed mean difference (charging the occasional slow call
+    without letting multi-ms scheduler preemptions count), as a fraction
+    of the median kernel time.
+    """
+    import statistics
+
+    inner: list[float] = []
+    outer: list[float] = []
+
+    def instrumented():
+        t_outer = time.perf_counter()
+        with stage("bench.score_week", rows=n_rows):
+            t_inner = time.perf_counter()
+            compiled.decision_function(X)
+            inner.append(time.perf_counter() - t_inner)
+        outer.append(time.perf_counter() - t_outer)
+
+    instrumented()  # warm the path (registers the stage metrics)
+    inner.clear(), outer.clear()
+    for _ in range(n_samples):
+        instrumented()
+    kernel_time = statistics.median(inner)
+    diffs = sorted(o - i for o, i in zip(outer, inner))
+    median_cost = statistics.median(diffs)
+    kept = diffs[: max(1, int(len(diffs) * 0.98))]
+    amortized_cost = sum(kept) / len(kept)
+    return {
+        "plain_seconds": kernel_time,
+        "median_cost_seconds": median_cost,
+        "amortized_cost_seconds": amortized_cost,
+        "overhead_fraction": max(median_cost, amortized_cost) / kernel_time,
+    }
+
+
 def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
                        repeats: int):
     """Guard: disabled-mode instrumentation must be ~free on the hot path.
@@ -510,62 +560,54 @@ def bench_obs_overhead(rng, n_rows: int, n_rounds: int, n_features: int,
     artifact larger than the budget.  The paired per-call difference is
     immune to kernel-time variance while still charging the wrappers
     their full post-workload price (syscalls and allocations right after
-    a numpy kernel cost several times their warm price).  Two statistics
-    are asserted under ``MAX_OBS_OVERHEAD``: the median paired
-    difference (the typical call) and a top-2%-trimmed mean (charging
-    the occasional slow call without letting multi-ms scheduler
-    preemptions fail the guard).
-    """
-    import statistics
+    a numpy kernel cost several times their warm price).
 
+    One reading still moves with load on a shared host, so the harness
+    takes ``OBS_OVERHEAD_READINGS`` readings (see
+    :func:`_obs_overhead_reading`) and judges their median against
+    ``MAX_OBS_OVERHEAD``.  Every reading is recorded, and each one above
+    the budget is listed and printed.
+    """
     del repeats  # sample count is derived from the call duration instead
     stumps = _synthetic_ensemble(rng, n_rounds, n_features)
     X = _synthetic_matrix(rng, n_rows, n_features)
     compiled = compile_stumps(stumps, n_features)
 
-    inner: list[float] = []
-    outer: list[float] = []
-
-    def instrumented():
-        t_outer = time.perf_counter()
-        with stage("bench.score_week", rows=n_rows):
-            t_inner = time.perf_counter()
-            compiled.decision_function(X)
-            inner.append(time.perf_counter() - t_inner)
-        outer.append(time.perf_counter() - t_outer)
-
     once, _ = _timed(lambda: compiled.decision_function(X), 3)
     n_samples = max(101, min(1001, int(2.0 / max(once, 1e-9))))
     set_tracing(False)
     try:
-        instrumented()  # warm the path (registers the stage metrics)
-        inner.clear(), outer.clear()
-        for _ in range(n_samples):
-            instrumented()
+        readings = [
+            _obs_overhead_reading(compiled, X, n_rows, n_samples)
+            for _ in range(OBS_OVERHEAD_READINGS)
+        ]
     finally:
         set_tracing(None)
 
-    kernel_time = statistics.median(inner)
-    diffs = sorted(o - i for o, i in zip(outer, inner))
-    median_cost = statistics.median(diffs)
-    kept = diffs[: max(1, int(len(diffs) * 0.98))]
-    amortized_cost = sum(kept) / len(kept)
-    overhead = max(median_cost, amortized_cost) / kernel_time
+    fractions = [r["overhead_fraction"] for r in readings]
+    overhead = float(np.median(fractions))
+    over = [i for i, f in enumerate(fractions) if f >= MAX_OBS_OVERHEAD]
+    for i in over:
+        print(f"obs reading {i}: {fractions[i]:.2%} overhead, above the "
+              f"{MAX_OBS_OVERHEAD:.0%} budget")
     assert overhead < MAX_OBS_OVERHEAD, (
-        f"disabled-mode instrumentation overhead {overhead:.1%} exceeds "
-        f"the {MAX_OBS_OVERHEAD:.0%} budget "
-        f"({max(median_cost, amortized_cost) * 1e6:.1f}us per call on a "
-        f"{kernel_time * 1e3:.2f}ms kernel)"
+        f"disabled-mode instrumentation overhead {overhead:.1%} (median of "
+        f"{len(readings)} readings: "
+        f"{', '.join(f'{f:.1%}' for f in fractions)}) exceeds the "
+        f"{MAX_OBS_OVERHEAD:.0%} budget"
     )
     return {
         "n_rows": n_rows,
         "n_rounds": n_rounds,
         "n_samples": n_samples,
-        "plain_seconds": kernel_time,
-        "instrumented_seconds": kernel_time + median_cost,
-        "median_cost_seconds": median_cost,
-        "amortized_cost_seconds": amortized_cost,
+        "cpu_count": os.cpu_count(),
+        "k_readings": len(readings),
+        "readings": readings,  # in run order
+        "readings_over_budget": over,
+        "statistic": "median of readings' overhead_fraction",
         "overhead_fraction": overhead,
+        "min_fraction": min(fractions),
+        "max_fraction": max(fractions),
         "budget_fraction": MAX_OBS_OVERHEAD,
         "within_budget": True,
     }
@@ -651,7 +693,10 @@ def main() -> None:
           f"scoring peak {sel['scoring_peak_bytes'] / 2**20:.2f} MB")
     obs = report["obs_overhead"]
     print(f"obs:       {obs['overhead_fraction']:+.2%} disabled-mode "
-          f"instrumentation overhead (budget {obs['budget_fraction']:.0%})")
+          f"instrumentation overhead, median of {obs['k_readings']} readings "
+          f"({obs['min_fraction']:+.2%} .. {obs['max_fraction']:+.2%}; "
+          f"budget {obs['budget_fraction']:.0%}, "
+          f"{len(obs['readings_over_budget'])} readings above it)")
     print(f"wrote {args.output}")
 
 

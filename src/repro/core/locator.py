@@ -157,6 +157,50 @@ def _fit_one_vs_rest(
     )
 
 
+def _fill_oof_margins(
+    out: np.ndarray,
+    train: LocatorDataset,
+    classes: np.ndarray,
+    heads,
+    assignment: np.ndarray,
+    folds: int,
+    cfg: LocatorConfig,
+    binned: BinnedDataset | None,
+) -> None:
+    """Write out-of-fold one-vs-rest margins into ``out[:, head]``.
+
+    For every (fold, head) pair a head is refit on the other folds' rows
+    (positives: ``classes == head``) and its margins land on the fold's
+    held-out rows; a class-starved refit leaves its entries as they
+    were.  A fold's training rows, held-out rows and row subset of the
+    shared binning are gathered once and shared by all of its refits,
+    which fan out over :func:`repro.parallel.parallel_map` in fold-major
+    order.
+    """
+    X = train.features.matrix
+    rests = [assignment != fold for fold in range(folds)]
+    fold_rows = [
+        (X[rest], X[~rest], binned.rows(rest) if binned is not None else None)
+        for rest in rests
+    ]
+    tasks = [(fold, head) for fold in range(folds) for head in heads]
+
+    def refit(task: tuple[int, int]) -> np.ndarray | None:
+        fold, head = task
+        X_rest, X_hold, binned_rest = fold_rows[fold]
+        model = _fit_one_vs_rest(
+            X_rest, classes[rests[fold]] == head, train.features.categorical,
+            cfg, binned=binned_rest,
+        )
+        if model is None:
+            return None
+        return model.decision_function(X_hold)
+
+    for (fold, head), margins in zip(tasks, parallel_map(refit, tasks)):
+        if margins is not None:
+            out[~rests[fold], head] = margins
+
+
 class FlatLocator:
     """One-vs-rest BStump per disposition with Platt calibration.
 
@@ -221,38 +265,10 @@ class FlatLocator:
         if n >= folds * 4:
             assignment = _fold_assignment(n, folds, cfg.cv_seed)
             self.fold_assignment_ = assignment
-            rests = [assignment != fold for fold in range(folds)]
-            # Per-fold row gathers hoisted out of the per-head tasks: a
-            # fold's training rows, held-out rows, and row subset of the
-            # shared binning are shared by its 52 refits.
-            fold_rows = [
-                (
-                    X[rest],
-                    X[~rest],
-                    binned.rows(rest) if binned is not None else None,
-                )
-                for rest in rests
-            ]
-            tasks = [
-                (fold, code) for fold in range(folds) for code in self.models_
-            ]
-
-            def oof_margins(task: tuple[int, int]) -> np.ndarray | None:
-                fold, code = task
-                X_rest, X_hold, binned_rest = fold_rows[fold]
-                model = _fit_one_vs_rest(
-                    X_rest, train.disposition[rests[fold]] == code,
-                    self._categorical, cfg, binned=binned_rest,
-                )
-                if model is None:
-                    return None
-                return model.decision_function(X_hold)
-
-            for (fold, code), margins in zip(
-                tasks, parallel_map(oof_margins, tasks)
-            ):
-                if margins is not None:
-                    oof[~rests[fold], code] = margins
+            _fill_oof_margins(
+                oof, train, train.disposition, list(self.models_),
+                assignment, folds, cfg, binned,
+            )
         else:
             oof = self.decision_matrix(X)
         self.oof_decision_ = oof
@@ -383,33 +399,10 @@ class CombinedLocator:
         if binned is not None and binned.n_rows != n:
             binned = None
         f_loc = np.zeros((n, N_LOCATIONS))
-        rests = [assignment != fold for fold in range(folds)]
-        fold_rows = [
-            (
-                X[rest],
-                X[~rest],
-                binned.rows(rest) if binned is not None else None,
-            )
-            for rest in rests
-        ]
-        tasks = [
-            (fold, loc) for fold in range(folds) for loc in range(N_LOCATIONS)
-        ]
-
-        def oof_margins(task: tuple[int, int]) -> np.ndarray | None:
-            fold, loc = task
-            X_rest, X_hold, binned_rest = fold_rows[fold]
-            model = _fit_one_vs_rest(
-                X_rest, train.location[rests[fold]] == loc,
-                train.features.categorical, cfg, binned=binned_rest,
-            )
-            if model is None:
-                return None
-            return model.decision_function(X_hold)
-
-        for (fold, loc), margins in zip(tasks, parallel_map(oof_margins, tasks)):
-            if margins is not None:
-                f_loc[~rests[fold], loc] = margins
+        _fill_oof_margins(
+            f_loc, train, train.location, range(N_LOCATIONS), assignment,
+            folds, cfg, binned,
+        )
         return f_loc
 
     def _stacked_locations(self) -> MultiHeadEnsemble | None:

@@ -94,6 +94,8 @@ class PredictorConfig:
     n_bins: int = 256
 
     def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise ValueError(f"capacity must be positive, got {self.capacity}")
         if self.backend not in TRAIN_BACKENDS:
             raise ValueError(
                 f"backend must be one of {TRAIN_BACKENDS}, got {self.backend!r}"

@@ -20,10 +20,12 @@ Performance: the selection sweep trains one tiny boosted model per
 candidate column, which the paper runs over hundreds of candidates.
 Rather than building a fresh :class:`~repro.ml.stumps.StumpSearch`
 (argsort included) per candidate, the default path hands whole column
-chunks to :mod:`repro.features.sweep`, which runs the boosting recurrence
-for every column at once in the value-sorted domain (sort once per class,
-prefix-sum round statistics, slice-wise weight updates).  Column chunks
-are independent, so the sweep also fans out over
+chunks to :func:`~repro.features.sweep.sweep_chunk_margins` (or its
+binned twin under ``backend="hist"``), which runs the boosting
+recurrence for every column at once and scores each column's stumps
+with the compiled ensemble scorer; the sweep shares its split grid,
+missing-block terms and Z criterion with the stump searches.  Column
+chunks are independent, so the sweep also fans out over
 :func:`repro.parallel.parallel_map` (``REPRO_WORKERS``).  The final
 tie-break + AP(N) scoring stage is likewise vectorised, over blocks of
 candidate columns.  Pass ``batched=False`` for the original
@@ -121,32 +123,6 @@ def _eligible_columns(matrix: np.ndarray) -> np.ndarray:
         return hi > lo  # False for constant and for all-NaN (NaN compares False)
 
 
-def _boost_columns_chunk(
-    X_train_t: np.ndarray,
-    y_signed: np.ndarray,
-    X_test_t: np.ndarray,
-    config: BStumpConfig,
-) -> np.ndarray:
-    """Boost every column of a chunk as an independent single-feature model.
-
-    Delegates to :func:`repro.features.sweep.sweep_chunk_margins`, which
-    runs the AdaBoost recurrence of :meth:`BStump.fit` for all columns at
-    once in the value-sorted domain, and returns the (chunk, n_test)
-    margin matrix of the resulting single-feature ensembles.  Early
-    stopping (``early_stop_z``) and the degenerate-weight guard apply per
-    column, exactly as the per-column ``BStump`` loop would.
-    """
-    return sweep_chunk_margins(
-        X_train_t,
-        y_signed,
-        X_test_t,
-        config.n_rounds,
-        config.early_stop_z,
-        config.missing_policy,
-        config.max_split_points,
-    )
-
-
 def _fit_single_column_margin(
     train: FeatureSet,
     y_train: np.ndarray,
@@ -206,7 +182,13 @@ def single_feature_ap(
             the binning the final training fit will reuse so a full
             select-then-train run quantises the matrix exactly once;
             ``None`` bins here on demand.
+
+    Raises:
+        ValueError: if ``n < 1``, as
+            :func:`~repro.ml.metrics.top_n_average_precision` does.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if train.n_features != test.n_features:
         raise ValueError("train and test feature sets must align")
     if backend not in TRAIN_BACKENDS:
@@ -254,8 +236,14 @@ def single_feature_ap(
                     config.missing_policy,
                 )
             else:
-                chunk_fn = lambda cols: _boost_columns_chunk(  # noqa: E731
-                    train.matrix.T[cols], y_signed, test.matrix.T[cols], config
+                chunk_fn = lambda cols: sweep_chunk_margins(  # noqa: E731
+                    train.matrix.T[cols],
+                    y_signed,
+                    test.matrix.T[cols],
+                    config.n_rounds,
+                    config.early_stop_z,
+                    config.missing_policy,
+                    config.max_split_points,
                 )
             chunk_margins = parallel_map(
                 chunk_fn,

@@ -35,15 +35,22 @@ can run in the sorted domain:
   slice multiplies per class block -- no ``exp`` over the matrix, no
   comparison pass, no scatter.
 
-The sweep reproduces the per-column loop's model *selection behaviour* --
-same candidate splits, same Z-criterion, same early stopping, and test
-margins through an exact vectorised replica of the compiled-ensemble
-scorer's bucket-table fold -- but its weight statistics are accumulated
-in a different order, so margins agree with the loop path to
-floating-point round-off rather than bit for bit.  ``tests/test_selection_batched.py`` asserts the property that
-matters downstream: both paths select identical feature sets.  The sweep
-itself is deterministic and bit-reproducible across chunk widths and
-worker counts, because every column's arithmetic is independent.
+The sweep reproduces the per-column loop's model *selection behaviour*
+and shares its rules rather than copying them: the candidate grid
+(:func:`repro.ml.binning._split_grid`), the missing-block terms and the
+split criterion Z (:mod:`repro.ml.stumps`) each have one definition, and
+each column's kept rounds become :class:`~repro.ml.stumps.Stump` objects
+scored by :func:`~repro.ml.ensemble_scoring.compile_stumps`, the scorer a
+trained model uses.  :func:`_boost_margins` is the one round loop of
+both sweeps (early stopping, the degenerate-weight guard, per-column
+stump counts); :class:`ColumnSweep` and :class:`HistColumnSweep` differ
+only in how they sum each round's weights.  Those sums are accumulated in
+a different order than the loop path's, so margins agree with it to
+floating-point round-off rather than bit for bit.
+``tests/test_selection_batched.py`` asserts the property that matters
+downstream: both paths select identical feature sets.  The sweep itself
+is deterministic and bit-reproducible across chunk widths and worker
+counts, because every column's arithmetic is independent.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.ml.binning import BinnedDataset
-from repro.ml.stumps import _EPS_SCALE
+from repro.ml.binning import BinnedDataset, _split_grid
+from repro.ml.ensemble_scoring import compile_stumps
+from repro.ml.stumps import _EPS_SCALE, Stump, _missing_block_terms, _split_z
 
 __all__ = [
     "ColumnSweep",
@@ -80,11 +88,19 @@ class SweepRound(NamedTuple):
     boundary_exact: np.ndarray
 
 
-def _split_grid(n: int, max_split_points: int) -> np.ndarray:
-    """Candidate split positions 0..n (same grid as StumpSearch)."""
-    if n + 1 > max_split_points:
-        return np.unique(np.round(np.linspace(0, n, max_split_points)).astype(int))
-    return np.arange(n + 1)
+def _best_splits(wp_lo, wn_lo, wp_hi, wn_hi, z_miss, invalid, eps):
+    """Each column's Z-minimising split: ``(best, z, s_lo, s_hi)``.
+
+    The split tables are (columns, candidates) and already clipped; the
+    first lowest candidate wins ties, as in the stump searches.
+    """
+    z = _split_z(wp_lo, wn_lo, wp_hi, wn_hi, z_miss[:, None])
+    z[invalid] = np.inf
+    best = np.argmin(z, axis=1)
+    rows = np.arange(best.size)
+    s_lo = 0.5 * np.log((wp_lo[rows, best] + eps) / (wn_lo[rows, best] + eps))
+    s_hi = 0.5 * np.log((wp_hi[rows, best] + eps) / (wn_hi[rows, best] + eps))
+    return best, z[rows, best], s_lo, s_hi
 
 
 def _class_block(X_t: np.ndarray, mask: np.ndarray):
@@ -197,16 +213,6 @@ class ColumnSweep:
         table[:, -1] = block_pc
         return table
 
-    def _missing_terms(self, wp_miss, wn_miss):
-        if self.missing_policy == "score":
-            z_miss = 2.0 * np.sqrt(np.clip(wp_miss * wn_miss, 0.0, None))
-            s_miss = 0.5 * np.log((wp_miss + self.eps) / (wn_miss + self.eps))
-            s_miss = np.where(wp_miss + wn_miss > 0, s_miss, 0.0)
-        else:
-            z_miss = wp_miss + wn_miss
-            s_miss = np.zeros_like(wp_miss)
-        return z_miss, s_miss
-
     def round(self, normalize: bool):
         """Best stump per column under the current weights.
 
@@ -242,7 +248,9 @@ class ColumnSweep:
         present_neg = cum_neg[rows, self._pc_neg]
         wp_miss = np.clip((tot_pos - present_pos) * inv, 0.0, None)
         wn_miss = np.clip((tot_neg - present_neg) * inv, 0.0, None)
-        z_miss, s_miss = self._missing_terms(wp_miss, wn_miss)
+        z_miss, s_miss = _missing_block_terms(
+            wp_miss, wn_miss, self.eps, self.missing_policy
+        )
 
         wp_lo = np.take_along_axis(cum_pos, self._below_pos, axis=1) * inv[:, None]
         wn_lo = np.take_along_axis(cum_neg, self._below_neg, axis=1) * inv[:, None]
@@ -253,18 +261,10 @@ class ColumnSweep:
         np.clip(wp_hi, 0.0, None, out=wp_hi)
         np.clip(wn_hi, 0.0, None, out=wn_hi)
 
-        z = 2.0 * (np.sqrt(wp_lo * wn_lo) + np.sqrt(wp_hi * wn_hi)) + z_miss[:, None]
-        z[~self._valid] = np.inf
-
-        best = np.argmin(z, axis=1)
+        best, z_best, s_lo, s_hi = _best_splits(
+            wp_lo, wn_lo, wp_hi, wn_hi, z_miss, ~self._valid, self.eps
+        )
         split = self.grid[best]
-        eps = self.eps
-        s_lo = 0.5 * np.log(
-            (wp_lo[rows, best] + eps) / (wn_lo[rows, best] + eps)
-        )
-        s_hi = 0.5 * np.log(
-            (wp_hi[rows, best] + eps) / (wn_hi[rows, best] + eps)
-        )
         if self._v_hi.shape[1]:
             inner_idx = np.clip(best - 1, 0, self._v_hi.shape[1] - 1)
             v_lo_best = self._v_lo[rows, inner_idx]
@@ -296,7 +296,7 @@ class ColumnSweep:
             s_lo=s_lo,
             s_hi=s_hi,
             s_miss=s_miss,
-            z=z[rows, best],
+            z=z_best,
             raw_total=raw_total,
             below_pos=self._below_pos[rows, best],
             below_neg=self._below_neg[rows, best],
@@ -354,11 +354,7 @@ def sweep_chunk_margins(
     """Margins of per-column boosted single-feature models on the test rows.
 
     Runs the AdaBoost recurrence of ``BStump.fit`` for every column of the
-    chunk at once and evaluates each column's ensemble on ``X_test_t``
-    with :func:`_fold_test_margins`, an exact cross-column replica of the
-    compiled-ensemble scorer's arithmetic -- identical stump choices yield
-    identical margins.  Early stopping and the degenerate-weight guard
-    apply per column.
+    chunk at once on a :class:`ColumnSweep` (see :func:`_boost_margins`).
 
     Args:
         X_train_t: (n_cols, n_train) training chunk, transposed.
@@ -372,30 +368,8 @@ def sweep_chunk_margins(
     Returns:
         (n_cols, n_test) margin matrix, one row per column.
     """
-    C = X_train_t.shape[0]
     sweep = ColumnSweep(X_train_t, y_signed, missing_policy, max_split_points)
-
-    active = np.ones(C, dtype=bool)
-    rounds: list[SweepRound] = []
-    n_stumps = np.zeros(C, dtype=np.intp)
-    for t in range(n_rounds):
-        rr = sweep.round(normalize=t > 0)
-        # The loop path checks the weight total after each update and
-        # stops before the next stump; the raw total of this round's
-        # statistics is that same quantity, one round later.
-        if t > 0:
-            with np.errstate(invalid="ignore"):
-                active &= np.isfinite(rr.raw_total) & (rr.raw_total > 0)
-            active &= rr.z < early_stop_z
-        if not np.any(active):
-            break
-        rounds.append(rr)
-        n_stumps[active] += 1
-        if t == n_rounds - 1:
-            break
-        sweep.update(rr, active)
-
-    return _fold_test_margins(rounds, n_stumps, X_test_t)
+    return _boost_margins(sweep, X_test_t, n_rounds, early_stop_z)
 
 
 class HistColumnSweep:
@@ -493,20 +467,18 @@ class HistColumnSweep:
 
         wp_miss = np.clip(wp_miss_raw * inv, 0.0, None)
         wn_miss = np.clip(wn_miss_raw * inv, 0.0, None)
-        z_miss, s_miss = self._missing_terms(wp_miss, wn_miss)
+        z_miss, s_miss = _missing_block_terms(
+            wp_miss, wn_miss, self.eps, self.missing_policy
+        )
 
         wp_lo *= inv[:, None]
         wn_lo *= inv[:, None]
         wp_hi = np.clip((present_pos * inv)[:, None] - wp_lo, 0.0, None)
         wn_hi = np.clip((present_neg * inv)[:, None] - wn_lo, 0.0, None)
 
-        z = 2.0 * (np.sqrt(wp_lo * wn_lo) + np.sqrt(wp_hi * wn_hi)) + z_miss[:, None]
-        z[self._invalid] = np.inf
-
-        best = np.argmin(z, axis=1)
-        eps = self.eps
-        s_lo = 0.5 * np.log((wp_lo[rows, best] + eps) / (wn_lo[rows, best] + eps))
-        s_hi = 0.5 * np.log((wp_hi[rows, best] + eps) / (wn_hi[rows, best] + eps))
+        best, z_best, s_lo, s_hi = _best_splits(
+            wp_lo, wn_lo, wp_hi, wn_hi, z_miss, self._invalid, self.eps
+        )
         threshold = np.empty(C)
         for c in range(C):
             k = int(best[c])
@@ -524,22 +496,12 @@ class HistColumnSweep:
             s_lo=s_lo,
             s_hi=s_hi,
             s_miss=s_miss,
-            z=z[rows, best],
+            z=z_best,
             raw_total=raw_total,
             below_pos=best,
             below_neg=best,
             boundary_exact=np.ones(C, dtype=bool),
         )
-
-    def _missing_terms(self, wp_miss, wn_miss):
-        if self.missing_policy == "score":
-            z_miss = 2.0 * np.sqrt(np.clip(wp_miss * wn_miss, 0.0, None))
-            s_miss = 0.5 * np.log((wp_miss + self.eps) / (wn_miss + self.eps))
-            s_miss = np.where(wp_miss + wn_miss > 0, s_miss, 0.0)
-        else:
-            z_miss = wp_miss + wn_miss
-            s_miss = np.zeros_like(wp_miss)
-        return z_miss, s_miss
 
     def update(self, rr: SweepRound, active: np.ndarray) -> None:
         """Apply ``w *= exp(-y * h)`` on the per-bin weight tables.
@@ -569,11 +531,9 @@ def hist_sweep_chunk_margins(
 ) -> np.ndarray:
     """Hist-backend margins of per-column single-feature models.
 
-    The binned counterpart of :func:`sweep_chunk_margins`: same boosting
-    recurrence, early stopping and degenerate-weight guard, with round
-    statistics taken from per-bin weights instead of sorted prefix sums,
-    and test margins through the same :func:`_fold_test_margins` replica
-    of the compiled scorer.
+    The binned counterpart of :func:`sweep_chunk_margins`: the same
+    boosting loop on a :class:`HistColumnSweep`, whose round statistics
+    come from per-bin weights instead of sorted prefix sums.
 
     Args:
         binned: pre-binned training chunk (continuous columns only),
@@ -588,14 +548,31 @@ def hist_sweep_chunk_margins(
     Returns:
         (n_cols, n_test) margin matrix, one row per column.
     """
-    C = binned.n_features
     sweep = HistColumnSweep(binned, y_signed, missing_policy)
+    return _boost_margins(sweep, X_test_t, n_rounds, early_stop_z)
 
-    active = np.ones(C, dtype=bool)
+
+def _boost_margins(
+    sweep: ColumnSweep | HistColumnSweep,
+    X_test_t: np.ndarray,
+    n_rounds: int,
+    early_stop_z: float,
+) -> np.ndarray:
+    """Boost every column of ``sweep`` and score each model on its test row.
+
+    The one round loop of both sweeps.  Early stopping and the
+    degenerate-weight guard apply per column; the active mask only ever
+    shrinks, so a column that kept ``T`` stumps kept the first ``T``
+    rounds.
+    """
+    active = np.ones(sweep.n_cols, dtype=bool)
     rounds: list[SweepRound] = []
-    n_stumps = np.zeros(C, dtype=np.intp)
+    n_stumps = np.zeros(sweep.n_cols, dtype=np.intp)
     for t in range(n_rounds):
         rr = sweep.round(normalize=t > 0)
+        # The loop path checks the weight total after each update and
+        # stops before the next stump; the raw total of this round's
+        # statistics is that same quantity, one round later.
         if t > 0:
             with np.errstate(invalid="ignore"):
                 active &= np.isfinite(rr.raw_total) & (rr.raw_total > 0)
@@ -608,64 +585,15 @@ def hist_sweep_chunk_margins(
             break
         sweep.update(rr, active)
 
-    return _fold_test_margins(rounds, n_stumps, X_test_t)
-
-
-def _fold_test_margins(
-    rounds: list[SweepRound],
-    n_stumps: np.ndarray,
-    X_test_t: np.ndarray,
-) -> np.ndarray:
-    """Per-column ensemble margins, bit-identical to the compiled scorer.
-
-    Replays :func:`repro.ml.ensemble_scoring.compile_stumps` /
-    ``decision_function`` across all chunk columns at once: stable-sort
-    each column's thresholds, accumulate the (n_stumps + 1)-bucket score
-    table stump by stump in round order (the same left-fold the compiled
-    path uses, so the floating-point sums match bit for bit), then bucket
-    every test value by counting thresholds at or below it -- exactly
-    ``searchsorted(keys, col, side="right")`` -- and gather.  Missing
-    values take the round-order sum of the miss scores.
-
-    The active-column mask in :func:`sweep_chunk_margins` only ever
-    shrinks, so a column with ``n_stumps[k] == T`` holds the first ``T``
-    rounds; columns are grouped by stump count and folded group-wise.
-    """
-    C, n_test = X_test_t.shape
-    margins = np.zeros((C, n_test))
-    if not rounds:
-        return margins
-    thr_all = np.stack([rr.threshold for rr in rounds], axis=1)
-    lo_all = np.stack([rr.s_lo for rr in rounds], axis=1)
-    hi_all = np.stack([rr.s_hi for rr in rounds], axis=1)
-    miss_all = np.stack([rr.s_miss for rr in rounds], axis=1)
-    for T in np.unique(n_stumps):
-        T = int(T)
-        if T == 0:
-            continue
-        cols = np.flatnonzero(n_stumps == T)
-        thr = thr_all[cols, :T]
-        s_lo = lo_all[cols, :T]
-        s_hi = hi_all[cols, :T]
-        order = np.argsort(thr, axis=1, kind="stable")
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(T)[None, :], axis=1)
-        buckets = np.arange(T + 1)
-        table = np.zeros((cols.size, T + 1))
-        miss = np.zeros(cols.size)
-        for t in range(T):
-            table += np.where(
-                buckets[None, :] > rank[:, t, None],
-                s_hi[:, t, None],
-                s_lo[:, t, None],
-            )
-            miss += miss_all[cols, t]
-        keys = np.take_along_axis(thr, order, axis=1)
-        values = X_test_t[cols]
-        idx = np.zeros(values.shape, dtype=np.intp)
-        with np.errstate(invalid="ignore"):
-            for t in range(T):
-                idx += values >= keys[:, t, None]
-        contrib = np.take_along_axis(table, idx, axis=1)
-        margins[cols] = np.where(np.isnan(values), miss[:, None], contrib)
+    # Each column's kept rounds are a single-feature stump ensemble,
+    # scored by the compiled scorer the trained model itself would use.
+    margins = np.zeros(X_test_t.shape)
+    for k in np.flatnonzero(n_stumps):
+        stumps = [
+            Stump(0, rr.threshold[k], rr.s_lo[k], rr.s_hi[k], rr.s_miss[k])
+            for rr in rounds[: n_stumps[k]]
+        ]
+        margins[k] = compile_stumps(stumps, 1).decision_function_columns(
+            lambda _: X_test_t[k], X_test_t.shape[1]
+        )
     return margins

@@ -21,6 +21,14 @@ Scores are the confidence-rated values of Schapire & Singer: for a block
 score is ``0.5 * ln((W+ + eps) / (W- + eps))`` and the stump is chosen to
 minimise the normaliser ``Z = 2 * sum_b sqrt(W+_b W-_b)`` (the abstain
 policy instead adds the raw abstained weight to Z).
+
+Each of these rules has one vectorised definition here, shared by the
+exact and histogram searches and by the selection sweeps of
+:mod:`repro.features.sweep`: :func:`_missing_block_terms` (the missing
+block's Z term and score) and :func:`_split_z` (the two-block Z of every
+candidate split).  The candidate-split grid is
+:func:`repro.ml.binning._split_grid`.  :func:`fit_stump` keeps its own
+scalar arithmetic as the reference the searches are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.binning import BinnedDataset
+from repro.ml.binning import BinnedDataset, _split_grid
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -125,7 +133,11 @@ def _block_score(w_pos: float, w_neg: float, eps: float) -> float:
 def _missing_block_terms(
     wp_miss: np.ndarray, wn_miss: np.ndarray, eps: float, missing_policy: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(z_miss, s_miss) per feature for a missing-value policy."""
+    """(z_miss, s_miss) per feature for a missing-value policy.
+
+    The one definition of the missing block's Z term and score, shared by
+    both stump searches and both selection sweeps.
+    """
     if missing_policy == "score":
         z_miss = 2.0 * np.sqrt(np.clip(wp_miss * wn_miss, 0.0, None))
         s_miss = 0.5 * np.log((wp_miss + eps) / (wn_miss + eps))
@@ -134,6 +146,34 @@ def _missing_block_terms(
         z_miss = wp_miss + wn_miss
         s_miss = np.zeros_like(wp_miss)
     return z_miss, s_miss
+
+
+def _split_z(
+    wp_lo: np.ndarray,
+    wn_lo: np.ndarray,
+    wp_hi: np.ndarray,
+    wn_hi: np.ndarray,
+    z_miss,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Split criterion ``Z = 2 (sqrt(W+lo W-lo) + sqrt(W+hi W-hi)) + z_miss``.
+
+    Elementwise over candidate splits; ``z_miss`` broadcasts against
+    them.  The one definition of Z for both stump searches (continuous
+    and categorical) and both selection sweeps; callers clip their own
+    inputs.  ``out`` receives Z and ``scratch`` the high-block term, so a
+    search can keep preallocated round buffers; either is allocated when
+    not given.
+    """
+    z = np.multiply(wp_lo, wn_lo, out=out)
+    np.sqrt(z, out=z)
+    hi = np.multiply(wp_hi, wn_hi, out=scratch)
+    np.sqrt(hi, out=hi)
+    z += hi
+    z *= 2.0
+    z += z_miss
+    return z
 
 
 def _check_policy(missing_policy: str) -> None:
@@ -323,12 +363,7 @@ class StumpSearch:
             C = self._cont_cols.size
             # Candidate split grid: exact below the cap, quantile-strided
             # above it (always keeping the no-split endpoints).
-            if n + 1 > max_split_points:
-                grid = np.unique(
-                    np.round(np.linspace(0, n, max_split_points)).astype(int)
-                )
-            else:
-                grid = np.arange(n + 1)
+            grid = _split_grid(n, max_split_points)
             G = grid.size
             self._grid = grid
             # Each round needs the cumulative (positive) weight below every
@@ -425,21 +460,6 @@ class StumpSearch:
         valid &= grid[:, None] <= counts[None, :]
         self._valid[:, cols] = valid
 
-    def _missing_terms(
-        self, wp_miss: np.ndarray, wn_miss: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(z_miss, s_miss) per feature for the configured policy."""
-        wp_miss = np.asarray(wp_miss, dtype=float)
-        wn_miss = np.asarray(wn_miss, dtype=float)
-        if self.missing_policy == "score":
-            z_miss = 2.0 * np.sqrt(np.clip(wp_miss * wn_miss, 0.0, None))
-            s_miss = 0.5 * np.log((wp_miss + self.eps) / (wn_miss + self.eps))
-            s_miss = np.where(wp_miss + wn_miss > 0, s_miss, 0.0)
-        else:
-            z_miss = wp_miss + wn_miss
-            s_miss = np.zeros_like(wp_miss)
-        return z_miss, s_miss
-
     def best_stump(self, weights: np.ndarray) -> Stump:
         """Return the Z-minimising stump over all features for ``weights``."""
         weights = np.asarray(weights, dtype=float)
@@ -456,55 +476,6 @@ class StumpSearch:
         if best is None:
             raise ValueError("no usable feature found")
         return best
-
-    def _fill_continuous_z(
-        self,
-        w_pos_tot: np.ndarray,
-        w_neg_tot: np.ndarray,
-        z_miss: np.ndarray,
-    ) -> np.ndarray:
-        """Fill the split-Z table from the already-filled weight buffers.
-
-        Expects ``_buf_wcol`` / ``_buf_wposcol`` to hold this round's
-        present-masked (and positive-masked) weights.  The cumulative
-        weight below each candidate split is only ever read at the G grid
-        positions, so it is built from per-segment totals (one weighted
-        ``bincount`` whose G x C output stays cache-resident) followed by
-        a prefix sum over segments -- O(n) reads but only O(G) writes per
-        column, instead of a full sorted gather + length-n cumulative sum.
-        """
-        seg_w = np.bincount(
-            self._flat_segment,
-            weights=self._buf_wcol.ravel(),
-            minlength=self._n_segment_bins,
-        ).reshape(-1, self._buf_wcol.shape[1])
-        seg_wpos = np.bincount(
-            self._flat_segment,
-            weights=self._buf_wposcol.ravel(),
-            minlength=self._n_segment_bins,
-        ).reshape(-1, self._buf_wcol.shape[1])
-
-        wp_lo = self._buf_wp_lo
-        wn_lo = self._buf_wn_lo
-        np.cumsum(seg_wpos, axis=0, out=wp_lo[1:])
-        np.cumsum(seg_w, axis=0, out=wn_lo[1:])
-        np.subtract(wn_lo, wp_lo, out=wn_lo)
-        wp_hi = np.subtract(w_pos_tot[None, :], wp_lo, out=self._buf_wp_hi)
-        wn_hi = np.subtract(w_neg_tot[None, :], wn_lo, out=self._buf_wn_hi)
-        # Numerical guard: cumsum round-off can leave tiny negatives.
-        np.clip(wp_hi, 0.0, None, out=wp_hi)
-        np.clip(wn_hi, 0.0, None, out=wn_hi)
-        np.clip(wn_lo, 0.0, None, out=wn_lo)
-
-        z = self._buf_z
-        np.multiply(wp_lo, wn_lo, out=z)
-        np.sqrt(z, out=z)
-        tmp = np.sqrt(wp_hi * wn_hi)
-        np.add(z, tmp, out=z)
-        np.multiply(z, 2.0, out=z)
-        np.add(z, z_miss[None, :], out=z)
-        z[~self._valid] = np.inf
-        return z
 
     def _continuous_threshold(self, row: int, slot: int) -> float:
         k = int(self._grid[row])
@@ -530,9 +501,37 @@ class StumpSearch:
         total = float(np.sum(weights))
         wp_miss = np.clip(total_pos - w_pos_tot, 0.0, None)
         wn_miss = np.clip((total - total_pos) - w_neg_tot, 0.0, None)
-        z_miss, s_miss = self._missing_terms(wp_miss, wn_miss)
+        z_miss, s_miss = _missing_block_terms(
+            wp_miss, wn_miss, self.eps, self.missing_policy
+        )
 
-        z = self._fill_continuous_z(w_pos_tot, w_neg_tot, z_miss)
+        # The cumulative weight below each candidate split is only ever
+        # read at the G grid positions, so it is built from per-segment
+        # totals (one weighted ``bincount`` whose G x C output stays
+        # cache-resident) followed by a prefix sum over segments -- O(n)
+        # reads but only O(G) writes per column, instead of a full sorted
+        # gather + length-n cumulative sum.
+        seg_w = np.bincount(
+            self._flat_segment, weights=w_col.ravel(),
+            minlength=self._n_segment_bins,
+        ).reshape(-1, cols.size)
+        seg_wpos = np.bincount(
+            self._flat_segment, weights=w_pos_col.ravel(),
+            minlength=self._n_segment_bins,
+        ).reshape(-1, cols.size)
+        wp_lo = self._buf_wp_lo
+        wn_lo = self._buf_wn_lo
+        np.cumsum(seg_wpos, axis=0, out=wp_lo[1:])
+        np.cumsum(seg_w, axis=0, out=wn_lo[1:])
+        np.subtract(wn_lo, wp_lo, out=wn_lo)
+        wp_hi = np.subtract(w_pos_tot[None, :], wp_lo, out=self._buf_wp_hi)
+        wn_hi = np.subtract(w_neg_tot[None, :], wn_lo, out=self._buf_wn_hi)
+        # Numerical guard: cumsum round-off can leave tiny negatives.
+        np.clip(wp_hi, 0.0, None, out=wp_hi)
+        np.clip(wn_hi, 0.0, None, out=wn_hi)
+        np.clip(wn_lo, 0.0, None, out=wn_lo)
+        z = _split_z(wp_lo, wn_lo, wp_hi, wn_hi, z_miss[None, :], out=self._buf_z)
+        z[~self._valid] = np.inf
 
         flat = int(np.argmin(z))
         row, slot = divmod(flat, cols.size)
@@ -540,14 +539,10 @@ class StumpSearch:
             feature=int(cols[slot]),
             threshold=self._continuous_threshold(row, slot),
             s_lo=_block_score(
-                float(self._buf_wp_lo[row, slot]),
-                float(self._buf_wn_lo[row, slot]),
-                self.eps,
+                float(wp_lo[row, slot]), float(wn_lo[row, slot]), self.eps
             ),
             s_hi=_block_score(
-                float(self._buf_wp_hi[row, slot]),
-                float(self._buf_wn_hi[row, slot]),
-                self.eps,
+                float(wp_hi[row, slot]), float(wn_hi[row, slot]), self.eps
             ),
             s_miss=float(s_miss[slot]),
             categorical=False,
@@ -570,8 +565,9 @@ class StumpSearch:
         wn_tot = float(np.sum(w_present[~y_pos]))
         wp_miss = float(np.sum(weights[~present & y_pos]))
         wn_miss = float(np.sum(weights[~present & ~y_pos]))
-        z_miss_arr, s_miss_arr = self._missing_terms(
-            np.array([wp_miss]), np.array([wn_miss])
+        z_miss_arr, s_miss_arr = _missing_block_terms(
+            np.array([wp_miss]), np.array([wn_miss]), self.eps,
+            self.missing_policy,
         )
         z_miss = float(z_miss_arr[0])
         s_miss = float(s_miss_arr[0])
@@ -580,7 +576,7 @@ class StumpSearch:
         wn_eq = np.sum((weights * ~y_pos)[:, None] * masks, axis=0)
         wp_ne = np.clip(wp_tot - wp_eq, 0.0, None)
         wn_ne = np.clip(wn_tot - wn_eq, 0.0, None)
-        z = 2.0 * (np.sqrt(wp_eq * wn_eq) + np.sqrt(wp_ne * wn_ne)) + z_miss
+        z = _split_z(wp_eq, wn_eq, wp_ne, wn_ne, z_miss)
         j = int(np.argmin(z))
         return Stump(
             feature=col_idx,
@@ -801,14 +797,10 @@ class HistStumpSearch:
         np.subtract(lo[:, :, -1:], lo, out=hi)
         np.maximum(hi, 0.0, out=hi)
 
-        z, z_hi = run.z, run.z_hi
-        np.multiply(lo[:, 1], lo[:, 0], out=z)
-        np.sqrt(z, out=z)
-        np.multiply(hi[:, 1], hi[:, 0], out=z_hi)
-        np.sqrt(z_hi, out=z_hi)
-        np.add(z, z_hi, out=z)
-        np.multiply(z, 2.0, out=z)
-        np.add(z, z_miss[run.start:run.stop, None], out=z)
+        z = _split_z(
+            lo[:, 1], lo[:, 0], hi[:, 1], hi[:, 0],
+            z_miss[run.start:run.stop, None], out=run.z, scratch=run.z_hi,
+        )
 
         # Boundary-major argmin, matching the exact search's tie-break
         # (lowest candidate split first, then lowest feature slot).
@@ -842,10 +834,7 @@ class HistStumpSearch:
             tot[rows] = hist[rows, :, :count].sum(axis=2)
         ne = tot[:, :, None] - eq
         np.maximum(ne, 0.0, out=ne)
-        z = np.sqrt(eq[:, 1] * eq[:, 0])
-        z += np.sqrt(ne[:, 1] * ne[:, 0])
-        z *= 2.0
-        z += z_miss[:, None]
+        z = _split_z(eq[:, 1], eq[:, 0], ne[:, 1], ne[:, 0], z_miss[:, None])
         z[self._cat_pad] = np.inf
         # Slot-major argmin: the first slot in column order reaching the
         # minimum, and its first such category -- what a slot-by-slot

@@ -111,3 +111,9 @@ class TestDatasetInterface:
         sel.features = sel.features.subset(list(range(10)))
         with pytest.raises(ValueError):
             TicketPredictor(PredictorConfig(capacity=60)).fit_datasets(train, sel)
+
+
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_non_positive_capacity_is_rejected(capacity):
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        PredictorConfig(capacity=capacity)

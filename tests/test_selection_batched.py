@@ -107,6 +107,17 @@ def test_degenerate_inputs_score_zero():
     assert np.array_equal(scores, np.zeros(train.n_features))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("batched", [True, False])
+def test_non_positive_capacity_is_rejected(batched, n):
+    rng = np.random.default_rng(5)
+    train, y_train, test, y_test = _world(rng)
+    with pytest.raises(ValueError, match="n must be positive"):
+        selection.single_feature_ap(
+            train, y_train, test, y_test, n=n, n_rounds=3, batched=batched
+        )
+
+
 def test_gain_ratio_selector_matches_metric_reference():
     rng = np.random.default_rng(6)
     train, y_train, _, _ = _world(rng)
