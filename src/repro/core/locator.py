@@ -44,6 +44,8 @@ from repro.parallel import parallel_map
 
 __all__ = [
     "LocatorConfig",
+    "MIN_ROWS_PER_BIN",
+    "locator_bin_budget",
     "ExperienceModel",
     "FlatLocator",
     "CombinedLocator",
@@ -54,6 +56,13 @@ __all__ = [
 
 N_DISPOSITIONS = len(DISPOSITIONS)
 N_LOCATIONS = 4
+
+#: Fewest training rows per bin, on average, in the locator's shared
+#: binning.  A bin holding one or two rows gives a boosted stump a split
+#: it cannot estimate (LightGBM's ``min_data_in_bin`` default is 3 for
+#: the same reason), and every extra bin costs each of the
+#: ``(cv_folds + 1) x (52 + 4)`` head fits a scan cell per round.
+MIN_ROWS_PER_BIN = 3
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,9 @@ class LocatorConfig:
             refit reuse; "exact" runs the per-head sorted-domain search
             (the historical path, and what pre-existing payloads load
             as).
-        n_bins: per-feature bin budget for the shared binning (hist
-            backend only).
+        n_bins: cap on the per-feature bin budget of the shared binning
+            (hist backend only); the budget itself follows the row count
+            (:func:`locator_bin_budget`).
         max_split_points: per-feature candidate-threshold cap per round
             for the exact backend, forwarded to each head.
     """
@@ -123,6 +133,15 @@ class ExperienceModel:
             raise RuntimeError("experience model is not fitted")
         X = np.atleast_2d(X)
         return np.tile(self.prior_, (X.shape[0], 1))
+
+
+def locator_bin_budget(n_rows: int, n_bins: int) -> int:
+    """Bin budget of the locator's shared binning over ``n_rows`` rows.
+
+    ``n_bins`` caps it; below ``MIN_ROWS_PER_BIN * n_bins`` rows it is
+    one bin per ``MIN_ROWS_PER_BIN`` rows, and never fewer than 2.
+    """
+    return max(2, min(n_bins, n_rows // MIN_ROWS_PER_BIN))
 
 
 def _fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
@@ -231,15 +250,16 @@ class FlatLocator:
             counts.sum() + cfg.prior_smoothing * N_DISPOSITIONS
         )
 
-        # The shared binning fabric: quantise the training matrix once;
-        # every head (and, via ``binned_``, the combined model's location
-        # heads) searches the same pre-binned codes.
+        # The shared binning fabric: quantise the training matrix once,
+        # at a budget sized by the row count; every head (and, via
+        # ``binned_``, the combined model's location heads and every fold
+        # refit) searches the same pre-binned codes.
         binned = None
         if cfg.backend == "hist":
             binned = BinnedDataset.from_matrix(
                 np.asarray(X, dtype=float),
                 self._categorical,
-                max_bins=cfg.n_bins,
+                max_bins=locator_bin_budget(n, cfg.n_bins),
             )
         self.binned_ = binned
 

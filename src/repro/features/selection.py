@@ -322,22 +322,27 @@ def _break_ties_by_value_rows(margins: np.ndarray, values: np.ndarray) -> np.nda
 
     Args:
         margins: (n_cands, n_test) piecewise-constant margins.
-        values: (n_cands, n_test) raw feature values, NaN for missing.
+        values: (n_cands, n_test) raw feature values, NaN for missing;
+            +/-inf tie with the finite extreme on their side.
     """
     present = ~np.isnan(values)
-    counts = present.sum(axis=1)
+    finite = np.isfinite(values)
+    counts = finite.sum(axis=1)
+    finite_values = np.where(finite, values, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
-        vmin = np.nanmin(values, axis=1)
-        vmax = np.nanmax(values, axis=1)
+        vmin = np.nanmin(finite_values, axis=1)
+        vmax = np.nanmax(finite_values, axis=1)
     spread = vmax - vmin
     with np.errstate(invalid="ignore"):
         apply = (counts > 0) & (spread > 0)
     if not np.any(apply):
         return margins
+    safe_vmin = np.where(apply, vmin, 0.0)
     safe_spread = np.where(apply, spread, 1.0)
-    z = values - vmin[:, None]
+    z = values - safe_vmin[:, None]
     z /= safe_spread[:, None]
+    np.clip(z, 0.0, 1.0, out=z)
     z[~present] = 0.0
 
     # Smallest gap between distinct margin levels: the positive diffs of
@@ -347,11 +352,11 @@ def _break_ties_by_value_rows(margins: np.ndarray, values: np.ndarray) -> np.nda
     finite_min = diffs.min(axis=1)
     gap = np.where(np.isfinite(finite_min), finite_min, 1.0)
 
-    # Orientation: the sign of the margin/value correlation over present
+    # Orientation: the sign of the margin/value correlation over finite
     # rows (Pearson r as in the scalar reference; scaling cannot change
     # the sign).  Degenerate correlations fall back to +1.
-    mask = present.astype(np.float64)
-    filled = np.where(present, values, 0.0)
+    mask = finite.astype(np.float64)
+    filled = np.where(finite, values, 0.0)
     safe_counts = np.maximum(counts, 1)
     m_mean = np.einsum("ij,ij->i", margins, mask) / safe_counts
     v_mean = filled.sum(axis=1) / safe_counts
@@ -409,20 +414,25 @@ def _break_ties_by_value(margin: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     The perturbation is small enough never to reorder distinct margin
     levels; within a level, rows are ordered by the feature value in the
-    direction positively correlated with the margin.
+    direction positively correlated with the margin.  The value scale and
+    the orientation come from the finite values; an infinite value ties
+    with the finite extreme on its side.
     """
     present = ~np.isnan(values)
-    if not np.any(present):
+    finite = np.isfinite(values)
+    if not np.any(finite):
         return margin
-    spread = float(np.ptp(values[present]))
+    spread = float(np.ptp(values[finite]))
     if spread <= 0:
         return margin
     z = np.zeros_like(values)
-    z[present] = (values[present] - np.min(values[present])) / spread  # [0, 1]
+    z[present] = np.clip(
+        (values[present] - np.min(values[finite])) / spread, 0.0, 1.0
+    )  # [0, 1]; -inf and +inf sit at the ends
     distinct = np.unique(margin)
     gap = np.min(np.diff(distinct)) if distinct.size > 1 else 1.0
     with np.errstate(invalid="ignore"):
-        direction = np.corrcoef(margin[present], values[present])[0, 1]
+        direction = np.corrcoef(margin[finite], values[finite])[0, 1]
     if not np.isfinite(direction) or direction == 0:
         direction = 1.0
     return margin + np.sign(direction) * z * (0.49 * gap)

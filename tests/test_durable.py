@@ -18,6 +18,7 @@ import os
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +230,73 @@ class TestLineWeekStore:
             lambda root: LineWeekStore.open(root / "store").verify(), next_op,
         )
         assert n == 6  # two shard fsyncs + the manifest's four boundaries
+
+    def test_append_week_chunks(self, tmp_path):
+        # Two weeks, three chunks each, interleaved chunk-major as the
+        # streaming engine emits them: four shards in one commit.
+        n = crash_matrix(
+            tmp_path, _store_with_week_0, _append_chunked_weeks_1_2,
+            _store_snapshot, _verify_store,
+            lambda root: LineWeekStore.open(root / "store").append_week_chunks(
+                _chunks([3])
+            ),
+        )
+        assert n == 8  # four shard fsyncs + the manifest's four boundaries
+
+    def test_append_week_chunks_killed_between_chunks(self, tmp_path):
+        template = tmp_path / "template"
+        _store_with_week_0(template)
+        before = _store_snapshot(template)
+        blocks = _chunks([1, 2])
+        for k in range(len(blocks) + 1):
+            root = tmp_path / f"case{k}"
+            shutil.copytree(template, root)
+
+            def killed_after_chunk(k=k):
+                yield from blocks[:k]
+                raise SimulatedCrash
+
+            with pytest.raises(SimulatedCrash):
+                LineWeekStore.open(root / "store").append_week_chunks(
+                    killed_after_chunk()
+                )
+            assert _store_snapshot(root) == before, k
+            _verify_store(root)
+            # The same stream again, over the partial shards it left.
+            _append_chunked_weeks_1_2(root)
+            _verify_store(root)
+            assert LineWeekStore.open(root / "store").weeks == [0, 1, 2]
+            shutil.rmtree(root)
+
+
+def _chunks(weeks: list[int], rows: int = 5) -> list[SimpleNamespace]:
+    """``weeks`` as chunk-major ``WeekBlock``-shaped chunks of ``rows``."""
+    data = {week: _week(week) for week in weeks}
+    return [
+        SimpleNamespace(
+            week=week, day=7 * week + 6, start=start,
+            stop=min(start + rows, N_LINES),
+            features=data[week][0][start:start + rows],
+            last_ticket_day=data[week][1][start:start + rows],
+        )
+        for start in range(0, N_LINES, rows)
+        for week in weeks
+    ]
+
+
+def _store_with_week_0(root: Path) -> None:
+    store = LineWeekStore.create(
+        root / "store", N_LINES, PopulationConfig(n_lines=N_LINES)
+    )
+    store.append_week(0, 6, *_week(0))
+
+
+def _append_chunked_weeks_1_2(root: Path) -> None:
+    LineWeekStore.open(root / "store").append_week_chunks(_chunks([1, 2]))
+
+
+def _verify_store(root: Path) -> None:
+    LineWeekStore.open(root / "store").verify()
 
 
 def _registry_snapshot(root: Path):

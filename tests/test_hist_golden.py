@@ -10,7 +10,9 @@ masked boundary scan, one categorical search per slot).  It holds, as
   with and without ``sample_weight``, on one edge-case matrix;
 * ``locator`` -- a seeded ``CombinedLocator`` fit on the same kind of
   matrix: every flat disposition head, every location head, and the
-  out-of-fold disposition and location margins.
+  out-of-fold disposition and location margins.  Its 160 rows bin at
+  the locator's row-count budget, 53 bins; this section was re-pinned
+  when that budget replaced the fixed 256 (the kernel is unchanged).
 
 The edge-case matrix has NaN-heavy, constant and all-NaN continuous
 columns, a NaN-bearing column whose value bins fill the widest histogram

@@ -3,7 +3,8 @@
 Covers the row-subset support in :class:`BinnedDataset`, the stacked
 multi-head compiled scorer, hist-vs-exact locator parity (identical
 ranked lists on NaN-heavy, categorical, and class-starved training
-sets), the hoisted CV fold assignment, locator serialization with
+sets), the hoisted CV fold assignment, the shared binning's row-count
+bin budget, locator serialization with
 per-head backends, the vectorised ``ranks_of_truth``, and byte-identical
 serve ``/locate`` responses.
 """
@@ -483,6 +484,93 @@ class TestFoldAssignment:
         )
         flat = FlatLocator(cfg).fit(train)
         assert flat.fold_assignment_ is None
+
+
+# ----- the shared binning's row-count budget ------------------------------
+
+
+def _continuous_dataset(seed: int, n: int) -> LocatorDataset:
+    """``_make_dataset`` with jittered, NaN-bearing continuous features:
+    every column holds about ``n`` distinct values, so the bin budget,
+    not the value count, sets each column's bins."""
+    train = _make_dataset(seed=seed, n=n, n_features=5, categorical_slots=(4,))
+    rng = np.random.default_rng(seed + 1)
+    X = train.features.matrix.copy()
+    X[:, :4] += rng.normal(scale=0.2, size=(n, 4))
+    X[:, :4][rng.random((n, 4)) < 0.1] = np.nan
+    features = FeatureSet(
+        X, train.features.names, train.features.groups,
+        train.features.categorical,
+    )
+    return LocatorDataset(
+        features=features, disposition=train.disposition,
+        location=train.location, line_ids=train.line_ids,
+        ticket_days=train.ticket_days,
+    )
+
+
+def _stumps(model: BStump) -> list[Stump]:
+    return [learner.stump for learner in model.learners]
+
+
+def _all_stumps(model: CombinedLocator) -> dict:
+    heads = {("flat", c): m for c, m in model.flat.models_.items()}
+    heads.update({("loc", c): m for c, m in model.location_models_.items()})
+    return {key: _stumps(m) for key, m in heads.items()}
+
+
+class TestBinBudget:
+    @pytest.mark.parametrize(
+        "n_rows, n_bins, budget",
+        [(0, 256, 2), (8, 256, 2), (9, 256, 3), (160, 256, 53),
+         (767, 256, 255), (768, 256, 256), (2595, 256, 256),
+         (300, 64, 64), (300, 2, 2)],
+    )
+    def test_budget_is_the_cap_or_a_bin_per_three_rows(
+        self, n_rows, n_bins, budget
+    ):
+        assert locator_mod.MIN_ROWS_PER_BIN == 3
+        assert locator_mod.locator_bin_budget(n_rows, n_bins) == budget
+
+    def test_shared_binning_is_built_at_the_budget(self):
+        train = _continuous_dataset(seed=81, n=300)
+        flat = FlatLocator(LocatorConfig(n_rounds=2, cv_folds=2)).fit(train)
+        explicit = BinnedDataset.from_matrix(
+            train.features.matrix, train.features.categorical, max_bins=100
+        )
+        assert flat.binned_.max_bins == 100
+        assert np.array_equal(flat.binned_.codes, explicit.codes)
+        # ~270 present values per continuous column: the budget binds.
+        assert 80 < flat.binned_.n_value_bins[:4].max() <= 100
+
+    def test_at_three_rows_per_bin_the_fit_is_the_256_bin_fit(
+        self, monkeypatch
+    ):
+        n = locator_mod.MIN_ROWS_PER_BIN * 256
+        train = _continuous_dataset(seed=82, n=n)
+        cfg = LocatorConfig(n_rounds=6, cv_folds=2)
+        budgeted = CombinedLocator(cfg).fit(train)
+        assert budgeted.flat.binned_.max_bins == 256
+        monkeypatch.setattr(
+            locator_mod, "locator_bin_budget", lambda n_rows, n_bins: 256
+        )
+        fixed = CombinedLocator(cfg).fit(train)
+        assert _all_stumps(budgeted) == _all_stumps(fixed)
+        assert np.array_equal(
+            budgeted.flat.oof_decision_, fixed.flat.oof_decision_
+        )
+        assert budgeted.blend_ == fixed.blend_
+        # And each head is the BStump fit on an explicit 256-bin binning.
+        explicit = BinnedDataset.from_matrix(
+            train.features.matrix, train.features.categorical, max_bins=256
+        )
+        head_cfg = BStumpConfig(n_rounds=6, calibrate=False, backend="hist")
+        for code, model in budgeted.flat.models_.items():
+            reference = BStump(head_cfg).fit(
+                train.features.matrix, (train.disposition == code).astype(float),
+                categorical=train.features.categorical, binned=explicit,
+            )
+            assert _stumps(model) == _stumps(reference), code
 
 
 # ----- serialization -------------------------------------------------------

@@ -118,6 +118,55 @@ def test_non_positive_capacity_is_rejected(batched, n):
         )
 
 
+def _infinite_test_window(rng, n_test=400):
+    """``_world``'s windows with 5% +inf and 5% -inf in test column 3."""
+    train, y_train, test, _ = _world(rng, n=2 * n_test)
+    matrix = test.matrix.copy()
+    draw = rng.random(n_test)
+    matrix[draw < 0.05, 3] = np.inf
+    matrix[draw > 0.95, 3] = -np.inf
+    y_test = (rng.random(n_test) < 0.2).astype(float)
+    test = FeatureSet(matrix, test.names, test.groups, test.categorical)
+    return train, y_train, test, y_test
+
+
+def test_infinite_test_values_score_on_both_paths():
+    rng = np.random.default_rng(8)
+    train, y_train, test, y_test = _infinite_test_window(rng)
+    assert np.isposinf(test.matrix[:, 3]).any()
+    assert np.isneginf(test.matrix[:, 3]).any()
+    batched, loop = (
+        selection.single_feature_ap(
+            train, y_train, test, y_test, n=20, n_rounds=4, batched=b
+        )
+        for b in (True, False)
+    )
+    assert np.all(np.isfinite(batched)) and batched[3] > 0
+    assert np.array_equal(batched, loop)
+
+
+def test_infinite_tie_break_matches_per_column_reference():
+    rng = np.random.default_rng(9)
+    margins, train, test, y_test = _scoring_inputs(rng, COLUMN_BLOCK + 1)
+    values = test.matrix.copy()
+    draw = rng.random(values.shape[0])
+    for j in (0, 1, 3):  # continuous candidates
+        values[draw < 0.05, j] = np.inf
+        values[draw > 0.95, j] = -np.inf
+    values[:, 7] = np.where(draw < 0.5, np.inf, -np.inf)  # no finite value
+    test = FeatureSet(values, test.names, test.groups, test.categorical)
+    scores = selection._scores_from_margins(
+        margins, test, test, y_test, 20, test.n_features
+    )
+    reference = np.zeros(test.n_features)
+    for j, margin in margins.items():
+        if not test.categorical[j]:
+            margin = selection._break_ties_by_value(margin, values[:, j])
+            assert np.all(np.isfinite(margin))
+        reference[j] = top_n_average_precision(y_test, 20, margin)
+    assert np.array_equal(scores, reference)
+
+
 def test_gain_ratio_selector_matches_metric_reference():
     rng = np.random.default_rng(6)
     train, y_train, _, _ = _world(rng)

@@ -122,8 +122,8 @@ def _sweep_margins() -> dict:
 
 def _ap_scores() -> dict:
     X_train, y_train, X_test, y_test = _sweep_problem()
-    # Infinite values stay in the training window only: the batched
-    # tie-break turns an infinite test value's margin into NaN.
+    # Infinite values stay in the training window only, as when the file
+    # was written; test_selection_batched.py scores +/-inf test values.
     X_test = np.where(np.isinf(X_test), np.nan, X_test)
     F = X_train.shape[1]
     names = [f"f{j}" for j in range(F)]
