@@ -252,7 +252,7 @@ def bench_train_hist(rng, n_rows: int, n_rounds: int, n_features: int,
         "n_rounds_requested": n_rounds,
         "n_rounds_trained": len(hist_model.learners),
         "n_features": n_features,
-        "n_bins": hist_cfg.n_bins,
+        "n_bins": hist_cfg.max_split_points,
         "exact_seconds": exact_time,
         "hist_seconds": hist_time,
         "speedup": speedup,
@@ -340,11 +340,12 @@ def bench_train_locator(rng, n_rows: int, n_rounds: int, n_features: int,
         rng, max(512, n_rows // 4), n_features
     ).features.matrix
     # max_split_points = n+1 keeps the exact candidate grid uncapped so
-    # its thresholds coincide with the shared histogram edges.
+    # its thresholds coincide with the shared histogram edges; the hist
+    # locator keeps the default cap on its row-count bin budget.
     exact_cfg = LocatorConfig(n_rounds=n_rounds, cv_folds=folds,
                               backend="exact", max_split_points=n_rows + 1)
     hist_cfg = LocatorConfig(n_rounds=n_rounds, cv_folds=folds,
-                             backend="hist", max_split_points=n_rows + 1)
+                             backend="hist")
 
     # Warm both code paths (allocator, numpy dispatch) off the clock.
     warm = _synthetic_locator_dataset(rng, 256, 4)
@@ -473,7 +474,7 @@ def bench_selection(rng, n_rows: int, n_features: int, n_rounds: int,
     eligible = np.flatnonzero(_eligible_columns(train.matrix))
     chunk = sweep_chunk_margins(
         train.matrix.T[eligible], BStump._canonical_labels(y[:half]),
-        test.matrix.T[eligible], config.n_rounds, config.early_stop_z,
+        test.matrix.T[eligible], config.n_rounds,
         config.missing_policy, config.max_split_points,
     )
     margins = dict(zip(eligible.tolist(), chunk))

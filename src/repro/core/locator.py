@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.joins import LocatorDataset
-from repro.ml.binning import BinnedDataset
-from repro.ml.boostexter import TRAIN_BACKENDS, BStump, BStumpConfig
+from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset
+from repro.ml.boostexter import BStump, BStumpConfig, check_config
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.ensemble_scoring import MultiHeadEnsemble, compile_multihead
 from repro.ml.logistic import fit_logistic_regression
@@ -64,6 +64,18 @@ N_LOCATIONS = 4
 #: ``(cv_folds + 1) x (52 + 4)`` head fits a scan cell per round.
 MIN_ROWS_PER_BIN = 3
 
+#: Dispositions with fewer positives (or fewer negatives) in training
+#: fall back to prior-only scores.  The paper avoids this by keeping only
+#: dispositions with > 20 occurrences; tiny simulations may still starve
+#: a class.
+MIN_POSITIVE = 4
+
+#: Additive smoothing of the experience prior's disposition counts.
+PRIOR_SMOOTHING = 1.0
+
+#: Seed of the cross-validation fold assignment.
+CV_SEED = 17
+
 
 @dataclass(frozen=True)
 class LocatorConfig:
@@ -71,17 +83,12 @@ class LocatorConfig:
 
     Attributes:
         n_rounds: BStump rounds per one-vs-rest model (paper: 200).
-        min_positive: dispositions with fewer positives in training fall
-            back to prior-only scores (the paper avoids this by keeping
-            only dispositions with > 20 occurrences; tiny simulations may
-            still starve a class).
-        prior_smoothing: additive smoothing of the experience prior.
-        cv_folds: cross-validation folds used to produce unbiased margins
-            for both the flat model's Platt calibration and the Eq.-2
-            logistic blend.  Training margins are overconfident (the
-            one-vs-rest models have memorised their training rows); ranking
-            52 classes against each other requires honest confidences.
-        cv_seed: fold-assignment seed.
+        cv_folds: cross-validation folds (at least 2) used to produce
+            unbiased margins for both the flat model's Platt calibration
+            and the Eq.-2 logistic blend.  Training margins are
+            overconfident (the one-vs-rest models have memorised their
+            training rows); ranking 52 classes against each other
+            requires honest confidences.
         backend: stump-search backend for every one-vs-rest head.
             "hist" (default) quantises the training matrix into one
             shared :class:`~repro.ml.binning.BinnedDataset` that all 52
@@ -89,29 +96,19 @@ class LocatorConfig:
             refit reuse; "exact" runs the per-head sorted-domain search
             (the historical path, and what pre-existing payloads load
             as).
-        n_bins: cap on the per-feature bin budget of the shared binning
-            (hist backend only); the budget itself follows the row count
-            (:func:`locator_bin_budget`).
-        max_split_points: per-feature candidate-threshold cap per round
-            for the exact backend, forwarded to each head.
+        max_split_points: the per-feature split budget.  The exact
+            backend forwards it to each head as its candidate-threshold
+            cap; under the hist backend it caps the shared binning, whose
+            budget follows the row count (:func:`locator_bin_budget`).
     """
 
     n_rounds: int = 150
-    min_positive: int = 4
-    prior_smoothing: float = 1.0
     cv_folds: int = 3
-    cv_seed: int = 17
     backend: str = "hist"
-    n_bins: int = 256
-    max_split_points: int = 256
+    max_split_points: int = DEFAULT_MAX_BINS
 
     def __post_init__(self) -> None:
-        if self.backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {TRAIN_BACKENDS}, got {self.backend!r}"
-            )
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be at least 2")
+        check_config(self, n_rounds=1, cv_folds=2, max_split_points=2)
 
 
 class ExperienceModel:
@@ -123,7 +120,7 @@ class ExperienceModel:
 
     def fit(self, train: LocatorDataset) -> "ExperienceModel":
         counts = np.bincount(train.disposition, minlength=N_DISPOSITIONS).astype(float)
-        counts += self.config.prior_smoothing
+        counts += PRIOR_SMOOTHING
         self.prior_ = counts / counts.sum()
         return self
 
@@ -135,13 +132,14 @@ class ExperienceModel:
         return np.tile(self.prior_, (X.shape[0], 1))
 
 
-def locator_bin_budget(n_rows: int, n_bins: int) -> int:
+def locator_bin_budget(n_rows: int, max_split_points: int) -> int:
     """Bin budget of the locator's shared binning over ``n_rows`` rows.
 
-    ``n_bins`` caps it; below ``MIN_ROWS_PER_BIN * n_bins`` rows it is
-    one bin per ``MIN_ROWS_PER_BIN`` rows, and never fewer than 2.
+    ``max_split_points`` caps it; below ``MIN_ROWS_PER_BIN *
+    max_split_points`` rows it is one bin per ``MIN_ROWS_PER_BIN`` rows,
+    and never fewer than 2.
     """
-    return max(2, min(n_bins, n_rows // MIN_ROWS_PER_BIN))
+    return max(2, min(max_split_points, n_rows // MIN_ROWS_PER_BIN))
 
 
 def _fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
@@ -159,17 +157,17 @@ def _fit_one_vs_rest(
     """A single uncalibrated one-vs-rest model, or None if class-starved.
 
     ``binned`` is the shared pre-quantised form of ``X`` (hist backend);
-    passing it lets all heads trained on the same rows skip re-binning.
+    passing it lets all heads trained on the same rows skip re-binning,
+    and the head records its bin budget as its split budget.
     """
     n_pos = float(positives.sum())
-    if n_pos < cfg.min_positive or n_pos > len(positives) - cfg.min_positive:
+    if n_pos < MIN_POSITIVE or n_pos > len(positives) - MIN_POSITIVE:
         return None
     head_cfg = BStumpConfig(
         n_rounds=cfg.n_rounds,
         calibrate=False,
-        max_split_points=cfg.max_split_points,
+        max_split_points=cfg.max_split_points if binned is None else binned.max_bins,
         backend=cfg.backend,
-        n_bins=cfg.n_bins,
     )
     return BStump(head_cfg).fit(
         X, positives.astype(float), categorical=categorical, binned=binned
@@ -246,8 +244,8 @@ class FlatLocator:
         n = train.n_examples
         self._categorical = train.features.categorical
         counts = np.bincount(train.disposition, minlength=N_DISPOSITIONS).astype(float)
-        self.prior_ = (counts + cfg.prior_smoothing) / (
-            counts.sum() + cfg.prior_smoothing * N_DISPOSITIONS
+        self.prior_ = (counts + PRIOR_SMOOTHING) / (
+            counts.sum() + PRIOR_SMOOTHING * N_DISPOSITIONS
         )
 
         # The shared binning fabric: quantise the training matrix once,
@@ -259,7 +257,7 @@ class FlatLocator:
             binned = BinnedDataset.from_matrix(
                 np.asarray(X, dtype=float),
                 self._categorical,
-                max_bins=locator_bin_budget(n, cfg.n_bins),
+                max_bins=locator_bin_budget(n, cfg.max_split_points),
             )
         self.binned_ = binned
 
@@ -278,12 +276,12 @@ class FlatLocator:
         self._multihead = None
 
         # Out-of-fold margins for calibration (and for the combined model).
-        folds = max(2, cfg.cv_folds)
+        folds = cfg.cv_folds
         prior_logit = np.log(self.prior_ / (1.0 - self.prior_))
         oof = np.tile(prior_logit, (n, 1))
         self.fold_assignment_ = None
         if n >= folds * 4:
-            assignment = _fold_assignment(n, folds, cfg.cv_seed)
+            assignment = _fold_assignment(n, folds, CV_SEED)
             self.fold_assignment_ = assignment
             _fill_oof_margins(
                 oof, train, train.disposition, list(self.models_),
@@ -408,13 +406,13 @@ class CombinedLocator:
         """
         cfg = self.config
         n = train.n_examples
-        folds = max(2, cfg.cv_folds)
+        folds = cfg.cv_folds
         X = train.features.matrix
         if n < folds * 4:
             return self._location_margins(X)
         assignment = self.flat.fold_assignment_
         if assignment is None or assignment.shape != (n,):
-            assignment = _fold_assignment(n, folds, cfg.cv_seed)
+            assignment = _fold_assignment(n, folds, CV_SEED)
         binned = self.flat.binned_
         if binned is not None and binned.n_rows != n:
             binned = None

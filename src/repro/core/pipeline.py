@@ -244,10 +244,7 @@ class NevermindPipeline:
             )
 
     def train_challenger(
-        self,
-        week: int,
-        backend: str | None = None,
-        n_bins: int | None = None,
+        self, week: int, backend: str | None = None
     ) -> TicketPredictor:
         """Fit a fresh predictor on data up to ``week`` without serving it.
 
@@ -259,21 +256,14 @@ class NevermindPipeline:
             week: last week of training data.
             backend: optional training-backend override ("exact" or
                 "hist"); ``None`` keeps the configured predictor
-                backend.  The lifecycle controller passes its
-                ``challenger_backend`` here so continuous retrains use
+                backend.  The lifecycle controller passes
+                ``CHALLENGER_BACKEND`` here so continuous retrains use
                 the fast histogram path without touching the pipeline's
                 own config.
-            n_bins: optional histogram bin budget override; ``None``
-                keeps the configured value.
         """
         predictor_config = self.config.predictor
-        overrides = {}
         if backend is not None and backend != predictor_config.backend:
-            overrides["backend"] = backend
-        if n_bins is not None and n_bins != predictor_config.n_bins:
-            overrides["n_bins"] = n_bins
-        if overrides:
-            predictor_config = replace(predictor_config, **overrides)
+            predictor_config = replace(predictor_config, backend=backend)
         challenger = TicketPredictor(predictor_config)
         split = self._training_split(week)
         with stage("pipeline.train_challenger", week=week,

@@ -32,12 +32,25 @@ from repro.data.joins import LabeledDataset, build_ticket_dataset
 from repro.data.splits import TemporalSplit
 from repro.features.encoding import EncoderConfig, FeatureSet, LineFeatureEncoder
 from repro.features.selection import single_feature_ap
-from repro.ml.binning import BinnedDataset
-from repro.ml.boostexter import BStump, BStumpConfig, TRAIN_BACKENDS
+from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset
+from repro.ml.boostexter import BStump, BStumpConfig, check_config
 from repro.netsim.simulator import SimulationResult
 from repro.obs.profile import stage
 
 __all__ = ["PredictorConfig", "TicketPredictor"]
+
+#: The AP(N) selection thresholds adapt to the observed scores: a base
+#: or quadratic candidate is kept when its AP(N) clears this fraction of
+#: the best base AP(N), a product candidate (which should beat both its
+#: factors, Section 4.3) when it clears 1.5 times that.  The paper's
+#: absolute 0.2/0.3 cuts come from eyeballing the bimodal Fig-4
+#: histograms at AT&T scale, which does not transfer across population
+#: sizes; the adaptive rule lands in the same histogram gap.
+ADAPTIVE_FRACTION = 0.35
+
+#: Floor on the number of base features kept, in case the threshold
+#: filters everything on a small simulation.
+MIN_SELECTED = 10
 
 
 @dataclass(frozen=True)
@@ -50,56 +63,33 @@ class PredictorConfig:
         horizon_weeks: label horizon T (4 weeks in the paper).
         selection_rounds: boosting rounds of the single-feature selectors.
         train_rounds: boosting rounds of the final model (paper: 800).
-        base_threshold: AP(N) threshold for history/customer features.
-            None (default) adapts to the observed score distribution --
-            the paper's absolute 0.2/0.3 cuts come from eyeballing the
-            bimodal Fig-4 histograms at AT&T scale, which does not
-            transfer across population sizes; the adaptive rule keeps
-            features whose AP clears ``adaptive_fraction`` of the best
-            observed AP, which lands in the same histogram gap.
-        quadratic_threshold: AP(N) threshold for squared features
-            (None = adaptive).
-        product_threshold: AP(N) threshold for product features (higher,
-            per Section 4.3: a product should beat both factors;
-            None = adaptive with a stricter fraction).
-        adaptive_fraction: fraction of the best base AP used by the
-            adaptive thresholds.
         product_pool: how many of the strongest base features feed the
             product-candidate pairs.
         include_derived: disable to reproduce the Fig-7 dotted curve
             (history + customer features only).
-        min_selected: floor on the number of base features kept, in case a
-            threshold filters everything on small simulations.
         backend: training backend for the selection sweep and the final
             model -- "exact" (sorted-domain search) or "hist"
-            (histogram-binned; see :mod:`repro.ml.binning`).  Under
-            "hist" each candidate matrix is binned exactly once and the
-            binning is shared between its selection sweep and the final
-            model fit.
-        n_bins: per-feature bin budget of the hist backend.
+            (histogram-binned at ``DEFAULT_MAX_BINS`` bins per feature;
+            see :mod:`repro.ml.binning`).  Under "hist" each candidate
+            matrix is binned exactly once and the binning is shared
+            between its selection sweep and the final model fit.
     """
 
     capacity: int = 400
     horizon_weeks: int = 4
     selection_rounds: int = 4
     train_rounds: int = 250
-    base_threshold: float | None = None
-    quadratic_threshold: float | None = None
-    product_threshold: float | None = None
-    adaptive_fraction: float = 0.35
     product_pool: int = 16
     include_derived: bool = True
-    min_selected: int = 10
     backend: str = "exact"
-    n_bins: int = 256
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {TRAIN_BACKENDS}, got {self.backend!r}"
-            )
+        check_config(
+            self, horizon_weeks=1, selection_rounds=1, train_rounds=1,
+            product_pool=0,
+        )
 
 
 @dataclass
@@ -178,7 +168,7 @@ class TicketPredictor:
         self.feature_names: list[str] = []
         self.selection_scores_: dict[str, np.ndarray] = {}
         self._base_categorical: np.ndarray | None = None
-        self._thresholds: dict[str, float] = {}
+        self._cut = 0.0  # the base and quadratic AP(N) threshold
 
     # ----- training -----------------------------------------------------
 
@@ -197,7 +187,6 @@ class TicketPredictor:
         self, train: LabeledDataset, selection: LabeledDataset
     ) -> "TicketPredictor":
         """Train from pre-built base-feature datasets (advanced interface)."""
-        cfg = self.config
         if train.features.n_features != selection.features.n_features:
             raise ValueError("train/selection feature sets must align")
         if len(np.unique(train.y)) < 2:
@@ -224,7 +213,7 @@ class TicketPredictor:
             BinnedDataset.from_matrix(
                 train.features.matrix,
                 train.features.categorical,
-                max_bins=cfg.n_bins,
+                max_bins=DEFAULT_MAX_BINS,
             )
             if hist
             else None
@@ -237,28 +226,11 @@ class TicketPredictor:
             )
         self.selection_scores_["base"] = base_scores
         best = float(np.max(base_scores)) if base_scores.size else 0.0
-        base_threshold = (
-            cfg.base_threshold
-            if cfg.base_threshold is not None
-            else cfg.adaptive_fraction * best
-        )
-        self._thresholds = {
-            "base": base_threshold,
-            "quadratic": (
-                cfg.quadratic_threshold
-                if cfg.quadratic_threshold is not None
-                else cfg.adaptive_fraction * best
-            ),
-            "product": (
-                cfg.product_threshold
-                if cfg.product_threshold is not None
-                else 1.5 * cfg.adaptive_fraction * best
-            ),
-        }
+        self._cut = ADAPTIVE_FRACTION * best
         order = np.argsort(-base_scores, kind="stable")
-        keep = order[base_scores[order] > base_threshold]
-        if keep.size < cfg.min_selected:
-            keep = order[:cfg.min_selected]
+        keep = order[base_scores[order] > self._cut]
+        if keep.size < MIN_SELECTED:
+            keep = order[:MIN_SELECTED]
         self.recipes = _DerivedRecipes(base_indices=[int(i) for i in keep])
 
         quad_binned = prod_binned = None
@@ -288,11 +260,7 @@ class TicketPredictor:
                     parts.append(prod_binned.select(prod_rows))
                 binned_final = BinnedDataset.hstack(parts)
             self.model = BStump(
-                BStumpConfig(
-                    n_rounds=cfg.train_rounds,
-                    backend=cfg.backend,
-                    n_bins=cfg.n_bins,
-                )
+                BStumpConfig(n_rounds=cfg.train_rounds, backend=cfg.backend)
             ).fit(X_train, train.y, categorical=categorical, binned=binned_final)
         return self
 
@@ -331,7 +299,8 @@ class TicketPredictor:
         )
         quad_binned = (
             BinnedDataset.from_matrix(
-                quad_train.matrix, quad_train.categorical, max_bins=cfg.n_bins
+                quad_train.matrix, quad_train.categorical,
+                max_bins=DEFAULT_MAX_BINS,
             )
             if hist
             else None
@@ -344,7 +313,7 @@ class TicketPredictor:
         self.selection_scores_["quadratic"] = quad_scores
         self.recipes.quad_indices = [
             int(i)
-            for i in np.flatnonzero(quad_scores > self._thresholds["quadratic"])
+            for i in np.flatnonzero(quad_scores > self._cut)
         ]
         # Scored: free the quadratic matrices before the product ones are
         # built (the hist path keeps only their binning for the final fit).
@@ -380,7 +349,8 @@ class TicketPredictor:
         )
         prod_binned = (
             BinnedDataset.from_matrix(
-                prod_train.matrix, prod_train.categorical, max_bins=cfg.n_bins
+                prod_train.matrix, prod_train.categorical,
+                max_bins=DEFAULT_MAX_BINS,
             )
             if hist
             else None
@@ -391,7 +361,9 @@ class TicketPredictor:
             backend=cfg.backend, binned=prod_binned,
         )
         self.selection_scores_["product"] = prod_scores
-        prod_rows = np.flatnonzero(prod_scores > self._thresholds["product"])
+        # The pool is non-empty here, so base_scores is too.
+        product_cut = 1.5 * ADAPTIVE_FRACTION * float(np.max(base_scores))
+        prod_rows = np.flatnonzero(prod_scores > product_cut)
         self.recipes.product_pairs = [pairs[i] for i in prod_rows]
         return quad_binned, prod_binned, prod_rows
 
@@ -458,7 +430,7 @@ class TicketPredictor:
             raise RuntimeError("predictor is not fitted")
         return {
             "format_version": 1,
-            "config": asdict(self.config),
+            "config": _v1_config(self.config),
             "encoder": asdict(self.encoder.config),
             "recipes": {
                 "base_indices": list(self.recipes.base_indices),
@@ -472,12 +444,13 @@ class TicketPredictor:
     @classmethod
     def from_dict(cls, payload: dict) -> "TicketPredictor":
         """Rebuild a fitted predictor from :meth:`to_dict` output."""
-        from repro.ml.serialize import bstump_from_dict
+        from repro.ml.serialize import bstump_from_dict, live_config
 
         if payload.get("format_version") != 1:
             raise ValueError("unsupported predictor format version")
         predictor = cls(
-            PredictorConfig(**payload["config"]),
+            live_config(PredictorConfig, payload["config"], _v1_config,
+                        "predictor"),
             LineFeatureEncoder(EncoderConfig(**payload["encoder"])),
         )
         predictor.recipes = _DerivedRecipes(
@@ -490,3 +463,22 @@ class TicketPredictor:
         predictor.feature_names = list(payload["feature_names"])
         predictor.model = bstump_from_dict(payload["model"])
         return predictor
+
+
+def _v1_config(config: PredictorConfig) -> dict:
+    """The format-v1 payload of ``config``, retired settings included."""
+    return {
+        "capacity": config.capacity,
+        "horizon_weeks": config.horizon_weeks,
+        "selection_rounds": config.selection_rounds,
+        "train_rounds": config.train_rounds,
+        "base_threshold": None,
+        "quadratic_threshold": None,
+        "product_threshold": None,
+        "adaptive_fraction": ADAPTIVE_FRACTION,
+        "product_pool": config.product_pool,
+        "include_derived": config.include_derived,
+        "min_selected": MIN_SELECTED,
+        "backend": config.backend,
+        "n_bins": DEFAULT_MAX_BINS,
+    }

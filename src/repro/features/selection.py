@@ -232,7 +232,6 @@ def single_feature_ap(
                     y_signed,
                     test.matrix.T[cols],
                     config.n_rounds,
-                    config.early_stop_z,
                     config.missing_policy,
                 )
             else:
@@ -241,7 +240,6 @@ def single_feature_ap(
                     y_signed,
                     test.matrix.T[cols],
                     config.n_rounds,
-                    config.early_stop_z,
                     config.missing_policy,
                     config.max_split_points,
                 )

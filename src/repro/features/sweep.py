@@ -59,9 +59,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.ml.binning import BinnedDataset, _split_grid
+from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset, _split_grid
 from repro.ml.ensemble_scoring import compile_stumps
-from repro.ml.stumps import _EPS_SCALE, Stump, _missing_block_terms, _split_z
+from repro.ml.stumps import (
+    _EPS_SCALE, EARLY_STOP_Z, Stump, _missing_block_terms, _split_z,
+)
 
 __all__ = [
     "ColumnSweep",
@@ -130,7 +132,7 @@ class ColumnSweep:
         X_t: np.ndarray,
         y_signed: np.ndarray,
         missing_policy: str = "score",
-        max_split_points: int = 256,
+        max_split_points: int = DEFAULT_MAX_BINS,
     ):
         C, n = X_t.shape
         self.n = n
@@ -347,9 +349,8 @@ def sweep_chunk_margins(
     y_signed: np.ndarray,
     X_test_t: np.ndarray,
     n_rounds: int,
-    early_stop_z: float,
     missing_policy: str = "score",
-    max_split_points: int = 256,
+    max_split_points: int = DEFAULT_MAX_BINS,
 ) -> np.ndarray:
     """Margins of per-column boosted single-feature models on the test rows.
 
@@ -361,15 +362,13 @@ def sweep_chunk_margins(
         y_signed: training labels in {-1, +1}.
         X_test_t: (n_cols, n_test) test chunk, transposed.
         n_rounds: boosting rounds per column.
-        early_stop_z: stop a column once its best Z reaches this value
-            (after the first round).
         missing_policy, max_split_points: stump-search settings.
 
     Returns:
         (n_cols, n_test) margin matrix, one row per column.
     """
     sweep = ColumnSweep(X_train_t, y_signed, missing_policy, max_split_points)
-    return _boost_margins(sweep, X_test_t, n_rounds, early_stop_z)
+    return _boost_margins(sweep, X_test_t, n_rounds)
 
 
 class HistColumnSweep:
@@ -526,7 +525,6 @@ def hist_sweep_chunk_margins(
     y_signed: np.ndarray,
     X_test_t: np.ndarray,
     n_rounds: int,
-    early_stop_z: float,
     missing_policy: str = "score",
 ) -> np.ndarray:
     """Hist-backend margins of per-column single-feature models.
@@ -541,27 +539,25 @@ def hist_sweep_chunk_margins(
         y_signed: training labels in {-1, +1}.
         X_test_t: (n_cols, n_test) raw test chunk, transposed.
         n_rounds: boosting rounds per column.
-        early_stop_z: stop a column once its best Z reaches this value
-            (after the first round).
         missing_policy: stump-search missing policy.
 
     Returns:
         (n_cols, n_test) margin matrix, one row per column.
     """
     sweep = HistColumnSweep(binned, y_signed, missing_policy)
-    return _boost_margins(sweep, X_test_t, n_rounds, early_stop_z)
+    return _boost_margins(sweep, X_test_t, n_rounds)
 
 
 def _boost_margins(
     sweep: ColumnSweep | HistColumnSweep,
     X_test_t: np.ndarray,
     n_rounds: int,
-    early_stop_z: float,
 ) -> np.ndarray:
     """Boost every column of ``sweep`` and score each model on its test row.
 
-    The one round loop of both sweeps.  Early stopping and the
-    degenerate-weight guard apply per column; the active mask only ever
+    The one round loop of both sweeps.  Early stopping (a column stops
+    once its best Z reaches ``EARLY_STOP_Z``, after the first round) and
+    the degenerate-weight guard apply per column; the active mask only ever
     shrinks, so a column that kept ``T`` stumps kept the first ``T``
     rounds.
     """
@@ -576,7 +572,7 @@ def _boost_margins(
         if t > 0:
             with np.errstate(invalid="ignore"):
                 active &= np.isfinite(rr.raw_total) & (rr.raw_total > 0)
-            active &= rr.z < early_stop_z
+            active &= rr.z < EARLY_STOP_Z
         if not np.any(active):
             break
         rounds.append(rr)

@@ -11,9 +11,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.ml.boostexter import TRAIN_BACKENDS
+from repro.ml.boostexter import check_config
 
-__all__ = ["LifecycleConfig"]
+__all__ = ["CHALLENGER_BACKEND", "LifecycleConfig"]
+
+#: Training backend of challenger retrains: they run on the weekly
+#: serving path, where the histogram backend's speed matters most, and
+#: the shadow gate judges the result either way.
+CHALLENGER_BACKEND = "hist"
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,6 @@ class LifecycleConfig:
             promotion-time baseline.
         watchdog_patience: consecutive strikes before automatic rollback.
         seed: bootstrap RNG seed (decisions must be reproducible).
-        challenger_backend: stump-search backend for challenger retrains
-            ("hist" by default: lifecycle retrains happen on the weekly
-            serving path, where the histogram backend's speed matters
-            most; the shadow gate judges the result either way).
-        challenger_bins: histogram bin budget for challenger retrains
-            (ignored by the exact backend).
     """
 
     cadence_weeks: int = 4
@@ -68,31 +67,16 @@ class LifecycleConfig:
     watchdog_drop: float = 0.4
     watchdog_patience: int = 2
     seed: int = 2010
-    challenger_backend: str = "hist"
-    challenger_bins: int = 256
 
     def __post_init__(self) -> None:
-        if self.cadence_weeks < 0:
-            raise ValueError("cadence_weeks must be >= 0")
+        check_config(
+            self, cadence_weeks=0, watchdog_patience=1, shadow_weeks=1,
+            bootstrap_samples=1, non_inferiority_margin=0,
+        )
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
         if not 0 <= self.watchdog_drop < 1:
             raise ValueError("watchdog_drop must be in [0, 1)")
-        if self.watchdog_patience < 1:
-            raise ValueError("watchdog_patience must be >= 1")
-        if self.shadow_weeks < 1:
-            raise ValueError("shadow_weeks must be >= 1")
-        if self.bootstrap_samples < 1:
-            raise ValueError("bootstrap_samples must be >= 1")
-        if self.non_inferiority_margin < 0:
-            raise ValueError("non_inferiority_margin must be >= 0")
-        if self.challenger_backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"challenger_backend must be one of {TRAIN_BACKENDS}, "
-                f"got {self.challenger_backend!r}"
-            )
-        if self.challenger_bins < 2:
-            raise ValueError("challenger_bins must be >= 2")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

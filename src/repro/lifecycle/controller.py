@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.drift import live_drift_signals
 from repro.core.pipeline import NevermindPipeline, WeeklyReport
-from repro.lifecycle.config import LifecycleConfig
+from repro.lifecycle.config import CHALLENGER_BACKEND, LifecycleConfig
 from repro.lifecycle.decisions import DEFAULT_LOG_NAME, DecisionLog
 from repro.lifecycle.scheduler import RetrainDecision, RetrainScheduler
 from repro.lifecycle.shadow import PromotionGate, ShadowEvaluator, ShadowReport
@@ -221,12 +221,9 @@ class LifecycleController:
             challenger = self.challenger_factory(week)
         else:
             challenger = self.pipeline.train_challenger(
-                week,
-                backend=self.config.challenger_backend,
-                n_bins=self.config.challenger_bins,
+                week, backend=CHALLENGER_BACKEND
             )
         backend = challenger.config.backend
-        n_bins = challenger.config.n_bins
         challenger_bundle = ModelBundle(
             predictor=challenger,
             meta={
@@ -234,7 +231,6 @@ class LifecycleController:
                 "trigger": decision.reason,
                 "lifecycle": True,
                 "backend": backend,
-                "n_bins": n_bins,
             },
         )
         version = self.registry.publish(challenger_bundle, activate=False)
@@ -246,7 +242,6 @@ class LifecycleController:
             challenger_version=version,
             champion_version=self.champion_version,
             backend=backend,
-            n_bins=n_bins,
         )
         self._record("retrain", week, challenger=_version_number(version))
         LOG.info(kv(

@@ -54,8 +54,9 @@ import numpy as np
 
 __all__ = ["BinnedDataset", "DEFAULT_MAX_BINS", "NARROW_RUN_MIN_SAVED_CELLS"]
 
-#: Default bin budget per feature, aligned with ``StumpSearch``'s default
-#: ``max_split_points`` so both backends scan comparable candidate sets.
+#: The default split budget of both training backends -- bins per
+#: feature here, ``StumpSearch``'s ``max_split_points`` -- so both scan
+#: comparable candidate sets.  Every default budget refers to it.
 DEFAULT_MAX_BINS = 256
 
 #: Boundary cells ((feature, bin) pairs) a narrow continuous run must

@@ -25,15 +25,16 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.ml.binning import BinnedDataset
+from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset
 from repro.ml.calibration import PlattCalibrator
 from repro.ml.ensemble_scoring import CompiledEnsemble, compile_stumps
-from repro.ml.stumps import HistStumpSearch, Stump, StumpSearch
+from repro.ml.stumps import EARLY_STOP_Z, HistStumpSearch, Stump, StumpSearch
 from repro.obs.metrics import get_registry
 from repro.obs.profile import stage
 from repro.obs.tracing import tracing_enabled
 
-__all__ = ["BStumpConfig", "WeakLearner", "BStump", "TRAIN_BACKENDS"]
+__all__ = ["BStumpConfig", "WeakLearner", "BStump", "TRAIN_BACKENDS",
+           "check_config"]
 
 #: Supported training backends: "exact" is the sorted-domain search,
 #: "hist" the histogram-binned one (see :mod:`repro.ml.binning`).
@@ -49,6 +50,20 @@ _ROUND_TIME_BUCKETS = (
 #: Z-loss of selected stumps; Z near 1.0 means the learner is almost
 #: abstaining (the early-stop region), low Z means strong rounds.
 _ROUND_Z_BUCKETS = (0.2, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 1.0)
+
+
+def check_config(config, **minimums: float) -> None:
+    """Refuse a config whose named fields fall below their ``minimums``,
+    or whose ``backend`` (if it has one) is unknown, when it is built
+    rather than inside a fit."""
+    for name, low in minimums.items():
+        if getattr(config, name) < low:
+            raise ValueError(
+                f"{name} must be at least {low}, got {getattr(config, name)}"
+            )
+    backend = getattr(config, "backend", TRAIN_BACKENDS[0])
+    if backend not in TRAIN_BACKENDS:
+        raise ValueError(f"backend must be one of {TRAIN_BACKENDS}, got {backend!r}")
 
 
 def _train_metrics():
@@ -83,45 +98,33 @@ class BStumpConfig:
             the ticket predictor and 200 for the trouble locator, chosen by
             cross-validation; our simulated datasets are smaller so the
             defaults here are lower and everything is overridable.
-        early_stop_z: stop early when the best achievable Z of a round
-            exceeds this value (a Z of ~1.0 means the weak learner is no
-            better than abstaining, so further rounds only overfit noise).
         calibrate: fit a Platt calibrator on the training margins so that
             :meth:`BStump.predict_proba` is available.
         missing_policy: how stumps treat NaN values -- "score" (default)
             gives missing values their own confidence-rated block,
             "abstain" outputs 0 (see :mod:`repro.ml.stumps`).
-        max_split_points: per-feature candidate-threshold cap per round
-            for the exact backend (quantile-strided above the cap; exact
-            below).
+        max_split_points: the split budget per feature, read by both
+            backends: the exact backend's candidate-threshold cap per
+            round (quantile-strided above the cap; exact below) and the
+            hist backend's bin budget (missing values get one extra
+            dedicated bin).
         backend: "exact" runs the sorted-domain
             :class:`~repro.ml.stumps.StumpSearch` every round; "hist"
             pre-bins each feature once and searches per-bin histograms
             (:class:`~repro.ml.stumps.HistStumpSearch`) -- several times
             faster per round, identical stumps whenever every feature has
-            at most ``n_bins`` distinct values, and otherwise aligned
-            with the exact backend's own quantile candidate grid.
-        n_bins: bin budget per feature for the hist backend (missing
-            values get one extra dedicated bin).  Keep it equal to
-            ``max_split_points`` so both backends scan comparable
-            candidate sets.
+            at most ``max_split_points`` distinct values, and otherwise
+            aligned with the exact backend's own quantile candidate grid.
     """
 
     n_rounds: int = 200
-    early_stop_z: float = 0.999999
     calibrate: bool = True
     missing_policy: str = "score"
-    max_split_points: int = 256
+    max_split_points: int = DEFAULT_MAX_BINS
     backend: str = "exact"
-    n_bins: int = 256
 
     def __post_init__(self) -> None:
-        if self.backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {TRAIN_BACKENDS}, got {self.backend!r}"
-            )
-        if self.n_bins < 2:
-            raise ValueError(f"n_bins must be at least 2, got {self.n_bins}")
+        check_config(self, n_rounds=1, max_split_points=2)
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ class BStump:
                 if hist:
                     if binned is None:
                         binned = BinnedDataset.from_matrix(
-                            X, categorical, max_bins=self.config.n_bins
+                            X, categorical, max_bins=self.config.max_split_points
                         )
                     elif not binned.matches(X):
                         raise ValueError(
@@ -262,7 +265,7 @@ class BStump:
                     for t in range(self.config.n_rounds):
                         round_start = perf_counter()
                         stump = search.best_stump(weights)
-                        if stump.z >= self.config.early_stop_z and t > 0:
+                        if stump.z >= EARLY_STOP_Z and t > 0:
                             break
                         self.learners.append(
                             WeakLearner(stump=stump, round_index=t, z=stump.z)

@@ -24,7 +24,9 @@ Serving guarantees (used by :mod:`repro.serve`):
 * the Section-6 trouble locator (52 one-vs-rest models + 4 location
   models + the Eq.-2 blend) round-trips through
   :func:`combined_locator_to_dict` / :func:`combined_locator_from_dict`
-  so a registry bundle can serve disposition rankings.
+  so a registry bundle can serve disposition rankings;
+* format v1 keeps retired settings' keys, each at the one value it now
+  takes; loading refuses any other value (:func:`live_config`).
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ import hashlib
 import json
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.durable import atomic_write
 from repro.ml.boostexter import BStump, BStumpConfig, WeakLearner
 from repro.ml.calibration import PlattCalibrator
-from repro.ml.stumps import Stump
+from repro.ml.stumps import EARLY_STOP_Z, Stump
 
 __all__ = [
     "payload_checksum",
@@ -167,25 +170,50 @@ def _verify_checksum(payload: dict[str, Any], what: str) -> None:
         )
 
 
+def live_config(
+    cls: type, stored: dict[str, Any], encode: Callable[[Any], dict], what: str
+):
+    """The ``cls`` config a format-v1 ``stored`` config describes.
+
+    A v1 config also keeps the keys of retired settings, which the
+    writer ``encode`` records at the one value each now takes.  Any other
+    value describes a model this code cannot reproduce, so the payload
+    is refused, naming the key; an absent key loads as it always did.
+    """
+    names = {f.name for f in fields(cls)}
+    config = cls(**{k: v for k, v in stored.items() if k in names})
+    written = encode(config)
+    for key, value in stored.items():
+        if key not in names and written.get(key) != value:
+            raise ValueError(
+                f"{what} config {key!r} is {value!r}; this version "
+                f"trains only with {key!r} = {written.get(key)!r}"
+            )
+    return config
+
+
+def _bstump_config(config: BStumpConfig) -> dict[str, Any]:
+    # Training provenance: the backend and split budget (also as the hist
+    # ``n_bins``) that produced the model.  Payloads older than the
+    # backend fields load as backend="exact" via the dataclass defaults.
+    return {
+        "n_rounds": config.n_rounds,
+        "early_stop_z": EARLY_STOP_Z,
+        "calibrate": config.calibrate,
+        "missing_policy": config.missing_policy,
+        "max_split_points": config.max_split_points,
+        "backend": config.backend,
+        "n_bins": config.max_split_points,
+    }
+
+
 def bstump_to_dict(model: BStump) -> dict[str, Any]:
     """Serialise a fitted BStump (with its calibrator) to plain data."""
     if not model.learners:
         raise ValueError("cannot serialise an unfitted model")
     payload: dict[str, Any] = {
         "format_version": _FORMAT_VERSION,
-        "config": {
-            "n_rounds": model.config.n_rounds,
-            "early_stop_z": model.config.early_stop_z,
-            "calibrate": model.config.calibrate,
-            "missing_policy": model.config.missing_policy,
-            "max_split_points": model.config.max_split_points,
-            # Training provenance: a promoted model's bundle records which
-            # backend and bin budget produced it, so a retrain can
-            # reproduce it.  Payloads written before these fields existed
-            # load as backend="exact" via the dataclass defaults.
-            "backend": model.config.backend,
-            "n_bins": model.config.n_bins,
-        },
+        "config": _bstump_config(model.config),
         "n_features": model.n_features_,
         "learners": [
             {
@@ -219,8 +247,9 @@ def bstump_from_dict(payload: dict[str, Any]) -> BStump:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
     _verify_checksum(payload, "model")
-    config = BStumpConfig(**payload["config"])
-    model = BStump(config)
+    model = BStump(
+        live_config(BStumpConfig, payload["config"], _bstump_config, "model")
+    )
     model.n_features_ = int(payload["n_features"])
     model.learners = [
         WeakLearner(
@@ -262,6 +291,21 @@ def load_bstump(path: str | Path) -> BStump:
 # ----- trouble locator ------------------------------------------------------
 
 
+def _locator_config(config) -> dict[str, Any]:
+    from repro.core.locator import CV_SEED, MIN_POSITIVE, PRIOR_SMOOTHING
+
+    return {
+        "n_rounds": config.n_rounds,
+        "min_positive": MIN_POSITIVE,
+        "prior_smoothing": PRIOR_SMOOTHING,
+        "cv_folds": config.cv_folds,
+        "cv_seed": CV_SEED,
+        "backend": config.backend,
+        "n_bins": config.max_split_points,
+        "max_split_points": config.max_split_points,
+    }
+
+
 @checksum_pass()
 def combined_locator_to_dict(model) -> dict[str, Any]:
     """Serialise a fitted :class:`~repro.core.locator.CombinedLocator`.
@@ -277,16 +321,7 @@ def combined_locator_to_dict(model) -> dict[str, Any]:
         raise ValueError("cannot serialise an unfitted locator")
     payload: dict[str, Any] = {
         "format_version": _LOCATOR_FORMAT_VERSION,
-        "config": {
-            "n_rounds": model.config.n_rounds,
-            "min_positive": model.config.min_positive,
-            "prior_smoothing": model.config.prior_smoothing,
-            "cv_folds": model.config.cv_folds,
-            "cv_seed": model.config.cv_seed,
-            "backend": model.config.backend,
-            "n_bins": model.config.n_bins,
-            "max_split_points": model.config.max_split_points,
-        },
+        "config": _locator_config(model.config),
         "prior": [float(p) for p in flat.prior_],
         "disposition_models": {
             str(code): bstump_to_dict(m) for code, m in sorted(flat.models_.items())
@@ -319,14 +354,13 @@ def combined_locator_from_dict(payload: dict[str, Any]):
     if version != _LOCATOR_FORMAT_VERSION:
         raise ValueError(f"unsupported locator format version: {version!r}")
     _verify_checksum(payload, "locator")
-    config = dict(payload["config"])
     # Payloads written before the locator rode the shared-binning fabric
     # carry no backend knobs; those models were trained exact, and the
     # per-head BStump payloads (which record their own backend) agree.
-    config.setdefault("backend", "exact")
-    config.setdefault("n_bins", 256)
-    config.setdefault("max_split_points", 256)
-    model = CombinedLocator(LocatorConfig(**config))
+    config = {"backend": "exact", **payload["config"]}
+    model = CombinedLocator(
+        live_config(LocatorConfig, config, _locator_config, "locator")
+    )
     flat = model.flat
     flat.prior_ = np.asarray(payload["prior"], dtype=float)
     flat.models_ = {

@@ -26,9 +26,10 @@ Each of these rules has one vectorised definition here, shared by the
 exact and histogram searches and by the selection sweeps of
 :mod:`repro.features.sweep`: :func:`_missing_block_terms` (the missing
 block's Z term and score) and :func:`_split_z` (the two-block Z of every
-candidate split).  The candidate-split grid is
-:func:`repro.ml.binning._split_grid`.  :func:`fit_stump` keeps its own
-scalar arithmetic as the reference the searches are tested against.
+candidate split), and :data:`EARLY_STOP_Z` ends boosting.  The
+candidate-split grid is :func:`repro.ml.binning._split_grid`.
+:func:`fit_stump` keeps its own scalar arithmetic as the reference the
+searches are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.binning import BinnedDataset, _split_grid
+from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset, _split_grid
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "HistStumpSearch",
     "MISSING_POLICIES",
     "COLUMN_BLOCK",
+    "EARLY_STOP_Z",
 ]
 
 #: Cells (rows x features) per histogram-table block.  A matrix within
@@ -64,6 +66,11 @@ _HIST_PARALLEL_MIN_CELLS = 2_000_000
 COLUMN_BLOCK = 16
 
 _EPS_SCALE = 0.5  # eps = _EPS_SCALE / n, the standard 1/(2n) smoothing
+
+#: Boosting stops once a round's best Z reaches this (after the first
+#: round): Z ~1.0 is no better than abstaining, so more rounds fit noise.
+#: Read by ``BStump.fit`` and the sweeps of :mod:`repro.features.sweep`.
+EARLY_STOP_Z = 0.999999
 
 MISSING_POLICIES = ("score", "abstain")
 
@@ -315,7 +322,7 @@ class StumpSearch:
         y: np.ndarray,
         categorical: np.ndarray | None = None,
         missing_policy: str = "score",
-        max_split_points: int = 256,
+        max_split_points: int = DEFAULT_MAX_BINS,
     ):
         """Args:
             X: (n, F) float matrix, NaN = missing.

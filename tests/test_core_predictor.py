@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import evaluate_predictions
-from repro.core.predictor import PredictorConfig, TicketPredictor
+from repro.core.predictor import MIN_SELECTED, PredictorConfig, TicketPredictor
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def fitted(request):
 class TestFit:
     def test_selects_features(self, fitted):
         _, _, predictor = fitted
-        assert len(predictor.recipes.base_indices) >= predictor.config.min_selected
+        assert len(predictor.recipes.base_indices) >= MIN_SELECTED
         assert len(predictor.feature_names) == predictor.recipes.n_columns
         assert predictor.model is not None
 

@@ -195,3 +195,37 @@ class TestDatasetDegenerate:
         )
         assert customers.away.all()
         assert not customers.present(3).any()
+
+
+class TestOutOfRangeTrainingConfig:
+    """Each training setting is checked when its config is built, not
+    first inside a fit (where ``n_rounds=0`` used to surface as
+    "boosting selected no weak learners")."""
+
+    def test_bstump_needs_a_round(self):
+        with pytest.raises(ValueError, match="n_rounds"):
+            BStumpConfig(n_rounds=0)
+
+    def test_locator_needs_a_round(self):
+        from repro.core.locator import LocatorConfig
+
+        with pytest.raises(ValueError, match="n_rounds"):
+            LocatorConfig(n_rounds=0)
+
+    def test_locator_needs_two_folds(self):
+        from repro.core.locator import LocatorConfig
+
+        with pytest.raises(ValueError, match="cv_folds"):
+            LocatorConfig(cv_folds=1)
+
+    @pytest.mark.parametrize(
+        "name", ["train_rounds", "selection_rounds", "horizon_weeks"]
+    )
+    def test_predictor_counts_start_at_one(self, name):
+        with pytest.raises(ValueError, match=name):
+            PredictorConfig(**{name: 0})
+
+    def test_predictor_product_pool_is_not_negative(self):
+        with pytest.raises(ValueError, match="product_pool"):
+            PredictorConfig(product_pool=-3)
+        assert PredictorConfig(product_pool=0).product_pool == 0

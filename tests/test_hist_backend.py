@@ -19,8 +19,13 @@ from repro.features import selection
 from repro.features.encoding import FeatureSet
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedDataset
 from repro.ml.boostexter import TRAIN_BACKENDS, BStump, BStumpConfig
-from repro.ml.serialize import bstump_from_dict, bstump_to_dict
-from repro.ml.stumps import MISSING_POLICIES, HistStumpSearch, StumpSearch
+from repro.ml.serialize import bstump_from_dict, bstump_to_dict, payload_checksum
+from repro.ml.stumps import (
+    EARLY_STOP_Z,
+    MISSING_POLICIES,
+    HistStumpSearch,
+    StumpSearch,
+)
 
 #: Float-summation tolerance between backends (see module docstring).
 SCORE_TOL = 1e-8
@@ -163,8 +168,8 @@ class TestHistBStump:
                       missing_policy=missing_policy,
                       max_split_points=len(y) + 1)
         exact = BStump(BStumpConfig(**kwargs)).fit(X, y, categorical=categorical)
-        hist = BStump(BStumpConfig(backend="hist", n_bins=len(y) + 1,
-                                   **kwargs)).fit(X, y, categorical=categorical)
+        hist = BStump(BStumpConfig(backend="hist", **kwargs)).fit(
+            X, y, categorical=categorical)
         assert len(exact.learners) == len(hist.learners)
         for a, b in zip(exact.learners, hist.learners):
             assert (b.stump.feature, b.stump.threshold, b.stump.categorical) \
@@ -189,22 +194,40 @@ class TestHistBStump:
         assert TRAIN_BACKENDS == ("exact", "hist")
         with pytest.raises(ValueError):
             BStumpConfig(backend="lightgbm")
-        with pytest.raises(ValueError):
-            BStumpConfig(backend="hist", n_bins=1)
+        with pytest.raises(ValueError, match="max_split_points"):
+            BStumpConfig(backend="hist", max_split_points=1)
+
+    def test_hist_bins_at_the_split_budget(self, rng):
+        X, categorical, y = _edge_case_matrix(rng)
+        config = BStumpConfig(n_rounds=5, calibrate=False, backend="hist",
+                              max_split_points=16)
+        direct = BStump(config).fit(X, y, categorical=categorical)
+        binned = BinnedDataset.from_matrix(X, categorical, max_bins=16)
+        shared = BStump(config).fit(X, y, categorical=categorical,
+                                    binned=binned)
+        assert [a.stump for a in direct.learners] \
+            == [b.stump for b in shared.learners]
 
 
 class TestSerializeBackend:
     def test_round_trip_preserves_backend_fields(self, rng):
         X, categorical, y = _edge_case_matrix(rng)
         model = BStump(BStumpConfig(
-            n_rounds=6, calibrate=False, backend="hist", n_bins=128,
+            n_rounds=6, calibrate=False, backend="hist", max_split_points=128,
         )).fit(X, y, categorical=categorical)
         payload = bstump_to_dict(model)
         assert payload["config"]["backend"] == "hist"
+        # Format v1 still writes the retired keys: the bin budget as
+        # n_bins, equal to the one split budget, and the early-stop Z.
+        assert payload["config"]["max_split_points"] == 128
         assert payload["config"]["n_bins"] == 128
+        assert payload["config"]["early_stop_z"] == EARLY_STOP_Z
+        assert list(payload["config"]) == [
+            "n_rounds", "early_stop_z", "calibrate", "missing_policy",
+            "max_split_points", "backend", "n_bins",
+        ]
         loaded = bstump_from_dict(payload)
-        assert loaded.config.backend == "hist"
-        assert loaded.config.n_bins == 128
+        assert loaded.config == model.config
         np.testing.assert_array_equal(
             loaded.decision_function(X), model.decision_function(X))
 
@@ -216,7 +239,19 @@ class TestSerializeBackend:
         del payload["checksum"]  # pre-backend payloads hash without them
         loaded = bstump_from_dict(payload)
         assert loaded.config.backend == "exact"
-        assert loaded.config.n_bins == DEFAULT_MAX_BINS
+        assert loaded.config.max_split_points == DEFAULT_MAX_BINS
+
+    @pytest.mark.parametrize("key, value", [
+        ("early_stop_z", 0.99), ("n_bins", 128),
+    ])
+    def test_retired_key_at_another_value_is_refused(self, rng, key, value):
+        X, _, y = _edge_case_matrix(rng)
+        model = BStump(BStumpConfig(n_rounds=4, calibrate=False)).fit(X, y)
+        payload = bstump_to_dict(model)
+        payload["config"][key] = value
+        payload["checksum"] = payload_checksum(payload)
+        with pytest.raises(ValueError, match=key):
+            bstump_from_dict(payload)
 
 
 class TestHistSelection:
@@ -307,8 +342,8 @@ class TestPredictorAndLifecycle:
         assert len(overlap) >= len(exact.feature_names) * 0.6
         # Round-trip keeps the backend provenance.
         restored = TicketPredictor.from_dict(hist.to_dict())
-        assert restored.config.backend == "hist"
-        assert restored.config.n_bins == hist.config.n_bins
+        assert restored.config == hist.config
+        assert restored.model.config == hist.model.config
 
     def test_train_challenger_backend_override(self, small_result):
         from repro.core.pipeline import NevermindPipeline, PipelineConfig
@@ -325,20 +360,17 @@ class TestPredictorAndLifecycle:
             ),
         )
         pipeline.simulator.run(16)
-        challenger = pipeline.train_challenger(15, backend="hist", n_bins=128)
+        challenger = pipeline.train_challenger(15, backend="hist")
         assert challenger.config.backend == "hist"
-        assert challenger.config.n_bins == 128
-        assert challenger.model is not None
+        assert challenger.model.config.backend == "hist"
         # The pipeline's own config is untouched.
         assert pipeline.config.predictor.backend == "exact"
 
     def test_lifecycle_config_backend_knobs(self):
-        from repro.lifecycle.config import LifecycleConfig
+        from repro.lifecycle.config import CHALLENGER_BACKEND, LifecycleConfig
 
-        config = LifecycleConfig()
-        assert config.challenger_backend == "hist"
-        assert config.to_dict()["challenger_backend"] == "hist"
-        with pytest.raises(ValueError):
-            LifecycleConfig(challenger_backend="bogus")
-        with pytest.raises(ValueError):
-            LifecycleConfig(challenger_bins=1)
+        # Challengers train on one backend, a constant, not a setting.
+        assert CHALLENGER_BACKEND == "hist"
+        assert not any("challenger" in key for key in LifecycleConfig().to_dict())
+        with pytest.raises(TypeError):
+            LifecycleConfig(challenger_backend="exact")

@@ -84,7 +84,7 @@ def _make_dataset(
     gumbel = -np.log(-np.log(rng.random((n, N_CODES))))
     disposition = np.argmax(np.log(prior) + 0.35 * logits + gumbel, axis=1)
     if starve_code is not None:
-        # Exactly two examples of the starved code: below min_positive,
+        # Exactly two examples of the starved code: below MIN_POSITIVE,
         # so both backends must fall back to the prior for it.
         disposition[disposition == starve_code] = 0
         disposition[:2] = starve_code
@@ -444,8 +444,9 @@ class TestFoldAssignment:
         train = _make_dataset(seed=61, n=200)
         cfg = _config("hist", 200)
         flat = FlatLocator(cfg).fit(train)
-        folds = max(2, cfg.cv_folds)
-        expected = _fold_assignment(train.n_examples, folds, cfg.cv_seed)
+        expected = _fold_assignment(
+            train.n_examples, cfg.cv_folds, locator_mod.CV_SEED
+        )
         assert np.array_equal(flat.fold_assignment_, expected)
 
     def test_combined_fit_computes_assignment_once(self, monkeypatch):
@@ -467,21 +468,21 @@ class TestFoldAssignment:
         train = _make_dataset(seed=63, n=200)
         model = CombinedLocator(_config("hist", 200)).fit(train)
         cfg = model.config
-        folds = max(2, cfg.cv_folds)
         assert np.array_equal(
             model.flat.fold_assignment_,
-            _fold_assignment(train.n_examples, folds, cfg.cv_seed),
+            _fold_assignment(
+                train.n_examples, cfg.cv_folds, locator_mod.CV_SEED
+            ),
         )
         # Recomputing the location OOF margins after fit reuses the
         # stored assignment and the shared binning: deterministic.
         again = model._oof_location_margins(train)
         assert np.array_equal(again, model._oof_location_margins(train))
 
-    def test_small_n_skips_folds(self):
+    def test_small_n_skips_folds(self, monkeypatch):
         train = _make_dataset(seed=64, n=6)
-        cfg = LocatorConfig(
-            n_rounds=4, cv_folds=3, backend="hist", min_positive=1
-        )
+        monkeypatch.setattr(locator_mod, "MIN_POSITIVE", 1)
+        cfg = LocatorConfig(n_rounds=4, cv_folds=3, backend="hist")
         flat = FlatLocator(cfg).fit(train)
         assert flat.fold_assignment_ is None
 
@@ -521,16 +522,16 @@ def _all_stumps(model: CombinedLocator) -> dict:
 
 class TestBinBudget:
     @pytest.mark.parametrize(
-        "n_rows, n_bins, budget",
+        "n_rows, cap, budget",
         [(0, 256, 2), (8, 256, 2), (9, 256, 3), (160, 256, 53),
          (767, 256, 255), (768, 256, 256), (2595, 256, 256),
          (300, 64, 64), (300, 2, 2)],
     )
     def test_budget_is_the_cap_or_a_bin_per_three_rows(
-        self, n_rows, n_bins, budget
+        self, n_rows, cap, budget
     ):
         assert locator_mod.MIN_ROWS_PER_BIN == 3
-        assert locator_mod.locator_bin_budget(n_rows, n_bins) == budget
+        assert locator_mod.locator_bin_budget(n_rows, cap) == budget
 
     def test_shared_binning_is_built_at_the_budget(self):
         train = _continuous_dataset(seed=81, n=300)
@@ -543,6 +544,28 @@ class TestBinBudget:
         # ~270 present values per continuous column: the budget binds.
         assert 80 < flat.binned_.n_value_bins[:4].max() <= 100
 
+    def test_heads_record_the_budget_they_trained_on(self):
+        train = _continuous_dataset(seed=81, n=300)
+        model = CombinedLocator(LocatorConfig(n_rounds=2, cv_folds=2)).fit(train)
+        payload = combined_locator_to_dict(model)
+        assert payload["config"]["max_split_points"] == 256
+        heads = [
+            *payload["disposition_models"].values(),
+            *payload["location_models"].values(),
+        ]
+        assert heads
+        for head in heads:
+            assert head["config"]["max_split_points"] == 100
+            assert head["config"]["n_bins"] == 100
+        loaded = combined_locator_from_dict(payload)
+        for head in loaded.flat.models_.values():
+            assert head.config.max_split_points == 100
+
+    def test_the_cap_is_max_split_points(self):
+        train = _continuous_dataset(seed=81, n=300)
+        cfg = LocatorConfig(n_rounds=2, cv_folds=2, max_split_points=64)
+        assert FlatLocator(cfg).fit(train).binned_.max_bins == 64
+
     def test_at_three_rows_per_bin_the_fit_is_the_256_bin_fit(
         self, monkeypatch
     ):
@@ -552,7 +575,7 @@ class TestBinBudget:
         budgeted = CombinedLocator(cfg).fit(train)
         assert budgeted.flat.binned_.max_bins == 256
         monkeypatch.setattr(
-            locator_mod, "locator_bin_budget", lambda n_rows, n_bins: 256
+            locator_mod, "locator_bin_budget", lambda n_rows, cap: 256
         )
         fixed = CombinedLocator(cfg).fit(train)
         assert _all_stumps(budgeted) == _all_stumps(fixed)
@@ -582,8 +605,7 @@ class TestLocatorSerialization:
         model = CombinedLocator(_config("hist", 240)).fit(train)
         payload = json.loads(json.dumps(combined_locator_to_dict(model)))
         loaded = combined_locator_from_dict(payload)
-        assert loaded.config.backend == "hist"
-        assert loaded.config.n_bins == model.config.n_bins
+        assert loaded.config == model.config
         for head in loaded.flat.models_.values():
             assert head.config.backend == "hist"
         for head in loaded.location_models_.values():
@@ -604,6 +626,35 @@ class TestLocatorSerialization:
         assert loaded.config.backend == "exact"
         X = _make_dataset(seed=74, n=60).features.matrix
         assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+
+    def test_writes_every_v1_key(self):
+        train = _make_dataset(seed=75, n=240)
+        model = CombinedLocator(_config("hist", 240)).fit(train)
+        config = combined_locator_to_dict(model)["config"]
+        assert config == {
+            "n_rounds": 12, "min_positive": locator_mod.MIN_POSITIVE,
+            "prior_smoothing": locator_mod.PRIOR_SMOOTHING, "cv_folds": 2,
+            "cv_seed": locator_mod.CV_SEED, "backend": "hist",
+            "n_bins": 241, "max_split_points": 241,
+        }
+        assert list(config) == [
+            "n_rounds", "min_positive", "prior_smoothing", "cv_folds",
+            "cv_seed", "backend", "n_bins", "max_split_points",
+        ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("min_positive", 1), ("prior_smoothing", 0.5), ("cv_seed", 18),
+        ("n_bins", 128),
+    ])
+    def test_retired_key_at_another_value_is_refused(self, key, value):
+        train = _make_dataset(seed=76, n=240)
+        model = CombinedLocator(_config("exact", 240)).fit(train)
+        payload = combined_locator_to_dict(model)
+        payload["config"][key] = value
+        payload.pop(_CHECKSUM_FIELD)
+        payload[_CHECKSUM_FIELD] = payload_checksum(payload)
+        with pytest.raises(ValueError, match=key):
+            combined_locator_from_dict(payload)
 
 
 # ----- vectorised ranks_of_truth ------------------------------------------

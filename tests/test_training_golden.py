@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro import (
     TicketPredictor,
     paper_style_split,
 )
+from repro.features import sweep as sweep_mod
 from repro.features.encoding import FeatureSet
 from repro.features.selection import single_feature_ap
 from repro.features.sweep import hist_sweep_chunk_margins, sweep_chunk_margins
@@ -53,6 +55,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "training_v1.json"
 _TRAIN_ROWS = 200
 _TEST_ROWS = 120
 _SWEEP_ROUNDS = 6
+#: The sweeps' ``EARLY_STOP_Z`` while the ``sweep`` margins are computed:
+#: low enough that the strong column stops before the last round.
 _EARLY_STOP_Z = 0.995
 _GRID_CAPS = (16, 256)
 _AP_CAPACITIES = (7, 40)
@@ -104,19 +108,19 @@ def _sweep_margins() -> dict:
     X_train, y_train, X_test, _ = _sweep_problem()
     y_signed = np.where(y_train > 0, 1.0, -1.0)
     out = {}
-    for policy in MISSING_POLICIES:
-        for cap in _GRID_CAPS:
-            exact = sweep_chunk_margins(
-                X_train.T.copy(), y_signed, X_test.T.copy(),
-                _SWEEP_ROUNDS, _EARLY_STOP_Z, policy, cap,
-            )
-            hist = hist_sweep_chunk_margins(
-                BinnedDataset.from_matrix(X_train, max_bins=cap),
-                y_signed, X_test.T.copy(),
-                _SWEEP_ROUNDS, _EARLY_STOP_Z, policy,
-            )
-            out[f"exact-{policy}-{cap}"] = _hex(exact)
-            out[f"hist-{policy}-{cap}"] = _hex(hist)
+    with mock.patch.object(sweep_mod, "EARLY_STOP_Z", _EARLY_STOP_Z):
+        for policy in MISSING_POLICIES:
+            for cap in _GRID_CAPS:
+                exact = sweep_chunk_margins(
+                    X_train.T.copy(), y_signed, X_test.T.copy(),
+                    _SWEEP_ROUNDS, policy, cap,
+                )
+                hist = hist_sweep_chunk_margins(
+                    BinnedDataset.from_matrix(X_train, max_bins=cap),
+                    y_signed, X_test.T.copy(), _SWEEP_ROUNDS, policy,
+                )
+                out[f"exact-{policy}-{cap}"] = _hex(exact)
+                out[f"hist-{policy}-{cap}"] = _hex(hist)
     return out
 
 
@@ -193,18 +197,20 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_edge_matrix_exercises_early_stop_and_infinities():
+def test_edge_matrix_exercises_early_stop_and_infinities(monkeypatch):
     X_train, y_train, X_test, _ = _sweep_problem()
     assert np.isinf(X_train[:, 4]).any() and np.isinf(X_test[:, 4]).any()
     assert np.isnan(X_train[:, 2]).all()
     assert _TRAIN_ROWS + 1 > min(_GRID_CAPS)
     assert _TRAIN_ROWS + 1 <= max(_GRID_CAPS)
     # Some column stops early: its margins then differ from a run that
-    # cannot stop (early_stop_z above any reachable Z).
+    # cannot stop (EARLY_STOP_Z above any reachable Z).
     y_signed = np.where(y_train > 0, 1.0, -1.0)
     args = (X_train.T.copy(), y_signed, X_test.T.copy(), _SWEEP_ROUNDS)
-    stopped = sweep_chunk_margins(*args, _EARLY_STOP_Z)
-    full = sweep_chunk_margins(*args, 2.0)
+    monkeypatch.setattr(sweep_mod, "EARLY_STOP_Z", _EARLY_STOP_Z)
+    stopped = sweep_chunk_margins(*args)
+    monkeypatch.setattr(sweep_mod, "EARLY_STOP_Z", 2.0)
+    full = sweep_chunk_margins(*args)
     differs = ~np.all(stopped == full, axis=1)
     assert differs.any() and not differs.all()
 
